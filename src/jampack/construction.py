@@ -14,7 +14,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import (DEFAULT_TOL, GeometryError, Tolerances, chord_step,
-                       circle_circle_intersections, dist)
+                       circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
 F_AT_ZERO = 2.0 + SQRT3        # forced starting height of the upper row
@@ -197,16 +197,13 @@ def _check_tuned(chain: BridgeChain, tol: Tolerances):
             "chain is not tuned: closure residual %.3g" % res)
 
 
-def _dedup_guard(points: list, allowed_pairs: int, tol: Tolerances):
-    """Fail if any two centers nearly coincide; allowed_pairs near-coincident
-    pairs are expected shared discs and must be exactly zero here because
-    shared discs are never emitted twice."""
-    close = 0
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            if dist(points[i], points[j]) < 2.0 * tol.solver_abs:
-                close += 1
-    if close > allowed_pairs:
+def _dedup_guard(points: list, tol: Tolerances):
+    """Fail if any two centers nearly coincide: shared discs are never
+    emitted twice, so no pair may come closer than 2*solver_abs."""
+    cutoff = 2.0 * tol.solver_abs
+    _, _, d = near_pairs(points, cutoff)
+    close = int(np.count_nonzero(d < cutoff))
+    if close:
         raise ConstructionError(
             "unexpected coincident centers: %d pairs" % close)
 
@@ -226,7 +223,7 @@ def complete_symmetric_bridge(chain: BridgeChain,
     for p in full:
         if abs(p[0] - xl) > tol.solver_abs:
             pts.append((2.0 * xl - p[0], p[1]))
-    _dedup_guard(pts, 0, tol)
+    _dedup_guard(pts, tol)
     if len(pts) != 10 * N - 4:
         raise ConstructionError(
             "bridge disc count %d, expected %d" % (len(pts), 10 * N - 4))
@@ -358,7 +355,7 @@ def assemble_square(N: int, layout: str = "wall-bridges",
     if len(pts) != n_expected:
         raise AssemblyError(
             "assembled %d discs, expected %d" % (len(pts), n_expected))
-    _dedup_guard(pts, 0, tol)
+    _dedup_guard(pts, tol)
 
     # corner frame (walls at -1 .. side-1) -> box frame (0 .. side),
     # then scale the side to 1
@@ -368,13 +365,13 @@ def assemble_square(N: int, layout: str = "wall-bridges",
             "epsilon": eps, "lam": lam, "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
-    from .verifier import overlap_audit, verify_stable
-    audit = overlap_audit(config, tol)
-    if audit.pairs:
+    from .verifier import OverlapError, verify_stable
+    try:
+        report = verify_stable(config, tol)
+    except OverlapError as e:
         raise AssemblyError(
             "assembly has %d overlapping pairs, worst penetration %.3g"
-            % (len(audit.pairs), audit.max_penetration))
-    report = verify_stable(config, tol)
+            % (len(e.report.pairs), e.report.max_penetration)) from e
     if report.movable_count or report.rattler_count:
         bad = [(v.index, v.witness) for v in report.verdicts
                if v.status != "jammed"]

@@ -1,11 +1,15 @@
 """Planar primitives: circle-circle intersections, chord stepping along a
-monotone curve, reflections and rigid motions.
+monotone curve, reflections and rigid motions, and the cell-list neighbour
+index that every all-pairs question goes through.
 
-All operations are pure; points are plain (x, y) tuples of floats.
+All operations are pure; points are plain (x, y) tuples of floats, except
+that near_pairs takes and returns numpy arrays.
 """
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 Point = tuple[float, float]
 
@@ -127,3 +131,70 @@ def apply_rigid(p: Point, rotation: float, translation: Point) -> Point:
     c, s = math.cos(rotation), math.sin(rotation)
     return (c * p[0] - s * p[1] + translation[0],
             s * p[0] + c * p[1] + translation[1])
+
+
+# A cell-list axis has at most _MAX_CELLS + 1 cells, so the key
+# qx * _KEY_STRIDE + qy fits in int64 for any finite coordinates and any
+# cutoff; a coarser cell only adds candidates.  qy never reaches
+# _KEY_STRIDE - 1, so the offset (1, -1) cannot alias a real cell.
+_MAX_CELLS = 1 << 24
+_KEY_STRIDE = _MAX_CELLS + 2
+# A cell meets itself and its half-shell, so each pair of adjacent cells is
+# visited once.
+_HALF_SHELL = tuple(dx * _KEY_STRIDE + dy
+                    for dx, dy in ((0, 1), (1, -1), (1, 0), (1, 1)))
+
+
+def near_pairs(centers, cutoff: float
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of points within distance cutoff, found by a cell list.
+
+    Returns arrays (i, j, d) holding each pair with i < j and d <= cutoff,
+    sorted by (i, j), where d = sqrt(dx*dx + dy*dy) and (dx, dy) =
+    centers[i] - centers[j].  Cells are a hair wider than the cutoff, so two
+    points within it lie in the same or adjacent cells despite rounding.
+    Cell indices are taken at half scale, where no difference of finite
+    coordinates overflows.  Cost is O(n + candidate pairs).
+    """
+    if not cutoff > 0:
+        raise GeometryError("cutoff must be positive")
+    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    if len(c) < 2:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    h = c * 0.5
+    h -= h.min(axis=0)
+    side = max(0.5 * cutoff * (1.0 + 1e-6), float(h.max()) / _MAX_CELLS,
+               1e-300)
+    q = np.floor(h / side).astype(np.int64)
+    key = q[:, 0] * _KEY_STRIDE + q[:, 1]
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True,
+                                    return_counts=True)
+    # (first slot, size) in sorted order of both cells of each cell pair
+    a0, na, b0, nb = [start], [count], [start], [count]
+    for off in _HALF_SHELL:
+        pos = np.searchsorted(cells, cells + off)
+        hit = cells[np.minimum(pos, len(cells) - 1)] == cells + off
+        a0.append(start[hit])
+        na.append(count[hit])
+        b0.append(start[pos[hit]])
+        nb.append(count[pos[hit]])
+    a0, na, b0, nb = (np.concatenate(v) for v in (a0, na, b0, nb))
+    m = na * nb
+    group = np.repeat(np.arange(len(m)), m)
+    k = np.arange(int(m.sum())) - np.repeat(np.cumsum(m) - m, m)
+    sa = a0[group] + k // nb[group]
+    sb = b0[group] + k % nb[group]
+    # half-shell keys are larger, so only pairs within a cell can repeat
+    keep = sa < sb
+    i = order[sa[keep]]
+    j = order[sb[keep]]
+    i, j = np.minimum(i, j), np.maximum(i, j)
+    dx = c[i, 0] - c[j, 0]
+    dy = c[i, 1] - c[j, 1]
+    with np.errstate(over="ignore"):  # inf is beyond any finite cutoff
+        d = np.sqrt(dx * dx + dy * dy)
+    near = d <= cutoff
+    i, j, d = i[near], j[near], d[near]
+    by_pair = np.lexsort((j, i))
+    return i[by_pair], j[by_pair], d[by_pair]

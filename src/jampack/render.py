@@ -50,11 +50,10 @@ def render_svg(config: Configuration, contacts: bool = False,
     fills = ["#cccccc"] * config.n
     graph = None
     if contacts or color_verdicts:
-        from .verifier import contact_graph, verify_stable
+        from .verifier import _judge, contact_graph
         graph = contact_graph(config, tol)
         if color_verdicts:
-            report = verify_stable(config, tol)
-            fills = [_COLORS[v.status] for v in report.verdicts]
+            fills = [_COLORS[v.status] for v in _judge(graph, tol).verdicts]
 
     for i, (x, y) in enumerate(config.centers):
         lines.append('<circle cx="%.4f" cy="%.4f" r="%.4f" fill="%s" '

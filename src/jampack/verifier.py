@@ -7,17 +7,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import DEFAULT_TOL, Tolerances
+from .geometry import DEFAULT_TOL, Tolerances, near_pairs
 
 TWO_PI = 2.0 * math.pi
 
 
 class OverlapError(ValueError):
-    """Input configuration has penetrating discs."""
+    """Input configuration has penetrating discs; `report` is the audit."""
+
+    def __init__(self, message: str, report: "OverlapReport"):
+        super().__init__(message)
+        self.report = report
 
 
 @dataclass
 class OverlapReport:
+    """max_penetration is >= 0; min_gap covers only the pairs within
+    contact range and is +inf when there are none."""
+
     max_penetration: float
     min_gap: float
     pairs: list = field(default_factory=list)
@@ -50,28 +57,31 @@ class JammingReport:
     stable: bool
 
 
+def _reach(r: float, tol: Tolerances) -> float:
+    """Contact range: every pair the verifier looks at lies within it.  It
+    holds twice the tangency band, so a tangency the math.hypot test below
+    accepts is never lost to the rounding of the cutoff."""
+    return 2.0 * r * (1.0 + 2.0 * tol.tangency_rel)
+
+
 def overlap_audit(config: Configuration,
                   tol: Tolerances = DEFAULT_TOL) -> OverlapReport:
-    """Exact pairwise scan for penetrating disc pairs.
+    """Penetrating disc pairs, from the pairs within contact range.
 
-    Penetration beyond 2r*tangency_rel is a violation; min_gap is +inf for
-    fewer than two discs.
+    Penetration beyond 2r*tangency_rel is a violation; pairs are listed as
+    (i, j, distance) in (i, j) order.  max_penetration is the worst 2r - d,
+    or 0.  min_gap is the smallest d - 2r among pairs within contact range,
+    2r(1 + 2*tangency_rel), and +inf when there are none.
     """
-    c = config.centers
-    n = len(c)
     r = config.radius
-    if n < 2:
+    i, j, d = near_pairs(config.centers, _reach(r, tol))
+    if len(d) == 0:
         return OverlapReport(0.0, math.inf, [])
-    d = np.sqrt(np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
-    iu = np.triu_indices(n, 1)
-    dists = d[iu]
-    pens = 2.0 * r - dists
-    worst = float(np.max(pens))
+    pens = 2.0 * r - d
     viol = pens > 2.0 * r * tol.tangency_rel
-    pairs = [(int(iu[0][k]), int(iu[1][k]), float(dists[k]))
-             for k in np.nonzero(viol)[0]]
-    return OverlapReport(max(worst, 0.0), float(np.min(dists) - 2.0 * r),
-                         pairs)
+    pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))
+    return OverlapReport(max(float(np.max(pens)), 0.0),
+                         float(np.min(d) - 2.0 * r), pairs)
 
 
 def contact_graph(config: Configuration,
@@ -80,30 +90,34 @@ def contact_graph(config: Configuration,
 
     Disc-disc contacts use the relative tolerance |d - 2r| <= 2r*tangency_rel
     so verdicts survive uniform scaling; wall contacts use gap <=
-    r*tangency_rel.  Overlapping input is rejected.
+    r*tangency_rel.  Overlapping input is rejected.  Candidate pairs come
+    from near_pairs and are tested in (i, j) order, so each disc's normals
+    are listed by partner index, walls last.
     """
     audit = overlap_audit(config, tol)
     if audit.pairs:
         i, j, d = audit.pairs[0]
         raise OverlapError(
             "discs %d and %d overlap: distance %.17g < 2r, penetration %.3g"
-            % (i, j, d, 2.0 * config.radius - d))
+            % (i, j, d, 2.0 * config.radius - d), audit)
 
     c = config.centers
     n = len(c)
     r = config.radius
+    xs = c[:, 0].tolist()
+    ys = c[:, 1].tolist()
     normals = [[] for _ in range(n)]
     wall_contacts = [[] for _ in range(n)]
     pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = c[i, 0] - c[j, 0]
-            dy = c[i, 1] - c[j, 1]
-            d = math.hypot(dx, dy)
-            if abs(d - 2.0 * r) <= 2.0 * r * tol.tangency_rel:
-                normals[i].append((dx / d, dy / d))
-                normals[j].append((-dx / d, -dy / d))
-                pairs.append((i, j))
+    near_i, near_j, _ = near_pairs(c, _reach(r, tol))
+    for i, j in zip(near_i.tolist(), near_j.tolist()):
+        dx = xs[i] - xs[j]
+        dy = ys[i] - ys[j]
+        d = math.hypot(dx, dy)
+        if abs(d - 2.0 * r) <= 2.0 * r * tol.tangency_rel:
+            normals[i].append((dx / d, dy / d))
+            normals[j].append((-dx / d, -dy / d))
+            pairs.append((i, j))
     if config.box is not None:
         w, h = config.box
         walls = [("left", (1.0, 0.0), lambda p: p[0]),
@@ -180,11 +194,15 @@ def verify_stable(config: Configuration,
 
     The configuration is stable iff no disc is movable or a rattler.
     """
-    graph = contact_graph(config, tol)
+    return _judge(contact_graph(config, tol), tol)
+
+
+def _judge(graph: ContactGraph, tol: Tolerances) -> JammingReport:
+    """Per-disc verdicts from an already built contact graph."""
     verdicts = []
     jammed = movable = rattlers = 0
-    for i in range(config.n):
-        v = is_locally_jammed(graph.normals[i], tol)
+    for i, normals in enumerate(graph.normals):
+        v = is_locally_jammed(normals, tol)
         v.index = i
         verdicts.append(v)
         if v.status == "jammed":

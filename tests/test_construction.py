@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from jampack import construction
 from jampack.construction import (AssemblyError, ConstructionError,
                                   CurveFamily, TuningError, assemble_square,
                                   build_half_chain, build_wall_bridge,
                                   complete_symmetric_bridge, curve_eval,
                                   density, five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import dist
+from jampack.geometry import DEFAULT_TOL, dist
 from jampack.verifier import verify_stable
 
 S3 = math.sqrt(3.0)
@@ -276,6 +277,27 @@ def test_assemble_square_rejects_infeasible_layout():
         assemble_square(4, layout="interior-bridges")
     with pytest.raises(AssemblyError):
         assemble_square(4, layout="nonsense")
+
+
+def test_assemble_square_overlap_is_an_assembly_error(monkeypatch):
+    # a wall clamp moved onto the corner disc: four copies, each overlapping
+    # the corner disc and its wall neighbour
+    clamps = [(1.0, 0.0)] + construction._CLAMPS[1:]
+    monkeypatch.setattr(construction, "_CLAMPS", clamps)
+    with pytest.raises(AssemblyError,
+                       match=r"assembly has 8 overlapping pairs, "
+                             r"worst penetration 0\.0346"):
+        assemble_square(4)
+
+
+def test_dedup_guard_counts_coincident_pairs():
+    pts = [(-50.0, 3.0), (-50.0 + 1e-12, 3.0), (-50.0, 3.0 - 1e-12),
+           (40.0, 40.0)]
+    with pytest.raises(ConstructionError,
+                       match="unexpected coincident centers: 3 pairs"):
+        construction._dedup_guard(pts, DEFAULT_TOL)
+    construction._dedup_guard([(-50.0, 3.0), (-50.0, 3.0 + 2.1e-12)],
+                              DEFAULT_TOL)
 
 
 def test_five_disc_geometry():

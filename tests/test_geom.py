@@ -1,11 +1,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from jampack.geometry import (DEFAULT_TOL, GeometryError, Tolerances,
                               apply_rigid, chord_step,
-                              circle_circle_intersections, dist,
+                              circle_circle_intersections, dist, near_pairs,
                               reflect_across_horizontal,
                               reflect_across_vertical)
 
@@ -172,3 +173,93 @@ def test_rigid_motions_preserve_distances():
         d0 = dist(p, q)
         d1 = dist(apply_rigid(p, theta, t), apply_rigid(q, theta, t))
         assert abs(d1 - d0) <= 1e-12 * max(1.0, d0)
+
+
+def _brute_pairs(c, cutoff):
+    """All-pairs oracle for near_pairs, with the same float operations."""
+    out = []
+    for i in range(len(c)):
+        for j in range(i + 1, len(c)):
+            dx = c[i, 0] - c[j, 0]
+            dy = c[i, 1] - c[j, 1]
+            d = math.sqrt(dx * dx + dy * dy)
+            if d <= cutoff:
+                out.append((i, j, d))
+    return out
+
+
+def _near(c, cutoff):
+    i, j, d = near_pairs(c, cutoff)
+    return list(zip(i.tolist(), j.tolist(), d.tolist()))
+
+
+def test_near_pairs_matches_brute_force_randomized():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(2, 160))
+        c = rng.uniform(-50.0, 50.0, (n, 2))
+        cutoff = float(rng.uniform(0.5, 30.0))
+        assert _near(c, cutoff) == _brute_pairs(c, cutoff)
+
+
+def test_near_pairs_matches_kdtree():
+    cKDTree = pytest.importorskip("scipy.spatial").cKDTree
+    rng = np.random.default_rng(42)
+    c = rng.uniform(-100.0, 300.0, (3000, 2))
+    for cutoff in (0.3, 2.0, 7.5):
+        i, j, _ = near_pairs(c, cutoff)
+        assert set(zip(i.tolist(), j.tolist())) == \
+            cKDTree(c).query_pairs(cutoff)
+
+
+def test_near_pairs_keeps_pairs_exactly_at_cutoff():
+    # a lattice whose spacing is the cutoff puts pairs on or within an ulp
+    # of it, and many of them straddle cell boundaries
+    cutoff = 0.3
+    k = np.arange(-6, 7) * cutoff
+    c = np.array([(x, y) for x in k for y in k])
+    got = _near(c, cutoff)
+    assert got == _brute_pairs(c, cutoff)
+    # pairs placed so their computed distance is the cutoff itself
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        c = rng.uniform(-10.0, 10.0, (2, 2))
+        (_, _, d), = _brute_pairs(c, math.inf)
+        assert _near(c, d) == [(0, 1, d)]
+
+
+def test_near_pairs_duplicate_points():
+    c = np.array([[1.0, -2.0], [3.0, 3.0], [1.0, -2.0], [1.0, -2.0]])
+    assert _near(c, 1e-9) == [(0, 2, 0.0), (0, 3, 0.0), (2, 3, 0.0)]
+    assert _near(c, 10.0) == _brute_pairs(c, 10.0)
+
+
+def test_near_pairs_small_inputs():
+    for c in (np.empty((0, 2)), np.array([[-4.0, 5.0]])):
+        i, j, d = near_pairs(c, 1.0)
+        assert len(i) == len(j) == len(d) == 0
+        assert i.dtype.kind == j.dtype.kind == "i"
+
+
+def test_near_pairs_tiny_cutoff_on_wide_extent():
+    # the dedup guard's cutoff, 2e-12, against a side of about 100
+    rng = np.random.default_rng(44)
+    base = rng.uniform(-100.0, 100.0, (300, 2))
+    cutoff = 1e-14 * 200.0
+    near = base[:40] + rng.uniform(-1.5e-12, 1.5e-12, (40, 2))
+    c = np.concatenate([base, near])
+    got = _near(c, cutoff)
+    assert got == _brute_pairs(c, cutoff)
+    assert 0 < len(got) <= 40
+
+
+def test_near_pairs_extreme_coordinates():
+    # cell keys stay in range even when coordinate differences overflow
+    c = np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, -1e300],
+                  [-1e300, 1e300], [1.5e308, -1.5e308]])
+    assert _near(c, 1e-300) == [(0, 2, 0.0), (1, 3, 0.0)]
+
+
+def test_near_pairs_rejects_nonpositive_cutoff():
+    with pytest.raises(GeometryError):
+        near_pairs(np.zeros((3, 2)), 0.0)

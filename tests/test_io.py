@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from jampack.configuration import Configuration
-from jampack.construction import five_disc_config, junction_piece
+from jampack.construction import (CurveFamily, build_wall_bridge,
+                                  five_disc_config, junction_piece)
 from jampack.files import (SchemaError, read_config, report_dict, write_config,
                            write_csv, write_report)
 from jampack.render import render_svg
@@ -151,6 +152,29 @@ def test_svg_contact_overlay_and_colors():
     svg = render_svg(config, contacts=True, color_verdicts=True)
     assert svg.count("<line") == 4  # center disc touching each corner disc
     assert "#4878a8" in svg  # jammed color
+
+
+def test_svg_colors_follow_verdicts_from_one_contact_graph(monkeypatch):
+    from jampack import verifier
+    config = build_wall_bridge(CurveFamily(), 4)
+    calls = []
+    real = verifier.contact_graph
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "contact_graph", counting)
+    svg = render_svg(config, contacts=True, color_verdicts=True)
+    assert len(calls) == 1
+    fills = [l.split('fill="')[1].split('"')[0] for l in svg.split("\n")
+             if "<circle" in l]
+    colors = {"jammed": "#4878a8", "movable": "#c04040",
+              "rattler": "#d8a030"}
+    monkeypatch.setattr(verifier, "contact_graph", real)
+    statuses = [v.status for v in verify_stable(config).verdicts]
+    assert fills == [colors[s] for s in statuses]
+    assert "movable" in statuses
 
 
 def test_svg_y_axis_flipped():

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from jampack.configuration import Configuration
-from jampack.construction import five_disc_config, junction_piece
+from jampack.construction import (assemble_square, five_disc_config,
+                                  junction_piece, tiling_3_12_12)
+from jampack.geometry import DEFAULT_TOL
 from jampack.verifier import (OverlapError, contact_graph, direction_oracle,
                               is_locally_jammed, overlap_audit, verify_stable)
 
@@ -148,6 +150,119 @@ def test_overlap_audit_empty():
     rep = overlap_audit(config)
     assert rep.pairs == []
     assert rep.min_gap == math.inf
+
+
+def test_overlap_audit_min_gap_far_apart_is_inf():
+    config = Configuration(1.0, [[0.0, 0.0], [10.0, 0.0]])
+    rep = overlap_audit(config)
+    assert rep.min_gap == math.inf
+    assert rep.max_penetration == 0.0
+    assert rep.pairs == []
+
+
+def test_overlap_audit_min_gap_touching_is_zero():
+    config = Configuration(0.5, [[0.25, -1.0], [0.25 + 0.6, -1.0 + 0.8]])
+    rep = overlap_audit(config)
+    assert rep.min_gap == pytest.approx(0.0, abs=1e-15)
+    assert rep.pairs == []
+
+
+def _matrix_overlap_audit(config, tol=DEFAULT_TOL):
+    """Oracle: the full n x n distance matrix scan."""
+    c = config.centers
+    n = len(c)
+    r = config.radius
+    d = np.sqrt(np.sum((c[:, None, :] - c[None, :, :]) ** 2, axis=2))
+    iu = np.triu_indices(n, 1)
+    dists = d[iu]
+    pens = 2.0 * r - dists
+    viol = pens > 2.0 * r * tol.tangency_rel
+    pairs = [(int(iu[0][k]), int(iu[1][k]), float(dists[k]))
+             for k in np.nonzero(viol)[0]]
+    return max(float(np.max(pens)), 0.0), pairs
+
+
+def _brute_contact_graph(config, tol=DEFAULT_TOL):
+    """Oracle: the all-pairs double loop, walls included."""
+    c = config.centers
+    n = len(c)
+    r = config.radius
+    normals = [[] for _ in range(n)]
+    wall_contacts = [[] for _ in range(n)]
+    pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = c[i, 0] - c[j, 0]
+            dy = c[i, 1] - c[j, 1]
+            d = math.hypot(dx, dy)
+            if abs(d - 2.0 * r) <= 2.0 * r * tol.tangency_rel:
+                normals[i].append((dx / d, dy / d))
+                normals[j].append((-dx / d, -dy / d))
+                pairs.append((i, j))
+    if config.box is not None:
+        w, h = config.box
+        for i in range(n):
+            for name, normal, gap in (("left", (1.0, 0.0), c[i, 0]),
+                                      ("right", (-1.0, 0.0), w - c[i, 0]),
+                                      ("bottom", (0.0, 1.0), c[i, 1]),
+                                      ("top", (0.0, -1.0), h - c[i, 1])):
+                if abs(gap - r) <= r * tol.tangency_rel:
+                    normals[i].append(normal)
+                    wall_contacts[i].append(name)
+    return pairs, normals, wall_contacts
+
+
+def _lattice_config(rnd):
+    """Triangular lattice of unit discs at spacing 2 with holes, rotated and
+    moved to negative coordinates: many tangencies, all from rounding."""
+    theta = rnd.uniform(0, 2 * math.pi)
+    ct, st = math.cos(theta), math.sin(theta)
+    ox, oy = rnd.uniform(-50, 0), rnd.uniform(-50, 0)
+    pts = []
+    for a in range(8):
+        for b in range(8):
+            if rnd.random() < 0.8:
+                x = 2.0 * a + b
+                y = math.sqrt(3.0) * b
+                pts.append((ct * x - st * y + ox, st * x + ct * y + oy))
+    return Configuration(1.0, np.array(pts))
+
+
+def _assert_same_graph(config):
+    g = contact_graph(config)
+    pairs, normals, wall_contacts = _brute_contact_graph(config)
+    assert g.pairs == pairs
+    assert g.normals == normals
+    assert g.wall_contacts == wall_contacts
+    return g
+
+
+def test_contact_graph_matches_double_loop_on_constructions():
+    square, _ = assemble_square(8)
+    g = _assert_same_graph(square)
+    assert len(g.pairs) > square.n
+    g = _assert_same_graph(tiling_3_12_12(10))
+    assert len(g.pairs) > 0
+
+
+def test_contact_graph_matches_double_loop_randomized():
+    rnd = random.Random(90)
+    for _ in range(300):
+        _assert_same_graph(_random_config(rnd, planar=rnd.random() < 0.3))
+    for _ in range(20):
+        _assert_same_graph(_lattice_config(rnd))
+
+
+def test_overlap_audit_matches_matrix_scan_randomized():
+    rng = np.random.default_rng(91)
+    for _ in range(100):
+        n = int(rng.integers(2, 60))
+        config = Configuration(float(rng.uniform(0.2, 2.0)),
+                               rng.uniform(-20.0, 20.0, (n, 2)))
+        rep = overlap_audit(config)
+        worst, pairs = _matrix_overlap_audit(config)
+        assert rep.pairs == pairs
+        assert rep.max_penetration == worst
 
 
 def test_five_disc_verdicts():
