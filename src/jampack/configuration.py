@@ -45,11 +45,6 @@ class Configuration:
         return Configuration(self.radius * factor, self.centers * factor,
                              box, dict(self.metadata))
 
-    def translated(self, dx: float, dy: float) -> "Configuration":
-        """Translate centers; only meaningful for planar configurations."""
-        return Configuration(self.radius, self.centers + [dx, dy],
-                             self.box, dict(self.metadata))
-
     def copy(self) -> "Configuration":
         return Configuration(self.radius, self.centers.copy(), self.box,
                              dict(self.metadata))

@@ -107,8 +107,14 @@ def build_half_chain(family: CurveFamily, max_N: int,
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
+    # curve_eval's float operations, with f(0) taken once per chain; the
+    # chain only evaluates x >= 0
+    base = family.base
+    one = 1.0 + family.epsilon
+    e0 = family.epsilon * base(0.0)
+
     def f(x):
-        return curve_eval(family, x)
+        return one * base(x) - e0
 
     a = [(0.0, f(0.0))]
     b = [(0.0, SQRT3)]
@@ -148,15 +154,22 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
     Scans 64 log-spaced epsilon values over eight decades up to eps_hi for
-    a sign change of the closure residual, then bisects.
+    a sign change of the closure residual, then bisects until the midpoint
+    of the bracket is no longer a float strictly inside it.  Each residual
+    is computed once per call; the returned chain is built once, at
+    epsilon*.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
     if eps_hi <= 0:
         raise ConstructionError("eps_hi must be positive")
 
+    residuals = {}
+
     def g(eps):
-        return _closure_residual(family, N, eps, tol)
+        if eps not in residuals:
+            residuals[eps] = _closure_residual(family, N, eps, tol)
+        return residuals[eps]
 
     probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
     lo = hi = None
@@ -169,11 +182,19 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
         prev = (e, ge)
     if lo is None:
         raise TuningError(
-            "no closure bracket for N=%d with eps_hi=%g" % (N, eps_hi))
+            "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "
+            "residual changes sign nowhere in the scan; the last probe "
+            "eps=%.6g has residual %.3g"
+            % (N, family.lam, eps_hi, prev[0], prev[1]))
 
     glo = g(lo)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        # glo != 0 and g(hi) has the opposite sign or is 0, so a midpoint
+        # equal to lo or hi would leave (lo, hi) as it is on every later
+        # iteration: stopping here gives the same bracket
+        if not lo < mid < hi:
+            break
         gm = g(mid)
         if glo * gm <= 0:
             hi = mid
@@ -184,8 +205,8 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
     eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
     if abs(g(eps_star)) > 10.0 * tol.solver_abs:
         raise TuningError(
-            "closure residual %.3g exceeds tolerance at N=%d"
-            % (g(eps_star), N))
+            "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
+            "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
     chain = build_half_chain(family.with_epsilon(eps_star), N, tol)
     return eps_star, chain
 
@@ -208,6 +229,13 @@ def _dedup_guard(points: list, tol: Tolerances):
             "unexpected coincident centers: %d pairs" % close)
 
 
+def _with_l_mirror(points: list, xl: float, tol: Tolerances) -> list:
+    """points, then their mirror images across the vertical line l at
+    x = xl, leaving out the points that lie on l."""
+    return points + [(2.0 * xl - p[0], p[1]) for p in points
+                     if abs(p[0] - xl) > tol.solver_abs]
+
+
 def complete_symmetric_bridge(chain: BridgeChain,
                               tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Mirror a tuned chain across the x-axis and across the vertical line l
@@ -218,11 +246,8 @@ def complete_symmetric_bridge(chain: BridgeChain,
     xl = chain.mirror_x
     half = list(chain.a[:N]) + list(chain.b[:N]) + list(chain.c[:N - 1])
     # x-axis mirror duplicates a and b rows; c sits on the axis
-    full = list(half) + [(p[0], -p[1]) for p in half if p[1] > 0.0]
-    pts = list(full)
-    for p in full:
-        if abs(p[0] - xl) > tol.solver_abs:
-            pts.append((2.0 * xl - p[0], p[1]))
+    full = half + [(p[0], -p[1]) for p in half if p[1] > 0.0]
+    pts = _with_l_mirror(full, xl, tol)
     _dedup_guard(pts, tol)
     if len(pts) != 10 * N - 4:
         raise ConstructionError(
@@ -235,13 +260,8 @@ def complete_symmetric_bridge(chain: BridgeChain,
 def _wall_half_bridge_points(chain: BridgeChain, tol: Tolerances) -> list:
     """Half bridge in the chain frame (c row at y = 0), l-mirrored."""
     N = chain.N
-    xl = chain.mirror_x
     half = list(chain.a[:N]) + list(chain.b[:N]) + list(chain.c[:N - 1])
-    pts = list(half)
-    for p in half:
-        if abs(p[0] - xl) > tol.solver_abs:
-            pts.append((2.0 * xl - p[0], p[1]))
-    return pts
+    return _with_l_mirror(half, chain.mirror_x, tol)
 
 
 def build_wall_bridge(family: CurveFamily, N: int, wall_y: float = 0.0,
@@ -317,7 +337,12 @@ def assemble_square(N: int, layout: str = "wall-bridges",
 
     The result is certified before return: zero overlap violations and
     zero movable discs under the verifier, otherwise AssemblyError.
+    N must be at least 3: at N = 2 the bridge ends leave discs movable.
     """
+    if N < 3:
+        raise AssemblyError(
+            "N=%d is too small: square assembly needs N >= 3, since at N=2 "
+            "the bridges leave discs movable" % N)
     if layout == "interior-bridges":
         raise AssemblyError(
             "layout 'interior-bridges' is infeasible: full symmetric "

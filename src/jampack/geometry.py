@@ -1,6 +1,6 @@
 """Planar primitives: circle-circle intersections, chord stepping along a
-monotone curve, reflections and rigid motions, and the cell-list neighbour
-index that every all-pairs question goes through.
+monotone curve, and the cell-list neighbour index that every all-pairs
+question goes through.
 
 All operations are pure; points are plain (x, y) tuples of floats, except
 that near_pairs takes and returns numpy arrays.
@@ -113,24 +113,6 @@ def chord_step(curve, x_start: float, chord: float,
         else:
             lo, glo = mid, gm
     return 0.5 * (lo + hi)
-
-
-def reflect_across_vertical(p: Point, x0: float) -> Point:
-    _require_finite(p)
-    return (2.0 * x0 - p[0], p[1])
-
-
-def reflect_across_horizontal(p: Point, y0: float) -> Point:
-    _require_finite(p)
-    return (p[0], 2.0 * y0 - p[1])
-
-
-def apply_rigid(p: Point, rotation: float, translation: Point) -> Point:
-    """Rotate about the origin by `rotation` radians, then translate."""
-    _require_finite(p, translation)
-    c, s = math.cos(rotation), math.sin(rotation)
-    return (c * p[0] - s * p[1] + translation[0],
-            s * p[0] + c * p[1] + translation[1])
 
 
 # A cell-list axis has at most _MAX_CELLS + 1 cells, so the key

@@ -112,6 +112,11 @@ def test_assembly_failure_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_build_square_small_n_exit_1(capsys):
+    assert dispatch(["build-square", "--N", "2"]) == 1
+    assert "N >= 3" in capsys.readouterr().err
+
+
 def test_overlapping_input_refused(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_config(Configuration(1.0, [[0.0, 0.0], [1.5, 0.0]]), path)

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from jampack import construction
-from jampack.construction import (AssemblyError, ConstructionError,
-                                  CurveFamily, TuningError, assemble_square,
+from jampack.construction import (AssemblyError, BridgeChain,
+                                  ConstructionError, CurveFamily,
+                                  TuningError, assemble_square,
                                   build_half_chain, build_wall_bridge,
                                   complete_symmetric_bridge, curve_eval,
                                   density, five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import DEFAULT_TOL, dist
+from jampack.geometry import (DEFAULT_TOL, chord_step,
+                              circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
 
 S3 = math.sqrt(3.0)
@@ -153,6 +155,130 @@ def test_tune_epsilon_failure_names_parameters():
     with pytest.raises(TuningError) as e:
         tune_epsilon(CurveFamily(), 4, eps_hi=1e-12)
     assert "N=4" in str(e.value)
+    assert "lam=" in str(e.value)
+    assert "eps_hi=1e-12" in str(e.value)
+    assert "last probe eps=1e-12 has residual" in str(e.value)
+
+
+def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
+    """The chain builder as it was before f(0) was hoisted: every curve
+    point goes through curve_eval."""
+    if max_N < 2:
+        raise ConstructionError("max_N must be at least 2")
+
+    def f(x):
+        return curve_eval(family, x)
+
+    a = [(0.0, f(0.0))]
+    b = [(0.0, S3)]
+    c = [(1.0, 0.0)]
+    term = None
+    for i in range(1, max_N):
+        xn = chord_step(f, a[-1][0], 2.0, tol)
+        an = (xn, f(xn))
+        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0, tol)
+        if not pts:
+            term = ("no_b", i + 1)
+            break
+        bn = max(pts, key=lambda p: p[0])
+        if bn[1] > 2.0:
+            a.append(an)
+            b.append(bn)
+            term = ("no_c", i + 1)
+            break
+        a.append(an)
+        b.append(bn)
+        c.append((bn[0] + math.sqrt(4.0 - bn[1] ** 2), 0.0))
+    return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
+
+
+def _parent_closure_residual(family, N, epsilon, tol):
+    chain = _parent_build_half_chain(family.with_epsilon(epsilon), N, tol)
+    if chain.terminated_at is not None and chain.N < N:
+        return 1.0
+    return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
+
+
+def _parent_tune_epsilon(family, N, eps_hi=50.0, tol=DEFAULT_TOL):
+    """Oracle: the scan and bisection as they were before the residual memo
+    and the midpoint stop rule, on the builder above."""
+    if N < 2:
+        raise ConstructionError("N must be at least 2")
+    if eps_hi <= 0:
+        raise ConstructionError("eps_hi must be positive")
+
+    def g(eps):
+        return _parent_closure_residual(family, N, eps, tol)
+
+    probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
+    lo = hi = None
+    prev = None
+    for e in probes:
+        ge = g(e)
+        if prev is not None and prev[1] * ge < 0:
+            lo, hi = prev[0], e
+            break
+        prev = (e, ge)
+    if lo is None:
+        raise TuningError(
+            "no closure bracket for N=%d with eps_hi=%g" % (N, eps_hi))
+
+    glo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if glo * gm <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+        if hi - lo < 1e-16 * max(1.0, hi):
+            break
+    eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
+    if abs(g(eps_star)) > 10.0 * tol.solver_abs:
+        raise TuningError(
+            "closure residual %.3g exceeds tolerance at N=%d"
+            % (g(eps_star), N))
+    chain = _parent_build_half_chain(family.with_epsilon(eps_star), N, tol)
+    return eps_star, chain
+
+
+def _tuned(fn, family, N):
+    try:
+        eps, chain = fn(family, N)
+    except TuningError:
+        return "TuningError"
+    return eps, (chain.a, chain.b, chain.c, chain.N, chain.epsilon_used,
+                 chain.mirror_x, chain.terminated_at)
+
+
+@pytest.mark.parametrize("lam", [0.02, 0.05, 0.1])
+def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
+    # bit-identical epsilon*, chains and failures, not merely close ones
+    family = CurveFamily(lam=lam)
+    outcomes = set()
+    for N in list(range(2, 21)) + [32, 64]:
+        expected = _tuned(_parent_tune_epsilon, family, N)
+        assert _tuned(tune_epsilon, family, N) == expected, N
+        outcomes.add(expected == "TuningError")
+    if lam == 0.02:
+        assert outcomes == {True, False}   # N=2 has no bracket here
+
+
+def test_tune_epsilon_builds_each_chain_once(monkeypatch):
+    calls = []
+    build = construction.build_half_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].epsilon)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(construction, "build_half_chain", counted)
+    eps, chain = tune_epsilon(CurveFamily(), 8)
+    # scan, bisection and the returned chain: 257 builds without the memo
+    # and the midpoint stop rule
+    assert len(calls) < 120
+    assert len(set(calls[:-1])) == len(calls) - 1
+    assert calls[-1] == eps == chain.epsilon_used
 
 
 def test_symmetric_bridge_counts_and_closure():
@@ -165,6 +291,24 @@ def test_symmetric_bridge_counts_and_closure():
         aN = chain.a[N - 1]
         mirrored = (2.0 * chain.mirror_x - aN[0], aN[1])
         assert dist(aN, mirrored) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_bridges_list_discs_in_mirror_order():
+    # half rows, then (x-axis mirror,) then the l-mirror of each disc off l
+    eps, chain = tune_epsilon(CurveFamily(), 5)
+    N, xl = chain.N, chain.mirror_x
+    half = chain.a[:N] + chain.b[:N] + chain.c[:N - 1]
+
+    def l_mirror(pts):
+        return pts + [(2.0 * xl - x, y) for x, y in pts
+                      if abs(x - xl) > DEFAULT_TOL.solver_abs]
+
+    full = half + [(x, -y) for x, y in half if y > 0.0]
+    config = complete_symmetric_bridge(chain)
+    assert np.array_equal(config.centers, np.array(l_mirror(full)))
+    wall = build_wall_bridge(CurveFamily(), N)
+    expected = [(x + 5.0, y + 1.0) for x, y in l_mirror(half)]
+    assert np.array_equal(wall.centers, np.array(expected))
 
 
 def test_symmetric_bridge_reflection_invariance():
@@ -277,6 +421,16 @@ def test_assemble_square_rejects_infeasible_layout():
         assemble_square(4, layout="interior-bridges")
     with pytest.raises(AssemblyError):
         assemble_square(4, layout="nonsense")
+
+
+@pytest.mark.parametrize("N", [-1, 0, 1, 2])
+def test_assemble_square_rejects_small_n_before_tuning(monkeypatch, N):
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tune_epsilon called")
+
+    monkeypatch.setattr(construction, "tune_epsilon", no_tuning)
+    with pytest.raises(AssemblyError, match=r"N=%d .*N >= 3" % N):
+        assemble_square(N)
 
 
 def test_assemble_square_overlap_is_an_assembly_error(monkeypatch):

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from jampack.geometry import (DEFAULT_TOL, GeometryError, Tolerances,
-                              apply_rigid, chord_step,
-                              circle_circle_intersections, dist, near_pairs,
-                              reflect_across_horizontal,
-                              reflect_across_vertical)
+                              chord_step, circle_circle_intersections, dist,
+                              near_pairs)
 
 
 def test_tolerances_defaults():
@@ -137,42 +135,6 @@ def test_chord_step_rejects_bad_input():
         chord_step(lambda x: 0.0, 0.0, -1.0)
     with pytest.raises(GeometryError):
         chord_step(lambda x: x * x, 1.0, 0.5)  # increasing curve
-
-
-def test_reflections_trivial():
-    assert reflect_across_vertical((1, 2), 3) == (5, 2)
-    assert reflect_across_horizontal((1, 2), 0) == (1, -2)
-
-
-def test_reflections_are_involutions():
-    rnd = random.Random(7)
-    for _ in range(1000):
-        p = (rnd.uniform(-10, 10), rnd.uniform(-10, 10))
-        x0 = rnd.uniform(-10, 10)
-        y0 = rnd.uniform(-10, 10)
-        ulp = 4 * math.ulp(max(abs(p[0]), abs(p[1]), abs(2 * x0),
-                               abs(2 * y0), 1.0))
-        q = reflect_across_vertical(reflect_across_vertical(p, x0), x0)
-        assert abs(q[0] - p[0]) <= ulp and q[1] == p[1]
-        q = reflect_across_horizontal(reflect_across_horizontal(p, y0), y0)
-        assert q[0] == p[0] and abs(q[1] - p[1]) <= ulp
-
-
-def test_apply_rigid_trivial():
-    p = apply_rigid((1, 0), math.pi / 2, (0, 0))
-    assert p == pytest.approx((0, 1), abs=1e-12)
-
-
-def test_rigid_motions_preserve_distances():
-    rnd = random.Random(31)
-    for _ in range(1000):
-        p = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
-        q = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
-        theta = rnd.uniform(0, 2 * math.pi)
-        t = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
-        d0 = dist(p, q)
-        d1 = dist(apply_rigid(p, theta, t), apply_rigid(q, theta, t))
-        assert abs(d1 - d0) <= 1e-12 * max(1.0, d0)
 
 
 def _brute_pairs(c, cutoff):
