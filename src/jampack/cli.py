@@ -113,6 +113,8 @@ def _cmd_simulate(args):
     _emit(args, {"proposed": stats.proposed, "accepted": stats.accepted,
                  "acceptance_rate": stats.acceptance_rate,
                  "max_center_displacement": stats.max_center_displacement,
+                 "first_accepted": stats.first_accepted,
+                 "trace": stats.trace,
                  "step_radius": params.step_radius,
                  "rng": stats.rng_algorithm})
     return 0

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import DEFAULT_TOL, Tolerances
+from .geometry import DEFAULT_TOL, Tolerances, near_pairs
 from .verifier import overlap_audit
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -17,6 +17,10 @@ RNG_ALGORITHM = "numpy-pcg64"
 # keys collide share a list, which adds candidates but never hides one.
 _STRIDE = 1 << 20
 _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
+
+# The quiet-run filter tests about this many (proposal, neighbour) entries
+# at a time, which bounds its temporaries to about 1 MB for any table width.
+_FILTER_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -42,6 +46,8 @@ class ChainStats:
     acceptance_rate: float
     max_center_displacement: float
     trace: list = field(default_factory=list)
+    # (0-based proposal index, disc moved) of the first acceptance, or None
+    first_accepted: tuple[int, int] | None = None
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -74,7 +80,10 @@ class _Grid:
     on the cell layout.
     """
 
-    def __init__(self, config: Configuration, step_radius: float):
+    def __init__(self, config: Configuration, step_radius: float,
+                 indexed=None):
+        """Grid over the discs listed in indexed (default: all).  Leaving a
+        disc out is exact only when no proposal can reach it."""
         self.radius = config.radius
         self.step_radius = step_radius
         self.box = config.box
@@ -82,8 +91,10 @@ class _Grid:
         self.ys = config.centers[:, 1].tolist()
         self.side = 2.0 * config.radius * (1.0 + 1e-6)
         self.cells = {}
-        for i, (x, y) in enumerate(zip(self.xs, self.ys)):
-            self.cells.setdefault(self._key(x, y), []).append(i)
+        for i in (range(len(self.xs)) if indexed is None
+                  else indexed.tolist()):
+            self.cells.setdefault(self._key(self.xs[i], self.ys[i]),
+                                  []).append(i)
 
     def _key(self, x: float, y: float) -> int:
         return int(x // self.side) * _STRIDE + int(y // self.side)
@@ -133,6 +144,91 @@ class _Grid:
         return np.column_stack((self.xs, self.ys))
 
 
+class _QuietFilter:
+    """Vectorised pre-test for a run of rejections, valid until the grid
+    next moves a disc.
+
+    For a block of proposals at once it computes the targets in numpy, from
+    the same deviates with the same float operations as _Grid.propose, and
+    marks a proposal surely rejected when its target leaves the box, or
+    comes within 2r of a neighbour, by more than a slack.  The slack is
+    1e-9 r plus 2^-40 of the coordinate scale, far above any rounding
+    difference from the scalar rule (numpy's sin and cos need not round as
+    libm's do).  The filter never accepts: a proposal it cannot reject goes
+    to _Grid.propose.
+    """
+
+    def __init__(self, grid: _Grid):
+        c = grid.centers()
+        n = len(c)
+        r = grid.radius
+        self.n = n
+        self.step = grid.step_radius
+        slack = 1e-9 * r + 2.0 ** -40 * (float(np.abs(c).max()) + self.step)
+        self.limit = max(2.0 * r - slack, 0.0) ** 2
+        self.box = None
+        if grid.box is not None:
+            w, h = grid.box
+            self.box = (r - slack, w - r + slack, h - r + slack)
+        # any disc a proposal can hit lies within 2r + step of the mover
+        i, j, _ = near_pairs(c, (2.0 * r + self.step) * (1.0 + 1e-6))
+        a = np.concatenate((i, j))
+        b = np.concatenate((j, i))
+        deg = np.bincount(a, minlength=n)
+        order = np.argsort(a, kind="stable")
+        a, b = a[order], b[order]
+        slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
+        # column i: i's neighbours, padded with n, a disc at infinity
+        self.table = np.full((int(deg.max(initial=0)), n), n, np.intp)
+        self.table[slot, a] = b
+        self.xs = np.append(c[:, 0], math.inf)
+        self.ys = np.append(c[:, 1], math.inf)
+        self.rows = _FILTER_ENTRIES // max(len(self.table), 1)
+        self.u = None
+        self.start = self.end = 0
+
+    def next_open(self, u: np.ndarray, k: int) -> tuple[int, int]:
+        """(f, g): rows k..f-1 of u are surely rejected, and rows f..g-1
+        are a run that the filter cannot reject; (len(u), len(u)) when all
+        rows from k on are.  A tested block is not tested again."""
+        while k < len(u):
+            if self.u is not u or not self.start <= k < self.end:
+                self._test(u, k)
+            pos = np.searchsorted(self.open, k)
+            if pos < len(self.open):
+                f = int(self.open[pos])
+                pos = np.searchsorted(self.shut, f)
+                return f, (int(self.shut[pos]) if pos < len(self.shut)
+                           else self.end)
+            k = self.end
+        return len(u), len(u)
+
+    def _test(self, u: np.ndarray, start: int):
+        b = u[start:start + self.rows]
+        n = self.n
+        i = np.minimum((b[:, 0] * n).astype(np.intp), n - 1)
+        ang = 2.0 * math.pi * b[:, 1]
+        rad = self.step * np.sqrt(b[:, 2])
+        x = self.xs[i] + rad * np.cos(ang)
+        y = self.ys[i] + rad * np.sin(ang)
+        near = self.table.take(i, axis=1)
+        dx = self.xs.take(near)
+        dx -= x
+        dx *= dx
+        dy = self.ys.take(near)
+        dy -= y
+        dy *= dy
+        dx += dy
+        shut = np.any(dx < self.limit, axis=0)
+        if self.box is not None:
+            lo, hx, hy = self.box
+            shut |= (x < lo) | (x > hx) | (y < lo) | (y > hy)
+        self.u = u
+        self.start, self.end = start, start + len(b)
+        self.open = start + np.flatnonzero(~shut)
+        self.shut = start + np.flatnonzero(shut)
+
+
 def metropolis_step(config: Configuration, params: ChainParams,
                     rng: np.random.Generator
                     ) -> tuple[Configuration, bool]:
@@ -145,7 +241,13 @@ def metropolis_step(config: Configuration, params: ChainParams,
     """
     _check_valid(config, DEFAULT_TOL)
     u = rng.random(3).tolist()
-    i, x, y, ok = _Grid(config, params.step_radius).propose(*u)
+    c = config.centers
+    i = min(int(u[0] * len(c)), len(c) - 1)
+    # only discs within 2r + step of the mover can block it
+    reach = (2.0 * config.radius + params.step_radius) * (1.0 + 1e-6)
+    near = np.flatnonzero(np.hypot(c[:, 0] - c[i, 0], c[:, 1] - c[i, 1])
+                          <= reach)
+    i, x, y, ok = _Grid(config, params.step_radius, near).propose(*u)
     if not ok:
         return config, False
     out = config.copy()
@@ -158,35 +260,65 @@ def run_chain(config: Configuration, params: ChainParams,
               tol: Tolerances = DEFAULT_TOL
               ) -> tuple[Configuration, ChainStats]:
     """Run the chain for params.steps proposals from a fresh seeded
-    generator; deterministic in (config, params)."""
+    generator; deterministic in (config, params).
+
+    After a chunk of proposals with no acceptance, a _QuietFilter commits
+    the rejections it is sure of in bulk, with the same trace entries and
+    validity checks, and hands each proposal it cannot reject to the grid.
+    An acceptance returns the chain to proposal-by-proposal work.
+    """
     _check_valid(config, tol)
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
     initial = config.centers.copy()
     r = config.radius
+    every = params.record_interval
     accepted = 0
+    first = None
     trace = []
     interval_accepted = 0
     done = 0
+    last = 0  # index of the last accepted proposal
+    quiet, quiet_at = None, -1  # filter, and the acceptance count it is for
     batch = 65536
     chunk = 1024  # rows per list conversion; a whole batch costs ~5 MB
+
+    def close_interval():
+        nonlocal interval_accepted
+        trace.append(interval_accepted / every)
+        interval_accepted = 0
+        snapshot = Configuration(r, grid.centers(), config.box,
+                                 dict(config.metadata))
+        _check_valid(snapshot, tol)
+
     while done < params.steps:
         m = min(batch, params.steps - done)
         u = rng.random((m, 3))
-        for start in range(0, m, chunk):
-            for u0, u1, u2 in u[start:start + chunk].tolist():
+        k = 0
+        while k < m:
+            if done - last < chunk:
+                stop = k + chunk
+            else:
+                if quiet_at != accepted:
+                    quiet, quiet_at = _QuietFilter(grid), accepted
+                f, stop = quiet.next_open(u, k)
+                for _ in range(done // every, (done + f - k) // every):
+                    close_interval()
+                done += f - k
+                k = f
+            for u0, u1, u2 in u[k:stop].tolist():
                 i, x, y, ok = grid.propose(u0, u1, u2)
                 if ok:
                     grid.move(i, x, y)
+                    if first is None:
+                        first = (done, i)
                     accepted += 1
                     interval_accepted += 1
+                    last = done
                 done += 1
-                if done % params.record_interval == 0:
-                    trace.append(interval_accepted / params.record_interval)
-                    interval_accepted = 0
-                    snapshot = Configuration(r, grid.centers(), config.box,
-                                             dict(config.metadata))
-                    _check_valid(snapshot, tol)
+                if done % every == 0:
+                    close_interval()
+            k = stop
     centers = grid.centers()
     final = Configuration(r, centers, config.box, dict(config.metadata))
     _check_valid(final, tol)
@@ -194,7 +326,7 @@ def run_chain(config: Configuration, params: ChainParams,
                                  centers[:, 1] - initial[:, 1]))) if len(
                                      centers) else 0.0
     stats = ChainStats(params.steps, accepted, accepted / params.steps,
-                       disp, trace)
+                       disp, trace, first)
     return final, stats
 
 

@@ -4,7 +4,9 @@ import numpy as np
 
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
+from jampack.construction import five_disc_config
 from jampack.files import read_config, write_config
+from jampack.metropolis import ChainParams, run_chain, shrink_radius
 
 
 def test_build_square_then_verify(tmp_path, capsys):
@@ -45,6 +47,21 @@ def test_simulate_frozen(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["accepted"] == 0
     assert doc["parameters"]["seed"] == 7
+    assert doc["first_accepted"] is None
+    assert doc["trace"] == [0.0, 0.0]
+
+
+def test_simulate_reports_first_accepted_and_trace(tmp_path, capsys):
+    config = shrink_radius(five_disc_config(), 0.99)
+    path = tmp_path / "five99.json"
+    write_config(config, path)
+    assert dispatch(["simulate", str(path), "--steps", "30000", "--seed",
+                     "5", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    _, stats = run_chain(config, ChainParams(30000, config.radius, seed=5))
+    assert doc["first_accepted"] == list(stats.first_accepted)
+    assert doc["trace"] == stats.trace
+    assert len(doc["trace"]) == 3
 
 
 def test_escape_reports_acceptance(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from jampack import metropolis
 from jampack.configuration import Configuration
 from jampack.construction import (assemble_square, five_disc_config,
                                   tiling_3_12_12)
@@ -56,14 +57,36 @@ def test_run_chain_matches_manual_stepping():
     assert np.array_equal(cur.centers, final.centers)
 
 
+def test_run_chain_matches_manual_stepping_on_square():
+    # 128 discs, so metropolis_step tests only the discs within reach of the
+    # mover; accepted moves of up to r cross grid cells
+    config, _ = assemble_square(4)
+    params = ChainParams(2000, config.radius, seed=7)
+    final, stats = run_chain(config, params)
+
+    rng = np.random.default_rng(7)
+    cur = config
+    accepted = 0
+    for _ in range(params.steps):
+        cur, acc = metropolis_step(cur, params, rng)
+        accepted += acc
+    assert accepted == stats.accepted > 0
+    assert np.array_equal(cur.centers, final.centers)
+
+
 def _full_scan_chain(config, params):
     """Reference chain: every proposal is tested against all n centres with
-    numpy, drawing the deviates exactly as run_chain does."""
+    numpy, drawing the deviates exactly as run_chain does.  Returns the
+    final centres, the accepted count, the acceptance trace and the first
+    accepted (proposal index, disc), or None."""
     rng = np.random.default_rng(params.seed)
     c = config.centers.copy()
     n = len(c)
     r = config.radius
     accepted = 0
+    trace = []
+    first = None
+    interval_accepted = 0
     done = 0
     while done < params.steps:
         m = min(65536, params.steps - done)
@@ -73,18 +96,26 @@ def _full_scan_chain(config, params):
             rad = params.step_radius * math.sqrt(u[2])
             x = c[i, 0] + rad * math.cos(ang)
             y = c[i, 1] + rad * math.sin(ang)
-            done += 1
+            ok = True
             if config.box is not None:
                 w, h = config.box
                 if x < r or x > w - r or y < r or y > h - r:
-                    continue
-            d2 = (c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2
-            d2[i] = math.inf
-            if np.min(d2) < 4.0 * r * r:
-                continue
-            c[i] = x, y
-            accepted += 1
-    return c, accepted
+                    ok = False
+            if ok:
+                d2 = (c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2
+                d2[i] = math.inf
+                ok = not np.min(d2) < 4.0 * r * r
+            if ok:
+                c[i] = x, y
+                if first is None:
+                    first = (done, i)
+                accepted += 1
+                interval_accepted += 1
+            done += 1
+            if done % params.record_interval == 0:
+                trace.append(interval_accepted / params.record_interval)
+                interval_accepted = 0
+    return c, accepted, trace, first
 
 
 @pytest.mark.parametrize("case", ["five-shrunk", "square-N4", "tiling"])
@@ -100,9 +131,132 @@ def test_run_chain_matches_full_scan_reference(case):
         config = shrink_radius(tiling_3_12_12(6), 0.9)
         params = ChainParams(20000, 0.5, seed=3)
     final, stats = run_chain(config, params)
-    centers, accepted = _full_scan_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
     assert stats.accepted == accepted > 0
     assert np.array_equal(final.centers, centers)
+    assert stats.trace == trace
+    assert stats.first_accepted == first
+
+
+def _touching_pair():
+    # two touching discs that also touch the walls of a 4r x 2r box: every
+    # small proposal pushes a disc into its neighbour or into a wall
+    return Configuration(0.25, [[0.25, 0.25], [0.75, 0.25]], (1.0, 0.5))
+
+
+def _quiet_case(case):
+    if case == "five-0.999":
+        config = shrink_radius(five_disc_config(), 0.999)
+        return config, ChainParams(10 ** 5, config.radius, seed=5)
+    if case == "five-0.99":
+        config = shrink_radius(five_disc_config(), 0.99)
+        return config, ChainParams(10 ** 5, config.radius, seed=5)
+    if case == "pair-1e-12":
+        config = _touching_pair()
+        return config, ChainParams(10 ** 5, 1e-12 * config.radius, seed=2)
+    if case == "five-1e-12":
+        config = five_disc_config()
+        return config, ChainParams(10 ** 5, 1e-12 * config.radius, seed=2)
+    if case == "tiling-planar":
+        config = shrink_radius(tiling_3_12_12(6), 0.999)
+        return config, ChainParams(20000, 0.5 * config.radius, seed=3)
+    config, _ = assemble_square(16)
+    return config, ChainParams(20000, 0.0011 * config.radius, seed=3)
+
+
+@pytest.mark.parametrize("case, accepts", [
+    ("five-0.999", 1), ("five-0.99", 24), ("pair-1e-12", 0),
+    ("tiling-planar", None), ("square-N16-0.0011", 0)])
+def test_quiet_filter_matches_full_scan_reference(case, accepts):
+    # quiet runs that end in an acceptance, a pair whose every proposal
+    # lies inside the filter's margin, a planar chain, and a frozen square
+    config, params = _quiet_case(case)
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert np.array_equal(final.centers, centers)
+    assert stats.accepted == accepted
+    assert stats.trace == trace
+    assert stats.first_accepted == first
+    if accepts is not None:
+        assert accepted == accepts
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args):
+        calls.append(None)
+        return real(*args)
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_frozen_chain_rejects_in_bulk(monkeypatch):
+    config = five_disc_config()
+    calls = _count_calls(monkeypatch, metropolis._Grid, "propose")
+    params = ChainParams(10 ** 5, config.radius, seed=3)
+    _, stats = run_chain(config, params)
+    assert stats.accepted == 0
+    assert len(calls) < 0.05 * params.steps
+
+
+@pytest.mark.parametrize("case", ["pair-1e-12", "five-1e-12"])
+def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
+    # each proposal moves a disc by at most 1e-12 r into a wall or a
+    # neighbour, well inside the margin, so the grid rule decides all of
+    # them (the pair tests the wall margin, the five-disc centre disc the
+    # neighbour margin)
+    config, params = _quiet_case(case)
+    calls = _count_calls(monkeypatch, metropolis._Grid, "propose")
+    _, stats = run_chain(config, params)
+    assert stats.accepted == 0
+    assert len(calls) == params.steps
+
+
+@pytest.mark.parametrize("case", ["frozen", "fluid"])
+def test_every_record_interval_is_checked(monkeypatch, case):
+    # 997 does not divide the chunk, the filter block or the batch, so
+    # bulk-committed runs cross interval boundaries at every offset
+    if case == "frozen":
+        config = five_disc_config()
+    else:
+        config, _ = assemble_square(4)
+    params = ChainParams(70000, config.radius, seed=1, record_interval=997)
+    calls = _count_calls(monkeypatch, metropolis, "_check_valid")
+    _, stats = run_chain(config, params)
+    assert (stats.accepted == 0) == (case == "frozen")
+    assert len(stats.trace) == params.steps // params.record_interval
+    assert len(calls) == params.steps // params.record_interval + 2
+
+
+@pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
+def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
+    # the filter's own soundness, on boxed and planar inputs; planar chains
+    # of a few hundred discs are never quiet for 1024 proposals, so this is
+    # where the filter meets a configuration without a box
+    if case == "five":
+        config = shrink_radius(five_disc_config(), 0.99)
+        step = config.radius
+    elif case == "square-N8":
+        config, _ = assemble_square(8)
+        step = config.radius
+    else:
+        config = shrink_radius(tiling_3_12_12(6), 0.999)
+        step = 0.5 * config.radius
+    grid = metropolis._Grid(config, step)
+    quiet = metropolis._QuietFilter(grid)
+    u = np.random.default_rng(1).random((20000, 3))
+    open_rows = set()
+    k = 0
+    while k < len(u):
+        f, k = quiet.next_open(u, k)
+        open_rows.update(range(f, k))
+    accepted = {row for row, v in enumerate(u.tolist())
+                if grid.propose(*v)[3]}
+    assert accepted
+    assert accepted <= open_rows
+    assert len(open_rows) < len(u)
 
 
 def test_rejected_step_leaves_config_identical():
