@@ -20,7 +20,6 @@ from .verifier import (
     contact_graph,
     is_locally_jammed,
     verify_stable,
-    direction_oracle,
     overlap_audit,
 )
 from .metropolis import (

@@ -53,7 +53,7 @@ def _cmd_build_bridge(args):
 
 def _cmd_build_square(args):
     config, metrics = construction.assemble_square(
-        args.N, args.layout, args.lam, args.eps_hi, _tolerances(args))
+        args.N, args.lam, args.eps_hi, _tolerances(args))
     _write_config(config, args)
     _emit(args, {"n": metrics.n, "r": metrics.r,
                  "n_times_r": metrics.n_times_r, "epsilon": metrics.epsilon_used,
@@ -186,8 +186,6 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("build-square", help="stable unit-square assembly")
     curve_flags(sp)
-    sp.add_argument("--layout", default="wall-bridges",
-                    choices=("wall-bridges", "interior-bridges"))
     common(sp)
     sp.set_defaults(func=_cmd_build_square)
 

@@ -7,17 +7,16 @@ truncated-hexagonal (3.12.12) tiling configuration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import (DEFAULT_TOL, GeometryError, Tolerances, chord_step,
+from .geometry import (DEFAULT_TOL, Tolerances, chord_step,
                        circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
-F_AT_ZERO = 2.0 + SQRT3        # forced starting height of the upper row
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
 
 DEFAULT_LAMBDA = 0.05
@@ -47,35 +46,22 @@ class CurveFamily:
     """Strictly convex decreasing curve f plus its epsilon perturbation.
 
     The perturbed curve is f_eps(x) = (1+eps) f(x) - eps f(0), which keeps
-    f_eps(0) = f(0) while lowering the asymptote.  The default base is
+    f_eps(0) = f(0) while lowering the asymptote.  The attribute `base` is
     f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x).
     """
 
     lam: float = DEFAULT_LAMBDA
     epsilon: float = 0.0
-    base: Callable[[float], float] | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
             raise ConstructionError("shape parameter lam must be positive")
         if self.epsilon < 0:
             raise ConstructionError("epsilon must be nonnegative")
-        if self.base is None:
-            self.base = _default_base(self.lam)
-        if abs(self.base(0.0) - F_AT_ZERO) > 1e-12:
-            raise ConstructionError("base curve must satisfy f(0) = 2 + sqrt(3)")
-        if not self.base(1.0) < self.base(0.0):
-            raise ConstructionError("base curve must be strictly decreasing")
+        self.base = _default_base(self.lam)
 
     def with_epsilon(self, epsilon: float) -> "CurveFamily":
-        return CurveFamily(self.lam, epsilon, self.base)
-
-
-def curve_eval(family: CurveFamily, x: float) -> float:
-    """Evaluate the perturbed curve f_eps at x >= 0."""
-    if x < 0:
-        raise ConstructionError("curve is only defined for x >= 0")
-    return (1.0 + family.epsilon) * family.base(x) - family.epsilon * family.base(0.0)
+        return CurveFamily(self.lam, epsilon)
 
 
 @dataclass
@@ -107,8 +93,7 @@ def build_half_chain(family: CurveFamily, max_N: int,
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
-    # curve_eval's float operations, with f(0) taken once per chain; the
-    # chain only evaluates x >= 0
+    # f_eps(x) = (1+eps) f(x) - eps f(0), with f(0) taken once per chain
     base = family.base
     one = 1.0 + family.epsilon
     e0 = family.epsilon * base(0.0)
@@ -264,15 +249,13 @@ def _wall_half_bridge_points(chain: BridgeChain, tol: Tolerances) -> list:
     return _with_l_mirror(half, chain.mirror_x, tol)
 
 
-def build_wall_bridge(family: CurveFamily, N: int, wall_y: float = 0.0,
+def build_wall_bridge(family: CurveFamily, N: int,
                       eps_hi: float = DEFAULT_EPS_HI,
                       tol: Tolerances = DEFAULT_TOL) -> Configuration:
     """Half bridge resting on a wall: the c row is tangent to the wall,
     which replaces the x-axis mirror; the chain is still mirrored about l.
 
-    The returned box has its bottom edge on the wall; wall_y records where
-    the caller's wall sits and is kept as metadata only.  Disc count is
-    6N - 3.
+    The returned box has its bottom edge on the wall.  Disc count is 6N - 3.
     """
     eps, chain = tune_epsilon(family, N, eps_hi, tol)
     pts = _wall_half_bridge_points(chain, tol)
@@ -285,8 +268,7 @@ def build_wall_bridge(family: CurveFamily, N: int, wall_y: float = 0.0,
     xs = [p[0] for p in shifted]
     ys = [p[1] for p in shifted]
     box = (max(xs) + 1.0 + margin, max(ys) + 1.0 + margin)
-    meta = {"construction": "wall-bridge", "N": N, "epsilon": eps,
-            "wall_y": wall_y}
+    meta = {"construction": "wall-bridge", "N": N, "epsilon": eps}
     return Configuration(1.0, np.array(shifted), box, meta)
 
 
@@ -327,8 +309,7 @@ class AssemblyMetrics:
     scale: float
 
 
-def assemble_square(N: int, layout: str = "wall-bridges",
-                    lam: float = DEFAULT_LAMBDA,
+def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
                     eps_hi: float = DEFAULT_EPS_HI,
                     tol: Tolerances = DEFAULT_TOL
                     ) -> tuple[Configuration, AssemblyMetrics]:
@@ -343,14 +324,6 @@ def assemble_square(N: int, layout: str = "wall-bridges",
         raise AssemblyError(
             "N=%d is too small: square assembly needs N >= 3, since at N=2 "
             "the bridges leave discs movable" % N)
-    if layout == "interior-bridges":
-        raise AssemblyError(
-            "layout 'interior-bridges' is infeasible: full symmetric "
-            "bridges inset from the walls leave the four end discs of every "
-            "bridge (a_1, b_1 and mirrors) with open escape cones and no "
-            "wall or junction contact to close them; use 'wall-bridges'")
-    if layout != "wall-bridges":
-        raise AssemblyError("unknown layout %r" % layout)
 
     family = CurveFamily(lam=lam)
     eps, chain = tune_epsilon(family, N, eps_hi, tol)
@@ -386,7 +359,7 @@ def assemble_square(N: int, layout: str = "wall-bridges",
     # then scale the side to 1
     scale = 1.0 / side
     centers = (np.array(pts) + 1.0) * scale
-    meta = {"construction": "square", "layout": layout, "N": N,
+    meta = {"construction": "square", "layout": "wall-bridges", "N": N,
             "epsilon": eps, "lam": lam, "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
@@ -394,9 +367,11 @@ def assemble_square(N: int, layout: str = "wall-bridges",
     try:
         report = verify_stable(config, tol)
     except OverlapError as e:
+        rep = e.report
         raise AssemblyError(
-            "assembly has %d overlapping pairs, worst penetration %.3g"
-            % (len(e.report.pairs), e.report.max_penetration)) from e
+            "assembly has %d overlapping pairs, worst penetration %.3g; "
+            "discs outside the box: %r"
+            % (len(rep.pairs), rep.max_penetration, rep.outside)) from e
     if report.movable_count or report.rattler_count:
         bad = [(v.index, v.witness) for v in report.verdicts
                if v.status != "jammed"]

@@ -32,9 +32,16 @@ def write_config(config: Configuration, path):
         fh.write("\n")
 
 
+def _number(value, name: str) -> float:
+    # bool is an int subclass, but true is not a length
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError("%s must be a number, not %r" % (name, value))
+    return float(value)
+
+
 def read_config(path) -> Configuration:
-    """Read a configuration file; unknown fields, missing fields, version
-    mismatches and non-finite coordinates are rejected by name."""
+    """Read a configuration file; unknown or missing fields, version
+    mismatches, wrong types and non-finite coordinates are refused by name."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -54,23 +61,23 @@ def read_config(path) -> Configuration:
     if box == "plane":
         box = None
     elif (isinstance(box, list) and len(box) == 2):
-        box = (float(box[0]), float(box[1]))
+        box = (_number(box[0], "box width"), _number(box[1], "box height"))
     else:
         raise SchemaError("box must be [width, height] or \"plane\"")
-    centers = np.array(doc["centers"], dtype=float).reshape(-1, 2)
-    if not np.all(np.isfinite(centers)) or not math.isfinite(doc["radius"]):
+    radius = _number(doc["radius"], "radius")
+    try:
+        centers = np.array(doc["centers"])
+        if centers.dtype.kind not in "iuf":
+            raise ValueError
+        centers = centers.astype(float).reshape(-1, 2)
+    except ValueError:
+        raise SchemaError("centers must be a list of [x, y] number pairs")
+    if not np.all(np.isfinite(centers)) or not math.isfinite(radius):
         raise SchemaError("non-finite coordinate in configuration file")
-    return Configuration(float(doc["radius"]), centers, box,
-                         doc.get("metadata", {}))
-
-
-def write_csv(config: Configuration, path):
-    """CSV export: a radius header line, then one x,y row per disc."""
-    with open(path, "w") as fh:
-        fh.write("radius,%r\n" % config.radius)
-        fh.write("x,y\n")
-        for x, y in config.centers:
-            fh.write("%r,%r\n" % (float(x), float(y)))
+    metadata = doc.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be a JSON object")
+    return Configuration(radius, centers, box, metadata)
 
 
 def _to_jsonable(obj):
@@ -88,20 +95,12 @@ def _to_jsonable(obj):
     return obj
 
 
-def report_dict(report) -> dict:
-    """Dataclass report (JammingReport, ChainStats, AssemblyMetrics, ...)
-    as a JSON-ready dict with stable field ordering."""
-    out = _to_jsonable(report)
-    if not isinstance(out, dict):
-        raise TypeError("report must be a dataclass instance")
-    return out
-
-
 def write_report(report, path):
-    """Write any report dataclass as machine-readable JSON."""
+    """Write a report dataclass (JammingReport, ChainStats, ...) as
+    machine-readable JSON with stable field ordering."""
     try:
         with open(path, "w") as fh:
-            json.dump(report_dict(report), fh, indent=1)
+            json.dump(_to_jsonable(report), fh, indent=1)
             fh.write("\n")
     except OSError as e:
         raise OSError("failed to write report to %s: %s" % (path, e))

@@ -57,15 +57,9 @@ def _check_valid(config: Configuration, tol: Tolerances):
         i, j, d = audit.pairs[0]
         raise ValueError("invalid configuration: discs %d and %d overlap "
                          "(distance %.17g)" % (i, j, d))
-    if config.box is not None:
-        w, h = config.box
-        r = config.radius
-        c = config.centers
-        slack = r * tol.tangency_rel
-        if (np.any(c[:, 0] < r - slack) or np.any(c[:, 0] > w - r + slack)
-                or np.any(c[:, 1] < r - slack)
-                or np.any(c[:, 1] > h - r + slack)):
-            raise ValueError("invalid configuration: disc outside the box")
+    if audit.outside:
+        raise ValueError("invalid configuration: disc %d outside the box"
+                         % audit.outside[0])
 
 
 class _Grid:

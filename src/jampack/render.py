@@ -3,6 +3,8 @@
 from .configuration import Configuration
 from .geometry import DEFAULT_TOL, Tolerances
 
+WIDTH_PX = 800.0
+
 _COLORS = {"jammed": "#4878a8", "movable": "#c04040", "rattler": "#d8a030"}
 
 
@@ -19,18 +21,18 @@ def _bounds(config: Configuration):
 
 
 def render_svg(config: Configuration, contacts: bool = False,
-               color_verdicts: bool = False, width_px: float = 800.0,
+               color_verdicts: bool = False,
                tol: Tolerances = DEFAULT_TOL) -> str:
     """SVG document with one circle per disc.
 
-    Options add a contact-edge overlay and jamming color-coding.  The y
-    axis is flipped so the drawing matches mathematical orientation.
-    Output is byte-identical for identical input and options.
+    Options add a contact-edge overlay and jamming color-coding.  The
+    drawing is WIDTH_PX wide, with the y axis flipped to match mathematical
+    orientation.  Output is byte-identical for identical input and options.
     """
     x0, y0, x1, y1 = _bounds(config)
     span_x = max(x1 - x0, 1e-300)
     span_y = max(y1 - y0, 1e-300)
-    s = width_px / span_x
+    s = WIDTH_PX / span_x
     height_px = span_y * s
 
     def px(x):
@@ -41,11 +43,11 @@ def render_svg(config: Configuration, contacts: bool = False,
 
     lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%.2f" '
              'height="%.2f" viewBox="0 0 %.2f %.2f">'
-             % (width_px, height_px, width_px, height_px)]
+             % (WIDTH_PX, height_px, WIDTH_PX, height_px)]
     if config.box is not None:
         lines.append('<rect x="0" y="0" width="%.2f" height="%.2f" '
                      'fill="none" stroke="black" stroke-width="1"/>'
-                     % (width_px, height_px))
+                     % (WIDTH_PX, height_px))
 
     fills = ["#cccccc"] * config.n
     graph = None

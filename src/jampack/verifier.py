@@ -28,6 +28,7 @@ class OverlapReport:
     max_penetration: float
     min_gap: float
     pairs: list = field(default_factory=list)
+    outside: list = field(default_factory=list)   # discs crossing a wall
 
 
 @dataclass
@@ -66,22 +67,31 @@ def _reach(r: float, tol: Tolerances) -> float:
 
 def overlap_audit(config: Configuration,
                   tol: Tolerances = DEFAULT_TOL) -> OverlapReport:
-    """Penetrating disc pairs, from the pairs within contact range.
+    """Penetrating disc pairs, from the pairs within contact range, and the
+    discs that cross a wall.
 
     Penetration beyond 2r*tangency_rel is a violation; pairs are listed as
     (i, j, distance) in (i, j) order.  max_penetration is the worst 2r - d,
     or 0.  min_gap is the smallest d - 2r among pairs within contact range,
-    2r(1 + 2*tangency_rel), and +inf when there are none.
+    2r(1 + 2*tangency_rel), and +inf when there are none.  A disc crossing
+    a wall by more than r*tangency_rel is listed in outside, by index.
     """
     r = config.radius
+    outside = []
+    if config.box is not None:
+        c = config.centers
+        slack = r * tol.tangency_rel
+        hi = np.array(config.box) - r + slack
+        out = ((c < r - slack) | (c > hi)).any(axis=1)
+        outside = np.flatnonzero(out).tolist()
     i, j, d = near_pairs(config.centers, _reach(r, tol))
     if len(d) == 0:
-        return OverlapReport(0.0, math.inf, [])
+        return OverlapReport(0.0, math.inf, [], outside)
     pens = 2.0 * r - d
     viol = pens > 2.0 * r * tol.tangency_rel
     pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))
     return OverlapReport(max(float(np.max(pens)), 0.0),
-                         float(np.min(d) - 2.0 * r), pairs)
+                         float(np.min(d) - 2.0 * r), pairs, outside)
 
 
 def contact_graph(config: Configuration,
@@ -90,9 +100,10 @@ def contact_graph(config: Configuration,
 
     Disc-disc contacts use the relative tolerance |d - 2r| <= 2r*tangency_rel
     so verdicts survive uniform scaling; wall contacts use gap <=
-    r*tangency_rel.  Overlapping input is rejected.  Candidate pairs come
-    from near_pairs and are tested in (i, j) order, so each disc's normals
-    are listed by partner index, walls last.
+    r*tangency_rel.  Input that overlap_audit faults (overlapping discs,
+    discs outside the box) is rejected.  Candidate pairs come from
+    near_pairs and are tested in (i, j) order, so each disc's normals are
+    listed by partner index, walls last.
     """
     audit = overlap_audit(config, tol)
     if audit.pairs:
@@ -100,6 +111,9 @@ def contact_graph(config: Configuration,
         raise OverlapError(
             "discs %d and %d overlap: distance %.17g < 2r, penetration %.3g"
             % (i, j, d, 2.0 * config.radius - d), audit)
+    if audit.outside:
+        raise OverlapError("disc %d lies outside the box"
+                           % audit.outside[0], audit)
 
     c = config.centers
     n = len(c)
@@ -169,23 +183,6 @@ def is_locally_jammed(normals, tol: Tolerances = DEFAULT_TOL) -> DiscVerdict:
     witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI
     witness = (math.cos(witness_angle), math.sin(witness_angle))
     return DiscVerdict(-1, "movable", witness, len(normals))
-
-
-def direction_oracle(normals, K: int = 720,
-                     tol: Tolerances = DEFAULT_TOL) -> str:
-    """Brute-force jamming check: scan K equally spaced directions and call
-    the disc movable iff some direction clears every normal.  Test oracle
-    for is_locally_jammed."""
-    if K < 360:
-        raise ValueError("K must be at least 360")
-    if len(normals) == 0:
-        return "movable"
-    for k in range(K):
-        ang = TWO_PI * k / K
-        d = (math.cos(ang), math.sin(ang))
-        if all(d[0] * n[0] + d[1] * n[1] >= 0.0 for n in normals):
-            return "movable"
-    return "jammed"
 
 
 def verify_stable(config: Configuration,

@@ -18,7 +18,9 @@ import pytest
 
 import jampack as jp
 from jampack.geometry import dist
-from jampack.verifier import direction_oracle, is_locally_jammed
+from jampack.verifier import is_locally_jammed
+
+from _oracles import direction_oracle
 
 S3 = math.sqrt(3.0)
 NS = (4, 8, 16, 32)

@@ -1,6 +1,6 @@
 import json
 
-import numpy as np
+import pytest
 
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
@@ -123,10 +123,11 @@ def test_missing_file_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_assembly_failure_exit_1(capsys):
+def test_layout_flag_is_a_usage_error(capsys):
+    # square assembly has one layout, wall bridges, and no flag for it
     assert dispatch(["build-square", "--N", "4", "--layout",
-                     "interior-bridges"]) == 1
-    assert "error" in capsys.readouterr().err
+                     "wall-bridges"]) == 1
+    assert "usage" in capsys.readouterr().err
 
 
 def test_build_square_small_n_exit_1(capsys):
@@ -139,3 +140,34 @@ def test_overlapping_input_refused(tmp_path, capsys):
     write_config(Configuration(1.0, [[0.0, 0.0], [1.5, 0.0]]), path)
     assert dispatch(["verify", str(path)]) == 1
     assert dispatch(["simulate", str(path), "--steps", "10"]) == 1
+
+
+@pytest.mark.parametrize("x", [0.05, 5.0])
+def test_disc_outside_box_refused(tmp_path, capsys, x):
+    # a disc of radius 0.1 centred at x crosses the wall of the unit box
+    path = tmp_path / "out.json"
+    write_config(Configuration(0.1, [[x, 0.5], [0.5, 0.5]], (1.0, 1.0)),
+                 path)
+    assert dispatch(["verify", str(path)]) == 1
+    assert dispatch(["simulate", str(path), "--steps", "10"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("disc 0") == 2 and "outside the box" in err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("radius", "1"), ("radius", None), ("radius", True),
+    ("box", [1, None]), ("box", ["1", 1]), ("metadata", 5),
+    ("centers", [[0.5, "x"]]), ("centers", [[0.5, None]]),
+    ("centers", {"x": 1}), ("centers", [[0.5], [0.5, 0.5]])])
+def test_field_of_wrong_type_refused(tmp_path, capsys, field, value):
+    path = tmp_path / "c.json"
+    write_config(five_disc_config(), path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", str(path)],
+                 ["simulate", str(path), "--steps", "10"]):
+        assert dispatch(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert field in err and "Traceback" not in err

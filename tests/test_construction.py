@@ -8,12 +8,14 @@ from jampack.construction import (AssemblyError, BridgeChain,
                                   ConstructionError, CurveFamily,
                                   TuningError, assemble_square,
                                   build_half_chain, build_wall_bridge,
-                                  complete_symmetric_bridge, curve_eval,
-                                  density, five_disc_config, junction_piece,
+                                  complete_symmetric_bridge, density,
+                                  five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
 from jampack.geometry import (DEFAULT_TOL, chord_step,
                               circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
+
+from _oracles import curve_eval
 
 S3 = math.sqrt(3.0)
 
@@ -34,18 +36,9 @@ def test_curve_limits():
     assert limit < 2.0 * S3
 
 
-def test_curve_rejects_negative_x():
-    with pytest.raises(ConstructionError):
-        curve_eval(CurveFamily(), -0.1)
-
-
 def test_curve_family_validation():
     with pytest.raises(ConstructionError):
         CurveFamily(lam=-1.0)
-    with pytest.raises(ConstructionError):
-        CurveFamily(base=lambda x: 2.0 + S3 + x)  # increasing
-    with pytest.raises(ConstructionError):
-        CurveFamily(base=lambda x: 3.0 * math.exp(-x))  # wrong value at 0
 
 
 def test_chain_seed_geometry():
@@ -416,13 +409,6 @@ def test_assemble_square_scale_invariant_verdicts():
         [v.status for v in report2.verdicts]
 
 
-def test_assemble_square_rejects_infeasible_layout():
-    with pytest.raises(AssemblyError):
-        assemble_square(4, layout="interior-bridges")
-    with pytest.raises(AssemblyError):
-        assemble_square(4, layout="nonsense")
-
-
 @pytest.mark.parametrize("N", [-1, 0, 1, 2])
 def test_assemble_square_rejects_small_n_before_tuning(monkeypatch, N):
     def no_tuning(*args, **kwargs):
@@ -441,6 +427,17 @@ def test_assemble_square_overlap_is_an_assembly_error(monkeypatch):
     with pytest.raises(AssemblyError,
                        match=r"assembly has 8 overlapping pairs, "
                              r"worst penetration 0\.0346"):
+        assemble_square(4)
+
+
+def test_assemble_square_names_discs_outside_the_box(monkeypatch):
+    # a wall clamp moved behind the left wall (x = -1 in the corner frame):
+    # its four copies cross a wall and overlap nothing
+    clamps = [(-3.0, 5.0)] + construction._CLAMPS[1:]
+    monkeypatch.setattr(construction, "_CLAMPS", clamps)
+    with pytest.raises(AssemblyError,
+                       match=r"assembly has 0 overlapping pairs, .*discs "
+                             r"outside the box: \[\d+, \d+, \d+, \d+\]"):
         assemble_square(4)
 
 

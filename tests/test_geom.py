@@ -4,9 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from jampack.geometry import (DEFAULT_TOL, GeometryError, Tolerances,
-                              chord_step, circle_circle_intersections, dist,
-                              near_pairs)
+from jampack.geometry import (GeometryError, Tolerances, chord_step,
+                              circle_circle_intersections, dist, near_pairs)
 
 
 def test_tolerances_defaults():

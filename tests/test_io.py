@@ -1,5 +1,4 @@
 import json
-import math
 import random
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 from jampack.configuration import Configuration
 from jampack.construction import (CurveFamily, build_wall_bridge,
                                   five_disc_config, junction_piece)
-from jampack.files import (SchemaError, read_config, report_dict, write_config,
-                           write_csv, write_report)
+from jampack.files import SchemaError, read_config, write_config, write_report
 from jampack.render import render_svg
 from jampack.verifier import OverlapError, verify_stable
 
@@ -103,27 +101,14 @@ def test_overlapping_file_loads_but_verify_refuses(tmp_path):
         verify_stable(config)
 
 
-def test_csv_export(tmp_path):
-    path = tmp_path / "c.csv"
-    config = five_disc_config()
-    write_csv(config, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0].startswith("radius,")
-    assert float(lines[0].split(",")[1]) == config.radius
-    assert lines[1] == "x,y"
-    assert len(lines) == 2 + config.n
-    x, y = map(float, lines[2].split(","))
-    assert (x, y) == (config.centers[0, 0], config.centers[0, 1])
-
-
 def test_report_serialization(tmp_path):
     report = verify_stable(five_disc_config())
-    doc = report_dict(report)
-    assert doc["movable_count"] == 0
-    assert doc["stable"] is True
     path = tmp_path / "r.json"
     write_report(report, path)
-    assert json.loads(path.read_text())["jammed_count"] == 5
+    doc = json.loads(path.read_text())
+    assert doc["movable_count"] == 0
+    assert doc["stable"] is True
+    assert doc["jammed_count"] == 5
 
 
 def test_svg_circle_count():

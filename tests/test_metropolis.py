@@ -285,6 +285,12 @@ def test_invalid_input_rejected():
         run_chain(bad, ChainParams(10, 0.5))
 
 
+def test_disc_outside_box_rejected():
+    outside = Configuration(0.1, [[0.05, 0.5], [0.5, 0.5]], (1.0, 1.0))
+    with pytest.raises(ValueError, match="disc 0 outside the box"):
+        run_chain(outside, ChainParams(10, 0.05))
+
+
 def test_five_disc_chain_is_frozen():
     config = five_disc_config()
     _, stats = run_chain(config, ChainParams(100000, config.radius, seed=3))

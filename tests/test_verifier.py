@@ -8,8 +8,10 @@ from jampack.configuration import Configuration
 from jampack.construction import (assemble_square, five_disc_config,
                                   junction_piece, tiling_3_12_12)
 from jampack.geometry import DEFAULT_TOL
-from jampack.verifier import (OverlapError, contact_graph, direction_oracle,
-                              is_locally_jammed, overlap_audit, verify_stable)
+from jampack.verifier import (OverlapError, contact_graph, is_locally_jammed,
+                              overlap_audit, verify_stable)
+
+from _oracles import direction_oracle
 
 
 def _normals(*degrees):
@@ -39,6 +41,24 @@ def test_contact_graph_rejects_overlap():
     config = Configuration(1.0, [[0.0, 0.0], [1.9, 0.0]])
     with pytest.raises(OverlapError):
         contact_graph(config)
+
+
+def test_contact_graph_rejects_disc_outside_box():
+    config = Configuration(0.1, [[0.5, 0.5], [5.0, 0.5]], (1.0, 1.0))
+    with pytest.raises(OverlapError, match="disc 1 lies outside the box"):
+        contact_graph(config)
+
+
+def test_overlap_audit_lists_discs_outside_box():
+    r = 0.1
+    slack = r * DEFAULT_TOL.tangency_rel
+    config = Configuration(r, [[r - 0.5 * slack, 0.5], [0.5, 1.0 - r],
+                               [0.5, r - 2.0 * slack], [1.0, 0.3],
+                               [0.3, 0.3]], (1.0, 1.0))
+    rep = overlap_audit(config)
+    assert rep.outside == [2, 3]
+    assert rep.pairs == []
+    assert overlap_audit(Configuration(r, [[5.0, 0.5]])).outside == []
 
 
 def test_junction_contact_edges():
@@ -112,8 +132,6 @@ def test_adding_normals_preserves_jammed():
 def test_direction_oracle_examples():
     assert direction_oracle(_normals(0, 120, 240), 720) == "jammed"
     assert direction_oracle(_normals(0, 90), 720) == "movable"
-    with pytest.raises(ValueError):
-        direction_oracle(_normals(0), 100)
 
 
 def test_oracle_agreement_randomized():
