@@ -258,3 +258,7 @@ def dispatch(argv=None) -> int:
 
 def main():
     raise SystemExit(dispatch())
+
+
+if __name__ == "__main__":
+    main()

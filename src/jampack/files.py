@@ -36,7 +36,10 @@ def _number(value, name: str) -> float:
     # bool is an int subclass, but true is not a length
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError("%s must be a number, not %r" % (name, value))
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:   # a JSON integer literal beyond float range
+        raise SchemaError("%s is too large for a float" % name) from None
 
 
 def read_config(path) -> Configuration:

@@ -80,38 +80,122 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float,
     return [(mx + h * uy, my - h * ux), (mx - h * uy, my + h * ux)]
 
 
+# Rounding margin of chord_step's replay, as a share of the bracket's
+# coordinate scale: 256 units in the last place of that scale.  At 2^-40
+# the window is wide enough to cost about four more evaluations per call.
+_MARGIN = 2.0 ** -44
+# Half-width of the replay's window, in units of the root estimate's
+# uncertainty (last secant step plus m / slope).
+_WINDOW = 1.5
+# The secant settles in two or three steps on a smooth curve; where it has
+# not settled by the cap, its last step widens the window.
+_SECANT_STEPS = 8
+
+
+def _sign_window(g, lo, hi, glo, ghi, m):
+    """Interval (a, b) about the root of the increasing g on [lo, hi] such
+    that g(a) < -m unless a <= lo, and g(b) > m unless b >= hi; (lo, hi)
+    itself when that check fails.
+
+    The root is estimated by false position from the bracket ends, then
+    secant steps until |g| is within m; the window is as wide as the last
+    step plus the margin's width in x, times _WINDOW.
+    """
+    x = lo - glo * (hi - lo) / (ghi - glo)
+    xp, gp = hi, ghi
+    slope = (ghi - glo) / (hi - lo)
+    step = 0.0
+    for _ in range(_SECANT_STEPS):
+        if not lo < x < hi:
+            break
+        gx = g(x)
+        if gx == gp:
+            break
+        slope = (gx - gp) / (x - xp)
+        xp, gp, x = x, gx, x - gx / slope
+        step = abs(x - xp)
+        if abs(gx) <= m:
+            break
+    if not slope > 0:
+        return lo, hi
+    d = _WINDOW * (step + m / slope)
+    if not 0.0 <= d < hi - lo:
+        return lo, hi
+    x = min(max(x, lo), hi)
+    a, b = x - d, x + d
+    if (a <= lo or g(a) < -m) and (b >= hi or g(b) > m):
+        return a, b
+    return lo, hi
+
+
 def chord_step(curve, x_start: float, chord: float,
                tol: Tolerances = DEFAULT_TOL) -> float:
     """Smallest x' > x_start at which the point (x', curve(x')) lies at the
     given chord distance from (x_start, curve(x_start)).
 
-    The curve must be continuous and non-increasing on [x_start, inf), so the
-    distance along increasing x is monotone and the bracket
-    [x_start, x_start + chord] always contains the root.  Plain bisection to
-    tol.solver_abs.
+    The curve must be continuous and non-increasing on [x_start, inf), so
+    g(x) = hypot(x - x_start, curve(x) - curve(x_start)) - chord grows with
+    x and the bracket [x_start, x_start + chord] always contains its root.
+
+    The result is the float that plain bisection of g returns: split the
+    bracket at mid = 0.5 (lo + hi) while hi - lo > tol.solver_abs, keep
+    the half whose ends' g do not share a sign, and return the last
+    midpoint.  That loop reads g only through its sign, so it is replayed
+    with the same midpoints and the same rule while g is evaluated only
+    near the root.  Secant steps estimate the root x^, and a window
+    (x^ - d, x^ + d) is confirmed by g(x^ - d) < -m and g(x^ + d) > m,
+    with d sized from how far the secant steps converged.  A midpoint left
+    of the window then takes g < 0, one right of it g > 0, and only the
+    midpoints inside are evaluated.  If the check fails, every midpoint is
+    evaluated, as in plain bisection.  On the bridge curves about 9 curve
+    evaluations replace about 45.
+
+    m is 2^-44 (_MARGIN) of the bracket's coordinate scale, |x_start| +
+    chord + the larger |y| at the bracket's ends.  The replay assumes that
+    the computed curve lies within m/5 of some non-increasing function on
+    the bracket.  The computed g is then within m/2, its own rounding
+    included, of a non-decreasing function, so its sign beyond a window
+    end whose |g| exceeds m is the sign at that end.
+
+    The loop also stops once the midpoint is no longer strictly between lo
+    and hi, which happens only when ulp(x) exceeds tol.solver_abs (from
+    x = 8192 at the default); plain bisection never ends there, and on
+    every input where it does end the stop changes nothing.
     """
     if chord <= 0:
         raise GeometryError("chord must be positive")
     y0 = curve(x_start)
     if not math.isfinite(y0):
         raise GeometryError("curve not finite at x_start")
-    if curve(x_start + chord) > y0 + tol.solver_abs:
+    lo, hi = x_start, x_start + chord
+    y_hi = curve(hi)
+    if y_hi > y0 + tol.solver_abs:
         raise GeometryError("curve must be non-increasing on the bracket")
 
     def g(x):
         return math.hypot(x - x_start, curve(x) - y0) - chord
 
-    lo, hi = x_start, x_start + chord
-    if g(hi) < 0:
+    glo = -chord                                # g(lo) = hypot(0, 0) - chord
+    ghi = math.hypot(hi - x_start, y_hi - y0) - chord
+    if ghi < 0:
         raise GeometryError("curve increased: no root in bracket")
-    glo = g(lo)
-    while hi - lo > tol.solver_abs:
+    m = _MARGIN * (abs(x_start) + chord + max(abs(y0), abs(y_hi)))
+    wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
+    stop = tol.solver_abs
+    while hi - lo > stop:
         mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0:
+        if not lo < mid < hi:
+            break
+        if mid <= wlo:
+            lo = mid
+        elif mid >= whi:
             hi = mid
         else:
-            lo, glo = mid, gm
+            gm = g(mid)
+            if glo * gm <= 0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
     return 0.5 * (lo + hi)
 
 

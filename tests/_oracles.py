@@ -3,7 +3,7 @@
 import math
 
 from jampack.construction import ConstructionError, CurveFamily
-from jampack.geometry import DEFAULT_TOL, Tolerances
+from jampack.geometry import DEFAULT_TOL, GeometryError, Tolerances
 
 TWO_PI = 2.0 * math.pi
 
@@ -13,6 +13,35 @@ def curve_eval(family: CurveFamily, x: float) -> float:
     if x < 0:
         raise ConstructionError("curve is only defined for x >= 0")
     return (1.0 + family.epsilon) * family.base(x) - family.epsilon * family.base(0.0)
+
+
+def plain_chord_step(curve, x_start: float, chord: float,
+                     tol: Tolerances = DEFAULT_TOL) -> float:
+    """chord_step by plain bisection, evaluating g at every midpoint: the
+    reference whose float the package's replay must return."""
+    if chord <= 0:
+        raise GeometryError("chord must be positive")
+    y0 = curve(x_start)
+    if not math.isfinite(y0):
+        raise GeometryError("curve not finite at x_start")
+    if curve(x_start + chord) > y0 + tol.solver_abs:
+        raise GeometryError("curve must be non-increasing on the bracket")
+
+    def g(x):
+        return math.hypot(x - x_start, curve(x) - y0) - chord
+
+    lo, hi = x_start, x_start + chord
+    if g(hi) < 0:
+        raise GeometryError("curve increased: no root in bracket")
+    glo = g(lo)
+    while hi - lo > tol.solver_abs:
+        mid = 0.5 * (lo + hi)
+        gm = g(mid)
+        if glo * gm <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    return 0.5 * (lo + hi)
 
 
 def direction_oracle(normals, K: int = 720,

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jampack
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
 from jampack.construction import five_disc_config
@@ -158,7 +163,10 @@ def test_disc_outside_box_refused(tmp_path, capsys, x):
     ("radius", "1"), ("radius", None), ("radius", True),
     ("box", [1, None]), ("box", ["1", 1]), ("metadata", 5),
     ("centers", [[0.5, "x"]]), ("centers", [[0.5, None]]),
-    ("centers", {"x": 1}), ("centers", [[0.5], [0.5, 0.5]])])
+    ("centers", {"x": 1}), ("centers", [[0.5], [0.5, 0.5]]),
+    pytest.param("radius", 10 ** 400, id="radius-1e400"),
+    pytest.param("box", [10 ** 400, 1], id="box-width-1e400"),
+    pytest.param("box", [1, 10 ** 400], id="box-height-1e400")])
 def test_field_of_wrong_type_refused(tmp_path, capsys, field, value):
     path = tmp_path / "c.json"
     write_config(five_disc_config(), path)
@@ -171,3 +179,14 @@ def test_field_of_wrong_type_refused(tmp_path, capsys, field, value):
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert field in err and "Traceback" not in err
+
+
+def test_cli_module_runs_as_a_script(tmp_path):
+    out = tmp_path / "five.json"
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(jampack.__file__).resolve().parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-m", "jampack.cli", "five-disc", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert len(read_config(out).centers) == 5

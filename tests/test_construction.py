@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,11 +12,11 @@ from jampack.construction import (AssemblyError, BridgeChain,
                                   complete_symmetric_bridge, density,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import (DEFAULT_TOL, chord_step,
+from jampack.geometry import (DEFAULT_TOL, GeometryError, chord_step,
                               circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
 
-from _oracles import curve_eval
+from _oracles import curve_eval, plain_chord_step
 
 S3 = math.sqrt(3.0)
 
@@ -155,7 +156,7 @@ def test_tune_epsilon_failure_names_parameters():
 
 def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
     """The chain builder as it was before f(0) was hoisted: every curve
-    point goes through curve_eval."""
+    point goes through curve_eval, and every chord by plain bisection."""
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
@@ -167,7 +168,7 @@ def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        xn = chord_step(f, a[-1][0], 2.0, tol)
+        xn = plain_chord_step(f, a[-1][0], 2.0, tol)
         an = (xn, f(xn))
         pts = circle_circle_intersections(an, 2.0, c[-1], 2.0, tol)
         if not pts:
@@ -255,6 +256,86 @@ def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
         outcomes.add(expected == "TuningError")
     if lam == 0.02:
         assert outcomes == {True, False}   # N=2 has no bracket here
+
+
+def _random_curve(rnd):
+    """A non-increasing curve of one of four kinds, with values up to about
+    1e3, a start point up to 4000 and a chord up to 10."""
+    kind = rnd.choice(("exp", "linear", "flat", "steep"))
+    x0 = rnd.choice((0.0, rnd.uniform(0.0, 50.0), rnd.uniform(0.0, 4000.0)))
+    top = rnd.uniform(-1e3, 1e3)
+    if kind == "exp":
+        scale, rate = rnd.uniform(1e-3, 1e3), rnd.uniform(1e-3, 5.0)
+        f = lambda x: top + scale * math.exp(-rate * (x - x0))
+    elif kind == "linear":
+        slope = rnd.uniform(1e-6, 2.0)
+        c = top + slope * x0
+        f = lambda x: c - slope * x
+    elif kind == "flat":
+        f = lambda x: top
+    else:
+        slope = rnd.uniform(10.0, 1e3)
+        f = lambda x: top - slope * (x - x0)
+    return f, x0, rnd.uniform(0.1, 10.0)
+
+
+def _outcome(step, *args):
+    try:
+        return step(*args)
+    except GeometryError as e:
+        return str(e)
+
+
+def test_chord_step_matches_plain_bisection(monkeypatch):
+    # the replayed bisection returns plain bisection's float, not a close one
+    steps = 0
+
+    def both(curve, x_start, chord, tol):
+        nonlocal steps
+        steps += 1
+        x = chord_step(curve, x_start, chord, tol)
+        assert x == plain_chord_step(curve, x_start, chord, tol), x_start
+        return x
+
+    family = CurveFamily()
+    for N in (8, 32, 128):
+        eps_star, _ = tune_epsilon(family, N)
+        monkeypatch.setattr(construction, "chord_step", both)
+        for eps in (0.5 * eps_star, eps_star, 2.0 * eps_star):
+            build_half_chain(family.with_epsilon(eps), N)
+        monkeypatch.undo()
+    assert steps > 3 * (8 + 32 + 128) // 2
+
+    # a flat curve is refused when x0 + chord rounds down; both must agree
+    rnd = random.Random(2024)
+    floats = 0
+    for _ in range(2000):
+        f, x0, chord = _random_curve(rnd)
+        got = _outcome(chord_step, f, x0, chord)
+        assert got == _outcome(plain_chord_step, f, x0, chord), (x0, chord)
+        floats += isinstance(got, float)
+    assert floats > 1800
+
+
+def test_chord_step_evaluations_per_call(monkeypatch):
+    # plain bisection evaluates the curve about 45 times per chord
+    calls = evals = 0
+
+    def counted(curve, x_start, chord, tol):
+        nonlocal calls
+
+        def c(x):
+            nonlocal evals
+            evals += 1
+            return curve(x)
+
+        calls += 1
+        return chord_step(c, x_start, chord, tol)
+
+    monkeypatch.setattr(construction, "chord_step", counted)
+    tune_epsilon(CurveFamily(), 32)
+    assert calls > 2000
+    assert evals <= 12 * calls, evals / calls
 
 
 def test_tune_epsilon_builds_each_chain_once(monkeypatch):

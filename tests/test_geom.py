@@ -1,11 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import jampack
 from jampack.geometry import (GeometryError, Tolerances, chord_step,
                               circle_circle_intersections, dist, near_pairs)
+
+from _oracles import plain_chord_step
 
 
 def test_tolerances_defaults():
@@ -127,6 +134,56 @@ def test_chord_step_monotone_in_chord():
             nxt = chord_step(curve, x0, chord)
             assert nxt > prev
             prev = nxt
+
+
+def test_chord_step_falls_back_when_the_secant_misses():
+    # the curve drops by the whole chord within about 1e-3 of x = 0.3, so
+    # the secant steps do not settle and the window check fails: every
+    # midpoint plain bisection visits must then be evaluated
+    def curve(x):
+        return 1.0 - math.tanh(1e3 * (x - 0.3))
+
+    seen, plain = set(), set()
+
+    def counted(points):
+        def c(x):
+            points.add(x)
+            return curve(x)
+        return c
+
+    got = chord_step(counted(seen), 0.0, 2.0)
+    assert got == plain_chord_step(counted(plain), 0.0, 2.0)
+    assert plain <= seen
+
+
+def test_chord_step_replay_holds_under_rounding_noise():
+    # curves that are non-increasing only up to a jitter of m/8, where m =
+    # 2^-44 (|x| + |y|) of the bracket is the margin chord_step documents:
+    # outside its window the replay must still take bisection's signs
+    rnd = random.Random(11)
+    for _ in range(300):
+        x0, chord = rnd.uniform(0.0, 100.0), rnd.uniform(0.5, 4.0)
+        top, slope = rnd.uniform(1.0, 10.0), rnd.uniform(0.01, 2.0)
+        amp = 2.0 ** -44 * (x0 + chord + top) / 8.0
+
+        def curve(x, top=top, slope=slope, x0=x0, amp=amp):
+            return top - slope * (x - x0) + amp * math.sin(1e13 * x)
+
+        assert chord_step(curve, x0, chord) == plain_chord_step(curve, x0,
+                                                                chord)
+
+
+def test_chord_step_ends_where_ulp_exceeds_the_solver_tolerance():
+    # from x = 8192 on, adjacent floats are more than solver_abs apart, so
+    # the bracket can stop shrinking before hi - lo <= solver_abs
+    code = ("from jampack.geometry import chord_step; "
+            "print(repr(chord_step(lambda x: 3.0 - 1e-6 * x, 8200.0, 2.0)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(jampack.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=30)
+    assert run.returncode == 0, run.stderr
+    assert abs(float(run.stdout) - 8202.0) < 1e-11
 
 
 def test_chord_step_rejects_bad_input():
