@@ -1,7 +1,6 @@
 """Sparse locally jammed disc packings: construction, verification, simulation."""
 
 from .configuration import Configuration
-from .geometry import Tolerances, DEFAULT_TOL
 from .construction import (
     CurveFamily,
     BridgeChain,
@@ -25,7 +24,6 @@ from .verifier import (
 from .metropolis import (
     ChainParams,
     ChainStats,
-    metropolis_step,
     run_chain,
     shrink_radius,
     escape_experiment,

@@ -6,7 +6,6 @@ import json
 import sys
 
 from . import construction, files, metropolis, render
-from .geometry import Tolerances
 from .verifier import OverlapError, verify_stable
 
 
@@ -17,10 +16,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
         raise SystemExit(1)
-
-
-def _tolerances(args) -> Tolerances:
-    return Tolerances(tangency_rel=args.tol)
 
 
 def _emit(args, payload: dict):
@@ -42,9 +37,8 @@ def _write_config(config, args):
 
 def _cmd_build_bridge(args):
     family = construction.CurveFamily(lam=args.lam)
-    eps, chain = construction.tune_epsilon(family, args.N, args.eps_hi,
-                                           _tolerances(args))
-    config = construction.complete_symmetric_bridge(chain, _tolerances(args))
+    eps, chain = construction.tune_epsilon(family, args.N, args.eps_hi)
+    config = construction.complete_symmetric_bridge(chain)
     _write_config(config, args)
     _emit(args, {"n": config.n, "epsilon": eps,
                  "mirror_x": chain.mirror_x, "out": args.out})
@@ -52,8 +46,8 @@ def _cmd_build_bridge(args):
 
 
 def _cmd_build_square(args):
-    config, metrics = construction.assemble_square(
-        args.N, args.lam, args.eps_hi, _tolerances(args))
+    config, metrics = construction.assemble_square(args.N, args.lam,
+                                                   args.eps_hi)
     _write_config(config, args)
     _emit(args, {"n": metrics.n, "r": metrics.r,
                  "n_times_r": metrics.n_times_r, "epsilon": metrics.epsilon_used,
@@ -86,7 +80,7 @@ def _cmd_tiling(args):
 
 def _cmd_verify(args):
     config = files.read_config(args.config)
-    report = verify_stable(config, _tolerances(args))
+    report = verify_stable(config)
     movable = [(v.index, v.witness) for v in report.verdicts
                if v.status != "jammed"]
     _emit(args, {"n": config.n, "stable": report.stable,
@@ -107,7 +101,7 @@ def _chain_params(args, config):
 def _cmd_simulate(args):
     config = files.read_config(args.config)
     params = _chain_params(args, config)
-    final, stats = metropolis.run_chain(config, params, _tolerances(args))
+    final, stats = metropolis.run_chain(config, params)
     if args.out:
         files.write_config(final, args.out)
     _emit(args, {"proposed": stats.proposed, "accepted": stats.accepted,
@@ -149,8 +143,7 @@ def _cmd_density(args):
 def _cmd_render(args):
     config = files.read_config(args.config)
     svg = render.render_svg(config, contacts=args.contacts,
-                            color_verdicts=args.color,
-                            tol=_tolerances(args))
+                            color_verdicts=args.color)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(svg)
@@ -166,8 +159,6 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
-        sp.add_argument("--tol", type=float, default=1e-9,
-                        help="relative tangency tolerance (default 1e-9)")
         sp.add_argument("--out", help="output file path")
         sp.add_argument("--format", choices=("text", "json"), default="text")
 

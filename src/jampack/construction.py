@@ -13,7 +13,7 @@ from typing import Callable
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import (DEFAULT_TOL, Tolerances, chord_step,
+from .geometry import (SOLVER_ABS, TANGENCY_REL, chord_step,
                        circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
@@ -79,8 +79,7 @@ class BridgeChain:
     terminated_at: tuple | None = None
 
 
-def build_half_chain(family: CurveFamily, max_N: int,
-                     tol: Tolerances = DEFAULT_TOL) -> BridgeChain:
+def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     """Grow the chain a_1 = (0, 2+sqrt(3)), b_1 = (0, sqrt(3)), c_1 = (1, 0)
     until max_N rows of b exist or the recursion terminates.
 
@@ -106,9 +105,9 @@ def build_half_chain(family: CurveFamily, max_N: int,
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        xn = chord_step(f, a[-1][0], 2.0, tol)
+        xn = chord_step(f, a[-1][0], 2.0)
         an = (xn, f(xn))
-        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0, tol)
+        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0)
         if not pts:
             term = ("no_b", i + 1)
             break
@@ -124,18 +123,17 @@ def build_half_chain(family: CurveFamily, max_N: int,
     return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
 
 
-def _closure_residual(family: CurveFamily, N: int, epsilon: float,
-                      tol: Tolerances) -> float:
+def _closure_residual(family: CurveFamily, N: int, epsilon: float) -> float:
     """g(eps) = x(b_N) - x(a_N) - 1; chains that terminate before N take
     the sign of the large-epsilon side."""
-    chain = build_half_chain(family.with_epsilon(epsilon), N, tol)
+    chain = build_half_chain(family.with_epsilon(epsilon), N)
     if chain.terminated_at is not None and chain.N < N:
         return 1.0
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
-def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
-                 tol: Tolerances = DEFAULT_TOL) -> tuple[float, BridgeChain]:
+def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI
+                 ) -> tuple[float, BridgeChain]:
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
     Scans 64 log-spaced epsilon values over eight decades up to eps_hi for
@@ -153,7 +151,7 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
 
     def g(eps):
         if eps not in residuals:
-            residuals[eps] = _closure_residual(family, N, eps, tol)
+            residuals[eps] = _closure_residual(family, N, eps)
         return residuals[eps]
 
     probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
@@ -188,25 +186,25 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI,
         if hi - lo < 1e-16 * max(1.0, hi):
             break
     eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
-    if abs(g(eps_star)) > 10.0 * tol.solver_abs:
+    if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
             "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
-    chain = build_half_chain(family.with_epsilon(eps_star), N, tol)
+    chain = build_half_chain(family.with_epsilon(eps_star), N)
     return eps_star, chain
 
 
-def _check_tuned(chain: BridgeChain, tol: Tolerances):
+def _check_tuned(chain: BridgeChain):
     res = chain.b[chain.N - 1][0] - chain.a[chain.N - 1][0] - 1.0
-    if abs(res) > tol.tangency_rel:
+    if abs(res) > TANGENCY_REL:
         raise ConstructionError(
             "chain is not tuned: closure residual %.3g" % res)
 
 
-def _dedup_guard(points: list, tol: Tolerances):
+def _dedup_guard(points: list):
     """Fail if any two centers nearly coincide: shared discs are never
-    emitted twice, so no pair may come closer than 2*solver_abs."""
-    cutoff = 2.0 * tol.solver_abs
+    emitted twice, so no pair may come closer than 2*SOLVER_ABS."""
+    cutoff = 2.0 * SOLVER_ABS
     _, _, d = near_pairs(points, cutoff)
     close = int(np.count_nonzero(d < cutoff))
     if close:
@@ -214,26 +212,31 @@ def _dedup_guard(points: list, tol: Tolerances):
             "unexpected coincident centers: %d pairs" % close)
 
 
-def _with_l_mirror(points: list, xl: float, tol: Tolerances) -> list:
+def _half_rows(chain: BridgeChain) -> list:
+    """The chain's discs a_1..a_N, b_1..b_N, c_1..c_(N-1), in that order."""
+    N = chain.N
+    return chain.a[:N] + chain.b[:N] + chain.c[:N - 1]
+
+
+def _with_l_mirror(points: list, xl: float) -> list:
     """points, then their mirror images across the vertical line l at
     x = xl, leaving out the points that lie on l."""
     return points + [(2.0 * xl - p[0], p[1]) for p in points
-                     if abs(p[0] - xl) > tol.solver_abs]
+                     if abs(p[0] - xl) > SOLVER_ABS]
 
 
-def complete_symmetric_bridge(chain: BridgeChain,
-                              tol: Tolerances = DEFAULT_TOL) -> Configuration:
+def complete_symmetric_bridge(chain: BridgeChain) -> Configuration:
     """Mirror a tuned chain across the x-axis and across the vertical line l
     through b_N, producing the planar symmetric bridge of 10N - 4 unit discs.
     """
-    _check_tuned(chain, tol)
+    _check_tuned(chain)
     N = chain.N
     xl = chain.mirror_x
-    half = list(chain.a[:N]) + list(chain.b[:N]) + list(chain.c[:N - 1])
+    half = _half_rows(chain)
     # x-axis mirror duplicates a and b rows; c sits on the axis
     full = half + [(p[0], -p[1]) for p in half if p[1] > 0.0]
-    pts = _with_l_mirror(full, xl, tol)
-    _dedup_guard(pts, tol)
+    pts = _with_l_mirror(full, xl)
+    _dedup_guard(pts)
     if len(pts) != 10 * N - 4:
         raise ConstructionError(
             "bridge disc count %d, expected %d" % (len(pts), 10 * N - 4))
@@ -242,23 +245,20 @@ def complete_symmetric_bridge(chain: BridgeChain,
     return Configuration(1.0, np.array(pts), None, meta)
 
 
-def _wall_half_bridge_points(chain: BridgeChain, tol: Tolerances) -> list:
+def _wall_half_bridge_points(chain: BridgeChain) -> list:
     """Half bridge in the chain frame (c row at y = 0), l-mirrored."""
-    N = chain.N
-    half = list(chain.a[:N]) + list(chain.b[:N]) + list(chain.c[:N - 1])
-    return _with_l_mirror(half, chain.mirror_x, tol)
+    return _with_l_mirror(_half_rows(chain), chain.mirror_x)
 
 
 def build_wall_bridge(family: CurveFamily, N: int,
-                      eps_hi: float = DEFAULT_EPS_HI,
-                      tol: Tolerances = DEFAULT_TOL) -> Configuration:
+                      eps_hi: float = DEFAULT_EPS_HI) -> Configuration:
     """Half bridge resting on a wall: the c row is tangent to the wall,
     which replaces the x-axis mirror; the chain is still mirrored about l.
 
     The returned box has its bottom edge on the wall.  Disc count is 6N - 3.
     """
-    eps, chain = tune_epsilon(family, N, eps_hi, tol)
-    pts = _wall_half_bridge_points(chain, tol)
+    eps, chain = tune_epsilon(family, N, eps_hi)
+    pts = _wall_half_bridge_points(chain)
     if len(pts) != 6 * N - 3:
         raise ConstructionError(
             "wall bridge disc count %d, expected %d" % (len(pts), 6 * N - 3))
@@ -310,8 +310,7 @@ class AssemblyMetrics:
 
 
 def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
-                    eps_hi: float = DEFAULT_EPS_HI,
-                    tol: Tolerances = DEFAULT_TOL
+                    eps_hi: float = DEFAULT_EPS_HI
                     ) -> tuple[Configuration, AssemblyMetrics]:
     """Assemble the stable unit-square configuration: four corner clusters
     (junction plus clamp discs) and four wall bridges, scaled to [0,1]^2.
@@ -326,7 +325,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
             "the bridges leave discs movable" % N)
 
     family = CurveFamily(lam=lam)
-    eps, chain = tune_epsilon(family, N, eps_hi, tol)
+    eps, chain = tune_epsilon(family, N, eps_hi)
 
     t = _BRIDGE_OFFSET
     xl = t + chain.mirror_x          # mirror line of the bottom bridge
@@ -334,7 +333,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
     cx = side / 2.0 - 1.0            # center of the square, corner frame
 
     bridge_pts = [(p[0] + t, p[1]) for p in
-                  _wall_half_bridge_points(chain, tol)]
+                  _wall_half_bridge_points(chain)]
     cluster = _JUNCTION + _CLAMPS
 
     pts = []
@@ -353,7 +352,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
     if len(pts) != n_expected:
         raise AssemblyError(
             "assembled %d discs, expected %d" % (len(pts), n_expected))
-    _dedup_guard(pts, tol)
+    _dedup_guard(pts)
 
     # corner frame (walls at -1 .. side-1) -> box frame (0 .. side),
     # then scale the side to 1
@@ -365,7 +364,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
 
     from .verifier import OverlapError, verify_stable
     try:
-        report = verify_stable(config, tol)
+        report = verify_stable(config)
     except OverlapError as e:
         rep = e.report
         raise AssemblyError(

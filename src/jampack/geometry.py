@@ -7,7 +7,6 @@ that near_pairs takes and returns numpy arrays.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,27 +17,14 @@ class GeometryError(ValueError):
     """Degenerate or inadmissible geometric input."""
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical tolerance profile shared across the package.
-
-    tangency_rel: relative tolerance on center distances for contact detection.
-    solver_abs:   absolute tolerance for root finding.
-    angle_slack:  slack (radians) when comparing angular gaps against pi.
-    """
-
-    tangency_rel: float = 1e-9
-    solver_abs: float = 1e-12
-    angle_slack: float = 1e-9
-
-    def __post_init__(self):
-        if not (self.tangency_rel > 0 and self.solver_abs > 0 and self.angle_slack > 0):
-            raise ValueError("tolerances must be strictly positive")
-        if not self.tangency_rel > self.solver_abs:
-            raise ValueError("tangency_rel must exceed solver_abs")
-
-
-DEFAULT_TOL = Tolerances()
+# Relative tolerance on centre distances for contact detection: a pair is
+# in contact when |d - 2r| <= 2r * TANGENCY_REL.
+TANGENCY_REL = 1e-9
+# Absolute tolerance of the root finders and of coincidence tests.
+SOLVER_ABS = 1e-12
+# Slack (radians) by which a disc's largest normal gap must fall short of pi
+# for the disc to be called jammed.
+ANGLE_SLACK = 1e-9
 
 
 def _require_finite(*points: Point):
@@ -51,28 +37,28 @@ def dist(p: Point, q: Point) -> float:
     return math.hypot(p[0] - q[0], p[1] - q[1])
 
 
-def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float,
-                                tol: Tolerances = DEFAULT_TOL) -> list[Point]:
+def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
+                                ) -> list[Point]:
     """Intersection points of two circles.
 
     Returns 2 points for proper crossing, 1 at (internal or external)
-    tangency within tol.solver_abs, 0 when disjoint.  Coincident centers
+    tangency within SOLVER_ABS, 0 when disjoint.  Coincident centers
     are rejected.
     """
     _require_finite(c1, c2)
     if r1 <= 0 or r2 <= 0:
         raise GeometryError("radii must be positive")
     d = dist(c1, c2)
-    if d <= tol.solver_abs:
+    if d <= SOLVER_ABS:
         raise GeometryError("coincident circle centers")
     outer = r1 + r2
     inner = abs(r1 - r2)
-    if d > outer + tol.solver_abs or d < inner - tol.solver_abs:
+    if d > outer + SOLVER_ABS or d < inner - SOLVER_ABS:
         return []
     ux = (c2[0] - c1[0]) / d
     uy = (c2[1] - c1[1]) / d
     a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    if abs(d - outer) <= tol.solver_abs or abs(d - inner) <= tol.solver_abs:
+    if abs(d - outer) <= SOLVER_ABS or abs(d - inner) <= SOLVER_ABS:
         return [(c1[0] + a * ux, c1[1] + a * uy)]
     h = math.sqrt(max(r1 * r1 - a * a, 0.0))
     mx = c1[0] + a * ux
@@ -128,8 +114,7 @@ def _sign_window(g, lo, hi, glo, ghi, m):
     return lo, hi
 
 
-def chord_step(curve, x_start: float, chord: float,
-               tol: Tolerances = DEFAULT_TOL) -> float:
+def chord_step(curve, x_start: float, chord: float) -> float:
     """Smallest x' > x_start at which the point (x', curve(x')) lies at the
     given chord distance from (x_start, curve(x_start)).
 
@@ -138,7 +123,7 @@ def chord_step(curve, x_start: float, chord: float,
     x and the bracket [x_start, x_start + chord] always contains its root.
 
     The result is the float that plain bisection of g returns: split the
-    bracket at mid = 0.5 (lo + hi) while hi - lo > tol.solver_abs, keep
+    bracket at mid = 0.5 (lo + hi) while hi - lo > SOLVER_ABS, keep
     the half whose ends' g do not share a sign, and return the last
     midpoint.  That loop reads g only through its sign, so it is replayed
     with the same midpoints and the same rule while g is evaluated only
@@ -158,8 +143,8 @@ def chord_step(curve, x_start: float, chord: float,
     end whose |g| exceeds m is the sign at that end.
 
     The loop also stops once the midpoint is no longer strictly between lo
-    and hi, which happens only when ulp(x) exceeds tol.solver_abs (from
-    x = 8192 at the default); plain bisection never ends there, and on
+    and hi, which happens only when ulp(x) exceeds SOLVER_ABS (from
+    x = 8192); plain bisection never ends there, and on
     every input where it does end the stop changes nothing.
     """
     if chord <= 0:
@@ -169,7 +154,7 @@ def chord_step(curve, x_start: float, chord: float,
         raise GeometryError("curve not finite at x_start")
     lo, hi = x_start, x_start + chord
     y_hi = curve(hi)
-    if y_hi > y0 + tol.solver_abs:
+    if y_hi > y0 + SOLVER_ABS:
         raise GeometryError("curve must be non-increasing on the bracket")
 
     def g(x):
@@ -181,8 +166,7 @@ def chord_step(curve, x_start: float, chord: float,
         raise GeometryError("curve increased: no root in bracket")
     m = _MARGIN * (abs(x_start) + chord + max(abs(y0), abs(y_hi)))
     wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
-    stop = tol.solver_abs
-    while hi - lo > stop:
+    while hi - lo > SOLVER_ABS:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import DEFAULT_TOL, Tolerances, near_pairs
+from .geometry import near_pairs
 from .verifier import overlap_audit
 
 RNG_ALGORITHM = "numpy-pcg64"
@@ -51,8 +51,8 @@ class ChainStats:
     rng_algorithm: str = RNG_ALGORITHM
 
 
-def _check_valid(config: Configuration, tol: Tolerances):
-    audit = overlap_audit(config, tol)
+def _check_valid(config: Configuration):
+    audit = overlap_audit(config)
     if audit.pairs:
         i, j, d = audit.pairs[0]
         raise ValueError("invalid configuration: discs %d and %d overlap "
@@ -74,10 +74,7 @@ class _Grid:
     on the cell layout.
     """
 
-    def __init__(self, config: Configuration, step_radius: float,
-                 indexed=None):
-        """Grid over the discs listed in indexed (default: all).  Leaving a
-        disc out is exact only when no proposal can reach it."""
+    def __init__(self, config: Configuration, step_radius: float):
         self.radius = config.radius
         self.step_radius = step_radius
         self.box = config.box
@@ -85,8 +82,7 @@ class _Grid:
         self.ys = config.centers[:, 1].tolist()
         self.side = 2.0 * config.radius * (1.0 + 1e-6)
         self.cells = {}
-        for i in (range(len(self.xs)) if indexed is None
-                  else indexed.tolist()):
+        for i in range(len(self.xs)):
             self.cells.setdefault(self._key(self.xs[i], self.ys[i]),
                                   []).append(i)
 
@@ -223,35 +219,7 @@ class _QuietFilter:
         self.shut = start + np.flatnonzero(shut)
 
 
-def metropolis_step(config: Configuration, params: ChainParams,
-                    rng: np.random.Generator
-                    ) -> tuple[Configuration, bool]:
-    """One proposal: a uniformly chosen disc is moved uniformly within a
-    disc of radius step_radius; accepted iff it stays in the box and
-    overlaps nothing.  A rejected proposal returns the input unchanged.
-
-    Consumes exactly three uniform deviates from rng, in the same order as
-    run_chain, so stepping manually replays a chain trajectory.
-    """
-    _check_valid(config, DEFAULT_TOL)
-    u = rng.random(3).tolist()
-    c = config.centers
-    i = min(int(u[0] * len(c)), len(c) - 1)
-    # only discs within 2r + step of the mover can block it
-    reach = (2.0 * config.radius + params.step_radius) * (1.0 + 1e-6)
-    near = np.flatnonzero(np.hypot(c[:, 0] - c[i, 0], c[:, 1] - c[i, 1])
-                          <= reach)
-    i, x, y, ok = _Grid(config, params.step_radius, near).propose(*u)
-    if not ok:
-        return config, False
-    out = config.copy()
-    out.centers[i, 0] = x
-    out.centers[i, 1] = y
-    return out, True
-
-
-def run_chain(config: Configuration, params: ChainParams,
-              tol: Tolerances = DEFAULT_TOL
+def run_chain(config: Configuration, params: ChainParams
               ) -> tuple[Configuration, ChainStats]:
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
@@ -261,7 +229,7 @@ def run_chain(config: Configuration, params: ChainParams,
     validity checks, and hands each proposal it cannot reject to the grid.
     An acceptance returns the chain to proposal-by-proposal work.
     """
-    _check_valid(config, tol)
+    _check_valid(config)
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
     initial = config.centers.copy()
@@ -283,7 +251,7 @@ def run_chain(config: Configuration, params: ChainParams,
         interval_accepted = 0
         snapshot = Configuration(r, grid.centers(), config.box,
                                  dict(config.metadata))
-        _check_valid(snapshot, tol)
+        _check_valid(snapshot)
 
     while done < params.steps:
         m = min(batch, params.steps - done)
@@ -315,7 +283,7 @@ def run_chain(config: Configuration, params: ChainParams,
             k = stop
     centers = grid.centers()
     final = Configuration(r, centers, config.box, dict(config.metadata))
-    _check_valid(final, tol)
+    _check_valid(final)
     disp = float(np.max(np.hypot(centers[:, 0] - initial[:, 0],
                                  centers[:, 1] - initial[:, 1]))) if len(
                                      centers) else 0.0

@@ -1,7 +1,6 @@
 """Deterministic SVG rendering of disc configurations."""
 
 from .configuration import Configuration
-from .geometry import DEFAULT_TOL, Tolerances
 
 WIDTH_PX = 800.0
 
@@ -21,8 +20,7 @@ def _bounds(config: Configuration):
 
 
 def render_svg(config: Configuration, contacts: bool = False,
-               color_verdicts: bool = False,
-               tol: Tolerances = DEFAULT_TOL) -> str:
+               color_verdicts: bool = False) -> str:
     """SVG document with one circle per disc.
 
     Options add a contact-edge overlay and jamming color-coding.  The
@@ -53,9 +51,9 @@ def render_svg(config: Configuration, contacts: bool = False,
     graph = None
     if contacts or color_verdicts:
         from .verifier import _judge, contact_graph
-        graph = contact_graph(config, tol)
+        graph = contact_graph(config)
         if color_verdicts:
-            fills = [_COLORS[v.status] for v in _judge(graph, tol).verdicts]
+            fills = [_COLORS[v.status] for v in _judge(graph).verdicts]
 
     for i, (x, y) in enumerate(config.centers):
         lines.append('<circle cx="%.4f" cy="%.4f" r="%.4f" fill="%s" '

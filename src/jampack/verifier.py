@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import DEFAULT_TOL, Tolerances, near_pairs
+from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
 
@@ -58,77 +58,79 @@ class JammingReport:
     stable: bool
 
 
-def _reach(r: float, tol: Tolerances) -> float:
+def _reach(r: float) -> float:
     """Contact range: every pair the verifier looks at lies within it.  It
     holds twice the tangency band, so a tangency the math.hypot test below
     accepts is never lost to the rounding of the cutoff."""
-    return 2.0 * r * (1.0 + 2.0 * tol.tangency_rel)
+    return 2.0 * r * (1.0 + 2.0 * TANGENCY_REL)
 
 
-def overlap_audit(config: Configuration,
-                  tol: Tolerances = DEFAULT_TOL) -> OverlapReport:
+def overlap_audit(config: Configuration) -> OverlapReport:
     """Penetrating disc pairs, from the pairs within contact range, and the
     discs that cross a wall.
 
-    Penetration beyond 2r*tangency_rel is a violation; pairs are listed as
+    Penetration beyond 2r*TANGENCY_REL is a violation; pairs are listed as
     (i, j, distance) in (i, j) order.  max_penetration is the worst 2r - d,
     or 0.  min_gap is the smallest d - 2r among pairs within contact range,
-    2r(1 + 2*tangency_rel), and +inf when there are none.  A disc crossing
-    a wall by more than r*tangency_rel is listed in outside, by index.
+    2r(1 + 2*TANGENCY_REL), and +inf when there are none.  A disc crossing
+    a wall by more than r*TANGENCY_REL is listed in outside, by index.
     """
+    return _audit(config, *near_pairs(config.centers, _reach(config.radius)))
+
+
+def _audit(config: Configuration, i, j, d) -> OverlapReport:
+    """overlap_audit from the near_pairs arrays (i, j, d) at _reach."""
     r = config.radius
     outside = []
     if config.box is not None:
         c = config.centers
-        slack = r * tol.tangency_rel
+        slack = r * TANGENCY_REL
         hi = np.array(config.box) - r + slack
         out = ((c < r - slack) | (c > hi)).any(axis=1)
         outside = np.flatnonzero(out).tolist()
-    i, j, d = near_pairs(config.centers, _reach(r, tol))
     if len(d) == 0:
         return OverlapReport(0.0, math.inf, [], outside)
     pens = 2.0 * r - d
-    viol = pens > 2.0 * r * tol.tangency_rel
+    viol = pens > 2.0 * r * TANGENCY_REL
     pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))
     return OverlapReport(max(float(np.max(pens)), 0.0),
                          float(np.min(d) - 2.0 * r), pairs, outside)
 
 
-def contact_graph(config: Configuration,
-                  tol: Tolerances = DEFAULT_TOL) -> ContactGraph:
+def contact_graph(config: Configuration) -> ContactGraph:
     """Tangency adjacency of a configuration, walls included.
 
-    Disc-disc contacts use the relative tolerance |d - 2r| <= 2r*tangency_rel
+    Disc-disc contacts use the relative tolerance |d - 2r| <= 2r*TANGENCY_REL
     so verdicts survive uniform scaling; wall contacts use gap <=
-    r*tangency_rel.  Input that overlap_audit faults (overlapping discs,
+    r*TANGENCY_REL.  Input that overlap_audit faults (overlapping discs,
     discs outside the box) is rejected.  Candidate pairs come from
     near_pairs and are tested in (i, j) order, so each disc's normals are
     listed by partner index, walls last.
     """
-    audit = overlap_audit(config, tol)
+    c = config.centers
+    r = config.radius
+    near_i, near_j, near_d = near_pairs(c, _reach(r))
+    audit = _audit(config, near_i, near_j, near_d)
     if audit.pairs:
         i, j, d = audit.pairs[0]
         raise OverlapError(
             "discs %d and %d overlap: distance %.17g < 2r, penetration %.3g"
-            % (i, j, d, 2.0 * config.radius - d), audit)
+            % (i, j, d, 2.0 * r - d), audit)
     if audit.outside:
         raise OverlapError("disc %d lies outside the box"
                            % audit.outside[0], audit)
 
-    c = config.centers
     n = len(c)
-    r = config.radius
     xs = c[:, 0].tolist()
     ys = c[:, 1].tolist()
     normals = [[] for _ in range(n)]
     wall_contacts = [[] for _ in range(n)]
     pairs = []
-    near_i, near_j, _ = near_pairs(c, _reach(r, tol))
     for i, j in zip(near_i.tolist(), near_j.tolist()):
         dx = xs[i] - xs[j]
         dy = ys[i] - ys[j]
         d = math.hypot(dx, dy)
-        if abs(d - 2.0 * r) <= 2.0 * r * tol.tangency_rel:
+        if abs(d - 2.0 * r) <= 2.0 * r * TANGENCY_REL:
             normals[i].append((dx / d, dy / d))
             normals[j].append((-dx / d, -dy / d))
             pairs.append((i, j))
@@ -140,7 +142,7 @@ def contact_graph(config: Configuration,
                  ("top", (0.0, -1.0), lambda p: h - p[1])]
         for i in range(n):
             for name, normal, coord in walls:
-                if abs(coord(c[i]) - r) <= r * tol.tangency_rel:
+                if abs(coord(c[i]) - r) <= r * TANGENCY_REL:
                     normals[i].append(normal)
                     wall_contacts[i].append(name)
     return ContactGraph(normals, pairs, wall_contacts)
@@ -165,11 +167,11 @@ def _largest_gap(angles: list) -> tuple[float, float]:
     return best
 
 
-def is_locally_jammed(normals, tol: Tolerances = DEFAULT_TOL) -> DiscVerdict:
+def is_locally_jammed(normals) -> DiscVerdict:
     """Verdict for one disc from its contact normals.
 
     Jammed iff there are at least 3 normals and the largest circular gap
-    between consecutive normal directions is < pi - angle_slack; the
+    between consecutive normal directions is < pi - ANGLE_SLACK; the
     feasible cone {d : d.n >= 0 for all n} is then {0}.  Otherwise movable
     with a witness direction in the feasible cone: the antipode of the
     largest gap's bisector, which bisects the cluster of normals.
@@ -178,28 +180,27 @@ def is_locally_jammed(normals, tol: Tolerances = DEFAULT_TOL) -> DiscVerdict:
         return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
     angles = _sorted_angles(normals)
     gap, start = _largest_gap(angles)
-    if len(normals) >= 3 and gap < math.pi - tol.angle_slack:
+    if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
         return DiscVerdict(-1, "jammed", None, len(normals))
     witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI
     witness = (math.cos(witness_angle), math.sin(witness_angle))
     return DiscVerdict(-1, "movable", witness, len(normals))
 
 
-def verify_stable(config: Configuration,
-                  tol: Tolerances = DEFAULT_TOL) -> JammingReport:
+def verify_stable(config: Configuration) -> JammingReport:
     """Per-disc jamming verdicts for a whole configuration, walls included.
 
     The configuration is stable iff no disc is movable or a rattler.
     """
-    return _judge(contact_graph(config, tol), tol)
+    return _judge(contact_graph(config))
 
 
-def _judge(graph: ContactGraph, tol: Tolerances) -> JammingReport:
+def _judge(graph: ContactGraph) -> JammingReport:
     """Per-disc verdicts from an already built contact graph."""
     verdicts = []
     jammed = movable = rattlers = 0
     for i, normals in enumerate(graph.normals):
-        v = is_locally_jammed(normals, tol)
+        v = is_locally_jammed(normals)
         v.index = i
         verdicts.append(v)
         if v.status == "jammed":

@@ -3,7 +3,7 @@
 import math
 
 from jampack.construction import ConstructionError, CurveFamily
-from jampack.geometry import DEFAULT_TOL, GeometryError, Tolerances
+from jampack.geometry import SOLVER_ABS, GeometryError
 
 TWO_PI = 2.0 * math.pi
 
@@ -15,8 +15,7 @@ def curve_eval(family: CurveFamily, x: float) -> float:
     return (1.0 + family.epsilon) * family.base(x) - family.epsilon * family.base(0.0)
 
 
-def plain_chord_step(curve, x_start: float, chord: float,
-                     tol: Tolerances = DEFAULT_TOL) -> float:
+def plain_chord_step(curve, x_start: float, chord: float) -> float:
     """chord_step by plain bisection, evaluating g at every midpoint: the
     reference whose float the package's replay must return."""
     if chord <= 0:
@@ -24,7 +23,7 @@ def plain_chord_step(curve, x_start: float, chord: float,
     y0 = curve(x_start)
     if not math.isfinite(y0):
         raise GeometryError("curve not finite at x_start")
-    if curve(x_start + chord) > y0 + tol.solver_abs:
+    if curve(x_start + chord) > y0 + SOLVER_ABS:
         raise GeometryError("curve must be non-increasing on the bracket")
 
     def g(x):
@@ -34,7 +33,7 @@ def plain_chord_step(curve, x_start: float, chord: float,
     if g(hi) < 0:
         raise GeometryError("curve increased: no root in bracket")
     glo = g(lo)
-    while hi - lo > tol.solver_abs:
+    while hi - lo > SOLVER_ABS:
         mid = 0.5 * (lo + hi)
         gm = g(mid)
         if glo * gm <= 0:
@@ -44,8 +43,7 @@ def plain_chord_step(curve, x_start: float, chord: float,
     return 0.5 * (lo + hi)
 
 
-def direction_oracle(normals, K: int = 720,
-                     tol: Tolerances = DEFAULT_TOL) -> str:
+def direction_oracle(normals, K: int = 720) -> str:
     """Brute-force jamming check: scan K equally spaced directions and call
     the disc movable iff some direction clears every normal.  Test oracle
     for is_locally_jammed."""

@@ -40,7 +40,7 @@ def test_verify_json_format(tmp_path, capsys):
     assert dispatch(["verify", str(out), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["stable"] is True
-    assert doc["parameters"]["tol"] == 1e-9
+    assert "tol" not in doc["parameters"]
 
 
 def test_simulate_frozen(tmp_path, capsys):
@@ -132,6 +132,16 @@ def test_layout_flag_is_a_usage_error(capsys):
     # square assembly has one layout, wall bridges, and no flag for it
     assert dispatch(["build-square", "--N", "4", "--layout",
                      "wall-bridges"]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+def test_tol_flag_is_a_usage_error(tmp_path, capsys):
+    # contact detection has one fixed tolerance profile and no flag for it
+    path = tmp_path / "five.json"
+    write_config(five_disc_config(), path)
+    assert dispatch(["verify", str(path), "--tol", "1e-6"]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert dispatch(["build-square", "--N", "4", "--tol", "1e-6"]) == 1
     assert "usage" in capsys.readouterr().err
 
 

@@ -12,7 +12,7 @@ from jampack.construction import (AssemblyError, BridgeChain,
                                   complete_symmetric_bridge, density,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import (DEFAULT_TOL, GeometryError, chord_step,
+from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
                               circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
 
@@ -154,7 +154,7 @@ def test_tune_epsilon_failure_names_parameters():
     assert "last probe eps=1e-12 has residual" in str(e.value)
 
 
-def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
+def _parent_build_half_chain(family, max_N):
     """The chain builder as it was before f(0) was hoisted: every curve
     point goes through curve_eval, and every chord by plain bisection."""
     if max_N < 2:
@@ -168,9 +168,9 @@ def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        xn = plain_chord_step(f, a[-1][0], 2.0, tol)
+        xn = plain_chord_step(f, a[-1][0], 2.0)
         an = (xn, f(xn))
-        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0, tol)
+        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0)
         if not pts:
             term = ("no_b", i + 1)
             break
@@ -186,14 +186,14 @@ def _parent_build_half_chain(family, max_N, tol=DEFAULT_TOL):
     return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
 
 
-def _parent_closure_residual(family, N, epsilon, tol):
-    chain = _parent_build_half_chain(family.with_epsilon(epsilon), N, tol)
+def _parent_closure_residual(family, N, epsilon):
+    chain = _parent_build_half_chain(family.with_epsilon(epsilon), N)
     if chain.terminated_at is not None and chain.N < N:
         return 1.0
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
-def _parent_tune_epsilon(family, N, eps_hi=50.0, tol=DEFAULT_TOL):
+def _parent_tune_epsilon(family, N, eps_hi=50.0):
     """Oracle: the scan and bisection as they were before the residual memo
     and the midpoint stop rule, on the builder above."""
     if N < 2:
@@ -202,7 +202,7 @@ def _parent_tune_epsilon(family, N, eps_hi=50.0, tol=DEFAULT_TOL):
         raise ConstructionError("eps_hi must be positive")
 
     def g(eps):
-        return _parent_closure_residual(family, N, eps, tol)
+        return _parent_closure_residual(family, N, eps)
 
     probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
     lo = hi = None
@@ -228,11 +228,11 @@ def _parent_tune_epsilon(family, N, eps_hi=50.0, tol=DEFAULT_TOL):
         if hi - lo < 1e-16 * max(1.0, hi):
             break
     eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
-    if abs(g(eps_star)) > 10.0 * tol.solver_abs:
+    if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d"
             % (g(eps_star), N))
-    chain = _parent_build_half_chain(family.with_epsilon(eps_star), N, tol)
+    chain = _parent_build_half_chain(family.with_epsilon(eps_star), N)
     return eps_star, chain
 
 
@@ -290,11 +290,11 @@ def test_chord_step_matches_plain_bisection(monkeypatch):
     # the replayed bisection returns plain bisection's float, not a close one
     steps = 0
 
-    def both(curve, x_start, chord, tol):
+    def both(curve, x_start, chord):
         nonlocal steps
         steps += 1
-        x = chord_step(curve, x_start, chord, tol)
-        assert x == plain_chord_step(curve, x_start, chord, tol), x_start
+        x = chord_step(curve, x_start, chord)
+        assert x == plain_chord_step(curve, x_start, chord), x_start
         return x
 
     family = CurveFamily()
@@ -321,7 +321,7 @@ def test_chord_step_evaluations_per_call(monkeypatch):
     # plain bisection evaluates the curve about 45 times per chord
     calls = evals = 0
 
-    def counted(curve, x_start, chord, tol):
+    def counted(curve, x_start, chord):
         nonlocal calls
 
         def c(x):
@@ -330,7 +330,7 @@ def test_chord_step_evaluations_per_call(monkeypatch):
             return curve(x)
 
         calls += 1
-        return chord_step(c, x_start, chord, tol)
+        return chord_step(c, x_start, chord)
 
     monkeypatch.setattr(construction, "chord_step", counted)
     tune_epsilon(CurveFamily(), 32)
@@ -375,7 +375,7 @@ def test_bridges_list_discs_in_mirror_order():
 
     def l_mirror(pts):
         return pts + [(2.0 * xl - x, y) for x, y in pts
-                      if abs(x - xl) > DEFAULT_TOL.solver_abs]
+                      if abs(x - xl) > SOLVER_ABS]
 
     full = half + [(x, -y) for x, y in half if y > 0.0]
     config = complete_symmetric_bridge(chain)
@@ -527,9 +527,8 @@ def test_dedup_guard_counts_coincident_pairs():
            (40.0, 40.0)]
     with pytest.raises(ConstructionError,
                        match="unexpected coincident centers: 3 pairs"):
-        construction._dedup_guard(pts, DEFAULT_TOL)
-    construction._dedup_guard([(-50.0, 3.0), (-50.0, 3.0 + 2.1e-12)],
-                              DEFAULT_TOL)
+        construction._dedup_guard(pts)
+    construction._dedup_guard([(-50.0, 3.0), (-50.0, 3.0 + 2.1e-12)])
 
 
 def test_five_disc_geometry():

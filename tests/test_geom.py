@@ -9,26 +9,20 @@ import numpy as np
 import pytest
 
 import jampack
-from jampack.geometry import (GeometryError, Tolerances, chord_step,
+from jampack.geometry import (ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL,
+                              GeometryError, chord_step,
                               circle_circle_intersections, dist, near_pairs)
 
 from _oracles import plain_chord_step
 
 
-def test_tolerances_defaults():
-    t = Tolerances()
-    assert t.tangency_rel == 1e-9
-    assert t.solver_abs == 1e-12
-    assert t.angle_slack == 1e-9
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(tangency_rel=-1.0)
-    with pytest.raises(ValueError):
-        Tolerances(solver_abs=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(tangency_rel=1e-13, solver_abs=1e-12)
+def test_tolerance_constants():
+    assert TANGENCY_REL == 1e-9
+    assert SOLVER_ABS == 1e-12
+    assert ANGLE_SLACK == 1e-9
+    # a contact band narrower than the solver's error would lose contacts
+    # that the constructions place exactly
+    assert TANGENCY_REL > SOLVER_ABS > 0
 
 
 def test_intersections_symmetric_equal_circles():

@@ -8,7 +8,7 @@ from jampack.configuration import Configuration
 from jampack.construction import (assemble_square, five_disc_config,
                                   tiling_3_12_12)
 from jampack.metropolis import (ChainParams, ChainStats, escape_experiment,
-                                metropolis_step, run_chain, shrink_radius)
+                                run_chain, shrink_radius)
 
 
 def _free_disc():
@@ -28,50 +28,6 @@ def test_single_free_disc_always_accepts():
     _, stats = run_chain(_free_disc(), ChainParams(7, 0.05, seed=1))
     assert stats.accepted == 7
     assert stats.acceptance_rate == 1.0
-
-
-def test_step_determinism():
-    p = ChainParams(1, 0.05, seed=42)
-    out = []
-    for _ in range(2):
-        rng = np.random.default_rng(123)
-        cfg, acc = metropolis_step(_free_disc(), p, rng)
-        out.append((cfg.centers.copy(), acc))
-    assert np.array_equal(out[0][0], out[1][0])
-    assert out[0][1] == out[1][1]
-
-
-def test_run_chain_matches_manual_stepping():
-    config = five_disc_config()
-    config = shrink_radius(config, 0.95)
-    params = ChainParams(500, config.radius, seed=9)
-    final, stats = run_chain(config, params)
-
-    rng = np.random.default_rng(9)
-    cur = config
-    accepted = 0
-    for _ in range(params.steps):
-        cur, acc = metropolis_step(cur, params, rng)
-        accepted += acc
-    assert accepted == stats.accepted
-    assert np.array_equal(cur.centers, final.centers)
-
-
-def test_run_chain_matches_manual_stepping_on_square():
-    # 128 discs, so metropolis_step tests only the discs within reach of the
-    # mover; accepted moves of up to r cross grid cells
-    config, _ = assemble_square(4)
-    params = ChainParams(2000, config.radius, seed=7)
-    final, stats = run_chain(config, params)
-
-    rng = np.random.default_rng(7)
-    cur = config
-    accepted = 0
-    for _ in range(params.steps):
-        cur, acc = metropolis_step(cur, params, rng)
-        accepted += acc
-    assert accepted == stats.accepted > 0
-    assert np.array_equal(cur.centers, final.centers)
 
 
 def _full_scan_chain(config, params):
@@ -257,17 +213,6 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
     assert accepted
     assert accepted <= open_rows
     assert len(open_rows) < len(u)
-
-
-def test_rejected_step_leaves_config_identical():
-    config = five_disc_config()
-    params = ChainParams(1, config.radius, seed=0)
-    rng = np.random.default_rng(0)
-    before = config.centers.copy()
-    out, acc = metropolis_step(config, params, rng)
-    assert not acc
-    assert out is config
-    assert np.array_equal(config.centers, before)
 
 
 def test_chain_determinism_same_seed():

@@ -7,7 +7,7 @@ import pytest
 from jampack.configuration import Configuration
 from jampack.construction import (assemble_square, five_disc_config,
                                   junction_piece, tiling_3_12_12)
-from jampack.geometry import DEFAULT_TOL
+from jampack.geometry import TANGENCY_REL
 from jampack.verifier import (OverlapError, contact_graph, is_locally_jammed,
                               overlap_audit, verify_stable)
 
@@ -51,7 +51,7 @@ def test_contact_graph_rejects_disc_outside_box():
 
 def test_overlap_audit_lists_discs_outside_box():
     r = 0.1
-    slack = r * DEFAULT_TOL.tangency_rel
+    slack = r * TANGENCY_REL
     config = Configuration(r, [[r - 0.5 * slack, 0.5], [0.5, 1.0 - r],
                                [0.5, r - 2.0 * slack], [1.0, 0.3],
                                [0.3, 0.3]], (1.0, 1.0))
@@ -185,7 +185,7 @@ def test_overlap_audit_min_gap_touching_is_zero():
     assert rep.pairs == []
 
 
-def _matrix_overlap_audit(config, tol=DEFAULT_TOL):
+def _matrix_overlap_audit(config):
     """Oracle: the full n x n distance matrix scan."""
     c = config.centers
     n = len(c)
@@ -194,13 +194,13 @@ def _matrix_overlap_audit(config, tol=DEFAULT_TOL):
     iu = np.triu_indices(n, 1)
     dists = d[iu]
     pens = 2.0 * r - dists
-    viol = pens > 2.0 * r * tol.tangency_rel
+    viol = pens > 2.0 * r * TANGENCY_REL
     pairs = [(int(iu[0][k]), int(iu[1][k]), float(dists[k]))
              for k in np.nonzero(viol)[0]]
     return max(float(np.max(pens)), 0.0), pairs
 
 
-def _brute_contact_graph(config, tol=DEFAULT_TOL):
+def _brute_contact_graph(config):
     """Oracle: the all-pairs double loop, walls included."""
     c = config.centers
     n = len(c)
@@ -213,7 +213,7 @@ def _brute_contact_graph(config, tol=DEFAULT_TOL):
             dx = c[i, 0] - c[j, 0]
             dy = c[i, 1] - c[j, 1]
             d = math.hypot(dx, dy)
-            if abs(d - 2.0 * r) <= 2.0 * r * tol.tangency_rel:
+            if abs(d - 2.0 * r) <= 2.0 * r * TANGENCY_REL:
                 normals[i].append((dx / d, dy / d))
                 normals[j].append((-dx / d, -dy / d))
                 pairs.append((i, j))
@@ -224,7 +224,7 @@ def _brute_contact_graph(config, tol=DEFAULT_TOL):
                                       ("right", (-1.0, 0.0), w - c[i, 0]),
                                       ("bottom", (0.0, 1.0), c[i, 1]),
                                       ("top", (0.0, -1.0), h - c[i, 1])):
-                if abs(gap - r) <= r * tol.tangency_rel:
+                if abs(gap - r) <= r * TANGENCY_REL:
                     normals[i].append(normal)
                     wall_contacts[i].append(name)
     return pairs, normals, wall_contacts
