@@ -8,7 +8,6 @@ from .construction import (
     build_half_chain,
     tune_epsilon,
     complete_symmetric_bridge,
-    build_wall_bridge,
     junction_piece,
     assemble_square,
     five_disc_config,

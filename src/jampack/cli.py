@@ -37,7 +37,7 @@ def _write_config(config, args):
 
 def _cmd_build_bridge(args):
     family = construction.CurveFamily(lam=args.lam)
-    eps, chain = construction.tune_epsilon(family, args.N, args.eps_hi)
+    eps, chain = construction.tune_epsilon(family, args.N)
     config = construction.complete_symmetric_bridge(chain)
     _write_config(config, args)
     _emit(args, {"n": config.n, "epsilon": eps,
@@ -46,8 +46,7 @@ def _cmd_build_bridge(args):
 
 
 def _cmd_build_square(args):
-    config, metrics = construction.assemble_square(args.N, args.lam,
-                                                   args.eps_hi)
+    config, metrics = construction.assemble_square(args.N, args.lam)
     _write_config(config, args)
     _emit(args, {"n": metrics.n, "r": metrics.r,
                  "n_times_r": metrics.n_times_r, "epsilon": metrics.epsilon_used,
@@ -167,8 +166,6 @@ def _build_parser() -> _Parser:
                         help="bridge depth (default 8)")
         sp.add_argument("--lambda", dest="lam", type=float, default=0.05,
                         help="base curve shape parameter (default 0.05)")
-        sp.add_argument("--eps-hi", type=float, default=50.0,
-                        help="upper bound of the epsilon search (default 50)")
 
     sp = sub.add_parser("build-bridge", help="planar symmetric bridge")
     curve_flags(sp)

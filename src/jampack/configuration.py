@@ -29,22 +29,9 @@ class Configuration:
             raise ValueError("non-finite center coordinate")
         if self.box is not None:
             w, h = self.box
-            if not (w > 0 and h > 0):
-                raise ValueError("box dimensions must be positive")
+            if not (0 < w < math.inf and 0 < h < math.inf):
+                raise ValueError("box dimensions must be positive and finite")
 
     @property
     def n(self) -> int:
         return len(self.centers)
-
-    def scaled(self, factor: float) -> "Configuration":
-        """Uniformly scale centers, radius and box by a positive factor."""
-        if not factor > 0:
-            raise ValueError("scale factor must be positive")
-        box = None if self.box is None else (self.box[0] * factor,
-                                             self.box[1] * factor)
-        return Configuration(self.radius * factor, self.centers * factor,
-                             box, dict(self.metadata))
-
-    def copy(self) -> "Configuration":
-        return Configuration(self.radius, self.centers.copy(), self.box,
-                             dict(self.metadata))

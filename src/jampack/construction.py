@@ -1,8 +1,8 @@
 """Constructions of sparse stable disc configurations.
 
 Contains the perturbed-curve bridge chain, its symmetric planar completion,
-the wall-resting half bridge, the six-disc corner junction, the assembled
-stable square configuration, the five-disc square configuration, and the
+the six-disc corner junction, the stable square assembled from it with
+wall-resting half bridges, the five-disc square configuration, and the
 truncated-hexagonal (3.12.12) tiling configuration.
 """
 
@@ -59,9 +59,6 @@ class CurveFamily:
         if self.epsilon < 0:
             raise ConstructionError("epsilon must be nonnegative")
         self.base = _default_base(self.lam)
-
-    def with_epsilon(self, epsilon: float) -> "CurveFamily":
-        return CurveFamily(self.lam, epsilon)
 
 
 @dataclass
@@ -126,26 +123,23 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
 def _closure_residual(family: CurveFamily, N: int, epsilon: float) -> float:
     """g(eps) = x(b_N) - x(a_N) - 1; chains that terminate before N take
     the sign of the large-epsilon side."""
-    chain = build_half_chain(family.with_epsilon(epsilon), N)
+    chain = build_half_chain(CurveFamily(family.lam, epsilon), N)
     if chain.terminated_at is not None and chain.N < N:
         return 1.0
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
-def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI
-                 ) -> tuple[float, BridgeChain]:
+def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
-    Scans 64 log-spaced epsilon values over eight decades up to eps_hi for
-    a sign change of the closure residual, then bisects until the midpoint
-    of the bracket is no longer a float strictly inside it.  Each residual
-    is computed once per call; the returned chain is built once, at
-    epsilon*.
+    Scans 64 log-spaced epsilon values over eight decades up to
+    DEFAULT_EPS_HI for a sign change of the closure residual, then bisects
+    until the midpoint of the bracket is no longer a float strictly inside
+    it.  Each residual is computed once per call; the returned chain is
+    built once, at epsilon*.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
-    if eps_hi <= 0:
-        raise ConstructionError("eps_hi must be positive")
 
     residuals = {}
 
@@ -154,7 +148,8 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI
             residuals[eps] = _closure_residual(family, N, eps)
         return residuals[eps]
 
-    probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
+    probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
+              for k in range(64)]
     lo = hi = None
     prev = None
     for e in probes:
@@ -168,7 +163,7 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI
             "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "
             "residual changes sign nowhere in the scan; the last probe "
             "eps=%.6g has residual %.3g"
-            % (N, family.lam, eps_hi, prev[0], prev[1]))
+            % (N, family.lam, DEFAULT_EPS_HI, prev[0], prev[1]))
 
     glo = g(lo)
     for _ in range(200):
@@ -190,7 +185,7 @@ def tune_epsilon(family: CurveFamily, N: int, eps_hi: float = DEFAULT_EPS_HI
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
             "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
-    chain = build_half_chain(family.with_epsilon(eps_star), N)
+    chain = build_half_chain(CurveFamily(family.lam, eps_star), N)
     return eps_star, chain
 
 
@@ -245,33 +240,6 @@ def complete_symmetric_bridge(chain: BridgeChain) -> Configuration:
     return Configuration(1.0, np.array(pts), None, meta)
 
 
-def _wall_half_bridge_points(chain: BridgeChain) -> list:
-    """Half bridge in the chain frame (c row at y = 0), l-mirrored."""
-    return _with_l_mirror(_half_rows(chain), chain.mirror_x)
-
-
-def build_wall_bridge(family: CurveFamily, N: int,
-                      eps_hi: float = DEFAULT_EPS_HI) -> Configuration:
-    """Half bridge resting on a wall: the c row is tangent to the wall,
-    which replaces the x-axis mirror; the chain is still mirrored about l.
-
-    The returned box has its bottom edge on the wall.  Disc count is 6N - 3.
-    """
-    eps, chain = tune_epsilon(family, N, eps_hi)
-    pts = _wall_half_bridge_points(chain)
-    if len(pts) != 6 * N - 3:
-        raise ConstructionError(
-            "wall bridge disc count %d, expected %d" % (len(pts), 6 * N - 3))
-    margin = 5.0
-    # chain frame -> box frame: wall at y=0, generous margins elsewhere
-    shifted = [(p[0] + margin, p[1] + 1.0) for p in pts]
-    xs = [p[0] for p in shifted]
-    ys = [p[1] for p in shifted]
-    box = (max(xs) + 1.0 + margin, max(ys) + 1.0 + margin)
-    meta = {"construction": "wall-bridge", "N": N, "epsilon": eps}
-    return Configuration(1.0, np.array(shifted), box, meta)
-
-
 # Corner piece in the frame where the container walls are x=-1 and y=-1.
 _JUNCTION = [(0.0, 0.0), (0.0, 2.0), (2.0, 0.0),
              (2.0 + SQRT3, 1.0), (1.0, 2.0 + SQRT3),
@@ -309,8 +277,7 @@ class AssemblyMetrics:
     scale: float
 
 
-def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
-                    eps_hi: float = DEFAULT_EPS_HI
+def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
                     ) -> tuple[Configuration, AssemblyMetrics]:
     """Assemble the stable unit-square configuration: four corner clusters
     (junction plus clamp discs) and four wall bridges, scaled to [0,1]^2.
@@ -324,16 +291,16 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA,
             "N=%d is too small: square assembly needs N >= 3, since at N=2 "
             "the bridges leave discs movable" % N)
 
-    family = CurveFamily(lam=lam)
-    eps, chain = tune_epsilon(family, N, eps_hi)
+    eps, chain = tune_epsilon(CurveFamily(lam=lam), N)
 
     t = _BRIDGE_OFFSET
     xl = t + chain.mirror_x          # mirror line of the bottom bridge
     side = 2.0 * (xl + 1.0)          # walls at -1 and side - 1 (corner frame)
     cx = side / 2.0 - 1.0            # center of the square, corner frame
 
+    # the c row rests on the wall, which replaces the x-axis mirror
     bridge_pts = [(p[0] + t, p[1]) for p in
-                  _wall_half_bridge_points(chain)]
+                  _with_l_mirror(_half_rows(chain), chain.mirror_x)]
     cluster = _JUNCTION + _CLAMPS
 
     pts = []

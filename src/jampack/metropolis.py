@@ -22,21 +22,21 @@ _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
 # at a time, which bounds its temporaries to about 1 MB for any table width.
 _FILTER_ENTRIES = 1 << 14
 
+# Proposals per trace entry and validity check; run_chain reads it per call.
+RECORD_INTERVAL = 10000
+
 
 @dataclass
 class ChainParams:
     steps: int
     step_radius: float
     seed: int = 0
-    record_interval: int = 10000
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be at least 1")
-        if not self.step_radius > 0:
-            raise ValueError("step_radius must be positive")
-        if self.record_interval < 1:
-            raise ValueError("record_interval must be at least 1")
+        if not 0 < self.step_radius < math.inf:
+            raise ValueError("step_radius must be positive and finite")
 
 
 @dataclass
@@ -229,12 +229,14 @@ def run_chain(config: Configuration, params: ChainParams
     validity checks, and hands each proposal it cannot reject to the grid.
     An acceptance returns the chain to proposal-by-proposal work.
     """
+    if config.n == 0:
+        raise ValueError("the chain needs at least one disc to move")
     _check_valid(config)
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
     initial = config.centers.copy()
     r = config.radius
-    every = params.record_interval
+    every = RECORD_INTERVAL
     accepted = 0
     first = None
     trace = []
@@ -285,8 +287,7 @@ def run_chain(config: Configuration, params: ChainParams
     final = Configuration(r, centers, config.box, dict(config.metadata))
     _check_valid(final)
     disp = float(np.max(np.hypot(centers[:, 0] - initial[:, 0],
-                                 centers[:, 1] - initial[:, 1]))) if len(
-                                     centers) else 0.0
+                                 centers[:, 1] - initial[:, 1])))
     stats = ChainStats(params.steps, accepted, accepted / params.steps,
                        disp, trace, first)
     return final, stats
@@ -296,9 +297,8 @@ def shrink_radius(config: Configuration, factor: float) -> Configuration:
     """Same centers, radius multiplied by factor in (0, 1]."""
     if not 0.0 < factor <= 1.0:
         raise ValueError("shrink factor must be in (0, 1]")
-    out = config.copy()
-    out.radius = config.radius * factor
-    return out
+    return Configuration(config.radius * factor, config.centers.copy(),
+                         config.box, dict(config.metadata))
 
 
 def escape_experiment(config: Configuration, factors,

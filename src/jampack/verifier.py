@@ -22,11 +22,10 @@ class OverlapError(ValueError):
 
 @dataclass
 class OverlapReport:
-    """max_penetration is >= 0; min_gap covers only the pairs within
-    contact range and is +inf when there are none."""
+    """max_penetration is >= 0, and 0 when no pair is within contact
+    range."""
 
     max_penetration: float
-    min_gap: float
     pairs: list = field(default_factory=list)
     outside: list = field(default_factory=list)   # discs crossing a wall
 
@@ -71,9 +70,8 @@ def overlap_audit(config: Configuration) -> OverlapReport:
 
     Penetration beyond 2r*TANGENCY_REL is a violation; pairs are listed as
     (i, j, distance) in (i, j) order.  max_penetration is the worst 2r - d,
-    or 0.  min_gap is the smallest d - 2r among pairs within contact range,
-    2r(1 + 2*TANGENCY_REL), and +inf when there are none.  A disc crossing
-    a wall by more than r*TANGENCY_REL is listed in outside, by index.
+    or 0.  A disc crossing a wall by more than r*TANGENCY_REL is listed in
+    outside, by index.
     """
     return _audit(config, *near_pairs(config.centers, _reach(config.radius)))
 
@@ -88,13 +86,10 @@ def _audit(config: Configuration, i, j, d) -> OverlapReport:
         hi = np.array(config.box) - r + slack
         out = ((c < r - slack) | (c > hi)).any(axis=1)
         outside = np.flatnonzero(out).tolist()
-    if len(d) == 0:
-        return OverlapReport(0.0, math.inf, [], outside)
     pens = 2.0 * r - d
     viol = pens > 2.0 * r * TANGENCY_REL
     pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))
-    return OverlapReport(max(float(np.max(pens)), 0.0),
-                         float(np.min(d) - 2.0 * r), pairs, outside)
+    return OverlapReport(float(np.max(pens, initial=0.0)), pairs, outside)
 
 
 def contact_graph(config: Configuration) -> ContactGraph:

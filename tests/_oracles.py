@@ -2,6 +2,7 @@
 
 import math
 
+from jampack.configuration import Configuration
 from jampack.construction import ConstructionError, CurveFamily
 from jampack.geometry import SOLVER_ABS, GeometryError
 
@@ -41,6 +42,14 @@ def plain_chord_step(curve, x_start: float, chord: float) -> float:
         else:
             lo, glo = mid, gm
     return 0.5 * (lo + hi)
+
+
+def scaled(config: Configuration, factor: float) -> Configuration:
+    """The configuration with centres, radius and box multiplied by factor."""
+    box = None if config.box is None else (config.box[0] * factor,
+                                           config.box[1] * factor)
+    return Configuration(config.radius * factor, config.centers * factor,
+                         box, dict(config.metadata))
 
 
 def direction_oracle(normals, K: int = 720) -> str:

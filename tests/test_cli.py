@@ -200,3 +200,51 @@ def test_cli_module_runs_as_a_script(tmp_path):
         env=env, capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert len(read_config(out).centers) == 5
+
+
+def test_eps_hi_flag_is_a_usage_error(capsys):
+    # the closure scan has one useful top, 50, and no flag for it
+    assert dispatch(["build-square", "--N", "4", "--eps-hi", "1"]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert dispatch(["build-bridge", "--N", "4", "--eps-hi", "1"]) == 1
+    assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("box", ["[1e400, 1]", "[1, 1e400]"],
+                         ids=["width", "height"])
+def test_infinite_box_side_refused(tmp_path, capsys, box):
+    # a float literal beyond range parses as inf, which no box side may be
+    path = tmp_path / "c.json"
+    write_config(five_disc_config(), path)
+    doc = json.loads(path.read_text())
+    doc["box"] = "BOX"
+    path.write_text(json.dumps(doc).replace('"BOX"', box))
+    for command in ("verify", "render", "density"):
+        assert dispatch([command, str(path),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "box" in err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_configuration_without_discs_refused(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"schema": "jampack-config/1", "box": [1, 1],
+                                "radius": 0.1, "centers": []}))
+    for command in ("simulate", "escape"):
+        assert dispatch([command, str(path), "--steps", "10"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "at least one disc" in err
+
+
+@pytest.mark.parametrize("build", [["five-disc"], ["tiling", "--window", "3"]],
+                         ids=["five", "tiling"])
+def test_infinite_step_radius_refused(tmp_path, capsys, build):
+    path = tmp_path / "c.json"
+    assert dispatch(build + ["--out", str(path)]) == 0
+    capsys.readouterr()
+    assert dispatch(["simulate", str(path), "--steps", "10",
+                     "--step-radius", "inf"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "step_radius" in err

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from jampack import construction
+from jampack.configuration import Configuration
 from jampack.construction import (AssemblyError, BridgeChain,
                                   ConstructionError, CurveFamily,
                                   TuningError, assemble_square,
-                                  build_half_chain, build_wall_bridge,
+                                  build_half_chain,
                                   complete_symmetric_bridge, density,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
@@ -16,7 +17,7 @@ from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
                               circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
 
-from _oracles import curve_eval, plain_chord_step
+from _oracles import curve_eval, plain_chord_step, scaled
 
 S3 = math.sqrt(3.0)
 
@@ -126,7 +127,7 @@ def test_tune_epsilon_closure(N):
     assert 0 < eps < 50.0
     assert chain.N == N
     # recompute the chain from scratch at eps* and re-check the residual
-    fresh = build_half_chain(fam.with_epsilon(eps), N)
+    fresh = build_half_chain(CurveFamily(fam.lam, eps), N)
     res = fresh.b[N - 1][0] - fresh.a[N - 1][0] - 1.0
     assert abs(res) <= 1e-11
 
@@ -137,7 +138,7 @@ def test_tune_epsilon_bracket_signs():
     eps, _ = tune_epsilon(fam, 4)
 
     def g(e):
-        ch = build_half_chain(fam.with_epsilon(e), 4)
+        ch = build_half_chain(CurveFamily(fam.lam, e), 4)
         if ch.terminated_at is not None and ch.N < 4:
             return 1.0
         return ch.b[3][0] - ch.a[3][0] - 1.0
@@ -146,12 +147,11 @@ def test_tune_epsilon_bracket_signs():
 
 
 def test_tune_epsilon_failure_names_parameters():
+    # at lam=0.02 the depth-2 residual stays negative up to the scan's top
     with pytest.raises(TuningError) as e:
-        tune_epsilon(CurveFamily(), 4, eps_hi=1e-12)
-    assert "N=4" in str(e.value)
-    assert "lam=" in str(e.value)
-    assert "eps_hi=1e-12" in str(e.value)
-    assert "last probe eps=1e-12 has residual" in str(e.value)
+        tune_epsilon(CurveFamily(lam=0.02), 2)
+    assert "N=2, lam=0.02 with eps_hi=50:" in str(e.value)
+    assert "last probe eps=50 has residual -0.414" in str(e.value)
 
 
 def _parent_build_half_chain(family, max_N):
@@ -187,7 +187,7 @@ def _parent_build_half_chain(family, max_N):
 
 
 def _parent_closure_residual(family, N, epsilon):
-    chain = _parent_build_half_chain(family.with_epsilon(epsilon), N)
+    chain = _parent_build_half_chain(CurveFamily(family.lam, epsilon), N)
     if chain.terminated_at is not None and chain.N < N:
         return 1.0
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
@@ -232,7 +232,7 @@ def _parent_tune_epsilon(family, N, eps_hi=50.0):
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d"
             % (g(eps_star), N))
-    chain = _parent_build_half_chain(family.with_epsilon(eps_star), N)
+    chain = _parent_build_half_chain(CurveFamily(family.lam, eps_star), N)
     return eps_star, chain
 
 
@@ -302,7 +302,7 @@ def test_chord_step_matches_plain_bisection(monkeypatch):
         eps_star, _ = tune_epsilon(family, N)
         monkeypatch.setattr(construction, "chord_step", both)
         for eps in (0.5 * eps_star, eps_star, 2.0 * eps_star):
-            build_half_chain(family.with_epsilon(eps), N)
+            build_half_chain(CurveFamily(family.lam, eps), N)
         monkeypatch.undo()
     assert steps > 3 * (8 + 32 + 128) // 2
 
@@ -380,9 +380,11 @@ def test_bridges_list_discs_in_mirror_order():
     full = half + [(x, -y) for x, y in half if y > 0.0]
     config = complete_symmetric_bridge(chain)
     assert np.array_equal(config.centers, np.array(l_mirror(full)))
-    wall = build_wall_bridge(CurveFamily(), N)
-    expected = [(x + 5.0, y + 1.0) for x, y in l_mirror(half)]
-    assert np.array_equal(wall.centers, np.array(expected))
+    # the square's bottom bridge: the wall replaces the x-axis mirror
+    square, metrics = assemble_square(N)
+    shifted = [(x + construction._BRIDGE_OFFSET, y) for x, y in l_mirror(half)]
+    expected = (np.array(shifted) + 1.0) * metrics.scale
+    assert np.array_equal(square.centers[44::4], expected)
 
 
 def test_symmetric_bridge_reflection_invariance():
@@ -432,19 +434,6 @@ def test_symmetric_bridge_movable_set_is_four_per_end():
     assert movable == expected
 
 
-def test_wall_bridge_count_and_movable_ends():
-    N = 4
-    config = build_wall_bridge(CurveFamily(), N)
-    assert config.n == 6 * N - 3
-    report = verify_stable(config)
-    assert report.movable_count == 4
-    assert report.rattler_count == 0
-    # the c row is tangent to the bottom wall
-    r = config.radius
-    on_wall = np.sum(np.abs(config.centers[:, 1] - r) < 1e-9)
-    assert on_wall == 2 * (N - 1)
-
-
 def test_junction_tangent_pairs_exact():
     config = junction_piece()
     c = [tuple(p) for p in config.centers]
@@ -484,8 +473,7 @@ def test_assemble_square_stable_and_counted():
 def test_assemble_square_scale_invariant_verdicts():
     config, _ = assemble_square(4)
     report = verify_stable(config)
-    scaled = config.scaled(37.5)
-    report2 = verify_stable(scaled)
+    report2 = verify_stable(scaled(config, 37.5))
     assert [v.status for v in report.verdicts] == \
         [v.status for v in report2.verdicts]
 
@@ -571,17 +559,12 @@ def test_tiling_rejects_small_window():
 
 
 def test_density_single_disc():
-    config = five_disc_config()
-    one = config.copy()
-    one.centers = np.array([[1.0, 1.0]])
-    one.radius = 1.0
-    one.box = None
+    one = Configuration(1.0, [[1.0, 1.0]])
     assert density(one, (0.0, 0.0, 2.0, 2.0)) == pytest.approx(math.pi / 4)
 
 
 def test_density_empty_configuration():
-    config = five_disc_config().copy()
-    config.centers = np.empty((0, 2))
+    config = Configuration(1.0, np.empty((0, 2)), (1.0, 1.0))
     assert density(config, (0.0, 0.0, 1.0, 1.0)) == 0.0
 
 

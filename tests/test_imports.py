@@ -1,6 +1,8 @@
-"""Every name a module imports is read somewhere in that module.
+"""Every name a module imports is read somewhere in that module, and every
+module-level private name of the package is read somewhere in the package.
 
-Package __init__ modules are skipped: their imports are their exports.
+Package __init__ modules are skipped by the import check: their imports are
+their exports.
 """
 
 import ast
@@ -11,6 +13,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for d in ("src/jampack", "tests")
                  for p in (ROOT / d).glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((ROOT / "src/jampack").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -38,3 +41,38 @@ def test_detector_flags_an_unused_import():
     p.parent.name, p.name))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources: list) -> list:
+    """Private names (_x, not dunders) bound at the top level of any of the
+    sources by def, class or assignment that none of the sources reads, as
+    a bare name or as an attribute."""
+    bound = []
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = (node.targets if isinstance(node, ast.Assign)
+                           else [node.target])
+                bound += [t.id for target in targets
+                          for t in ast.walk(target) if isinstance(t, ast.Name)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(name for name in bound if name.startswith("_")
+                  and not name.startswith("__") and name not in read)
+
+
+def test_detector_flags_an_unread_private_name():
+    sources = ["def _a(): pass\n_b = 1\n_c, d = 2, 3\nprint(_c)\n",
+               "import m\nm._a\nclass _E: pass\n__all__ = []\n"]
+    assert unread_private_names(sources) == ["_E", "_b"]
+
+
+def test_no_unread_private_names():
+    assert unread_private_names([p.read_text() for p in PACKAGE]) == []

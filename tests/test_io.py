@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from jampack.configuration import Configuration
-from jampack.construction import (CurveFamily, build_wall_bridge,
-                                  five_disc_config, junction_piece)
+from jampack.construction import (CurveFamily, complete_symmetric_bridge,
+                                  five_disc_config, junction_piece,
+                                  tune_epsilon)
 from jampack.files import SchemaError, read_config, write_config, write_report
 from jampack.render import render_svg
 from jampack.verifier import OverlapError, verify_stable
@@ -141,7 +142,7 @@ def test_svg_contact_overlay_and_colors():
 
 def test_svg_colors_follow_verdicts_from_one_contact_graph(monkeypatch):
     from jampack import verifier
-    config = build_wall_bridge(CurveFamily(), 4)
+    config = complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)[1])
     calls = []
     real = verifier.contact_graph
 

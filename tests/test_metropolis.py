@@ -68,8 +68,8 @@ def _full_scan_chain(config, params):
                 accepted += 1
                 interval_accepted += 1
             done += 1
-            if done % params.record_interval == 0:
-                trace.append(interval_accepted / params.record_interval)
+            if done % metropolis.RECORD_INTERVAL == 0:
+                trace.append(interval_accepted / metropolis.RECORD_INTERVAL)
                 interval_accepted = 0
     return c, accepted, trace, first
 
@@ -178,12 +178,13 @@ def test_every_record_interval_is_checked(monkeypatch, case):
         config = five_disc_config()
     else:
         config, _ = assemble_square(4)
-    params = ChainParams(70000, config.radius, seed=1, record_interval=997)
+    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+    params = ChainParams(70000, config.radius, seed=1)
     calls = _count_calls(monkeypatch, metropolis, "_check_valid")
     _, stats = run_chain(config, params)
     assert (stats.accepted == 0) == (case == "frozen")
-    assert len(stats.trace) == params.steps // params.record_interval
-    assert len(calls) == params.steps // params.record_interval + 2
+    assert len(stats.trace) == params.steps // 997
+    assert len(calls) == params.steps // 997 + 2
 
 
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])

@@ -11,7 +11,7 @@ from jampack.geometry import TANGENCY_REL
 from jampack.verifier import (OverlapError, contact_graph, is_locally_jammed,
                               overlap_audit, verify_stable)
 
-from _oracles import direction_oracle
+from _oracles import direction_oracle, scaled
 
 
 def _normals(*degrees):
@@ -167,22 +167,7 @@ def test_overlap_audit_empty():
     config = Configuration(1.0, np.empty((0, 2)))
     rep = overlap_audit(config)
     assert rep.pairs == []
-    assert rep.min_gap == math.inf
-
-
-def test_overlap_audit_min_gap_far_apart_is_inf():
-    config = Configuration(1.0, [[0.0, 0.0], [10.0, 0.0]])
-    rep = overlap_audit(config)
-    assert rep.min_gap == math.inf
     assert rep.max_penetration == 0.0
-    assert rep.pairs == []
-
-
-def test_overlap_audit_min_gap_touching_is_zero():
-    config = Configuration(0.5, [[0.25, -1.0], [0.25 + 0.6, -1.0 + 0.8]])
-    rep = overlap_audit(config)
-    assert rep.min_gap == pytest.approx(0.0, abs=1e-15)
-    assert rep.pairs == []
 
 
 def _matrix_overlap_audit(config):
@@ -307,7 +292,7 @@ def test_scale_invariance_randomized():
         config = _random_config(rnd)
         s = rnd.uniform(0.01, 100.0)
         r1 = verify_stable(config)
-        r2 = verify_stable(config.scaled(s))
+        r2 = verify_stable(scaled(config, s))
         assert [v.status for v in r1.verdicts] == \
             [v.status for v in r2.verdicts]
 
