@@ -132,6 +132,11 @@ def _cmd_density(args):
         region = (-W, -W, W, W)
     else:
         c = config.centers
+        if config.n == 0 or not (c.min(axis=0) < c.max(axis=0)).all():
+            raise construction.ConstructionError(
+                "a planar configuration without a window needs discs that "
+                "span a region of positive area; this one has %d disc(s)"
+                % config.n)
         region = (float(c[:, 0].min()), float(c[:, 1].min()),
                   float(c[:, 0].max()), float(c[:, 1].max()))
     _emit(args, {"density": construction.density(config, region),

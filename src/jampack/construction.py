@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import (SOLVER_ABS, TANGENCY_REL, chord_step,
-                       circle_circle_intersections, near_pairs)
+from .geometry import (_MARGIN, SOLVER_ABS, TANGENCY_REL, _sign_window,
+                       chord_step, circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -133,10 +133,24 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
     Scans 64 log-spaced epsilon values over eight decades up to
-    DEFAULT_EPS_HI for a sign change of the closure residual, then bisects
-    until the midpoint of the bracket is no longer a float strictly inside
-    it.  Each residual is computed once per call; the returned chain is
-    built once, at epsilon*.
+    DEFAULT_EPS_HI for a sign change of the closure residual g, then
+    bisects until the midpoint of the bracket is no longer a float strictly
+    inside it.  Each residual is computed once per call; the returned chain
+    is built once, at epsilon*.
+
+    The bisection reads g only through its sign, so it is replayed the way
+    chord_step replays its own: _sign_window confirms a window about the
+    root of s*g, s being the sign of g at the bracket's top, and only the
+    midpoints inside the window are evaluated; a midpoint left of it takes
+    the sign of g(lo), one right of it the sign of g(hi).  If the window
+    check fails, every midpoint is evaluated.  epsilon* is the float that
+    plain bisection returns, from 75 chain builds instead of 102 at N = 8.
+
+    The margin m is 2^-44 (_MARGIN) of 4N, the chain's x-extent at depth
+    N.  The replay assumes that on the scan bracket the computed residual
+    lies within m/2 of a monotone function of epsilon.  The scan probes and
+    its first-sign-change rule are kept as they are: the residual is not
+    known to be monotone over the whole scan.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
@@ -165,7 +179,10 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
             "eps=%.6g has residual %.3g"
             % (N, family.lam, DEFAULT_EPS_HI, prev[0], prev[1]))
 
-    glo = g(lo)
+    glo, ghi = g(lo), g(hi)
+    s = math.copysign(1.0, ghi)
+    wlo, whi = _sign_window(lambda e: s * g(e), lo, hi, s * glo, s * ghi,
+                            _MARGIN * 4.0 * N)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         # glo != 0 and g(hi) has the opposite sign or is 0, so a midpoint
@@ -173,11 +190,16 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
         # iteration: stopping here gives the same bracket
         if not lo < mid < hi:
             break
-        gm = g(mid)
-        if glo * gm <= 0:
+        if mid <= wlo:
+            lo = mid
+        elif mid >= whi:
             hi = mid
         else:
-            lo, glo = mid, gm
+            gm = g(mid)
+            if glo * gm <= 0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
         if hi - lo < 1e-16 * max(1.0, hi):
             break
     eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))

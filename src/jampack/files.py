@@ -24,7 +24,7 @@ def write_config(config: Configuration, path):
         "box": "plane" if config.box is None else [config.box[0],
                                                    config.box[1]],
         "radius": config.radius,
-        "centers": [[float(x), float(y)] for x, y in config.centers],
+        "centers": config.centers.tolist(),
         "metadata": config.metadata,
     }
     with open(path, "w") as fh:

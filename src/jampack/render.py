@@ -55,14 +55,15 @@ def render_svg(config: Configuration, contacts: bool = False,
         if color_verdicts:
             fills = [_COLORS[v.status] for v in _judge(graph).verdicts]
 
-    for i, (x, y) in enumerate(config.centers):
+    pts = config.centers.tolist()
+    for (x, y), fill in zip(pts, fills):
         lines.append('<circle cx="%.4f" cy="%.4f" r="%.4f" fill="%s" '
                      'stroke="black" stroke-width="0.5"/>'
-                     % (px(x), py(y), config.radius * s, fills[i]))
+                     % (px(x), py(y), config.radius * s, fill))
     if contacts and graph is not None:
         for i, j in graph.pairs:
-            xi, yi = config.centers[i]
-            xj, yj = config.centers[j]
+            xi, yi = pts[i]
+            xj, yj = pts[j]
             lines.append('<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
                          'stroke="#208020" stroke-width="0.8"/>'
                          % (px(xi), py(yi), px(xj), py(yj)))

@@ -131,15 +131,16 @@ def contact_graph(config: Configuration) -> ContactGraph:
             pairs.append((i, j))
     if config.box is not None:
         w, h = config.box
-        walls = [("left", (1.0, 0.0), lambda p: p[0]),
-                 ("right", (-1.0, 0.0), lambda p: w - p[0]),
-                 ("bottom", (0.0, 1.0), lambda p: p[1]),
-                 ("top", (0.0, -1.0), lambda p: h - p[1])]
-        for i in range(n):
-            for name, normal, coord in walls:
-                if abs(coord(c[i]) - r) <= r * TANGENCY_REL:
-                    normals[i].append(normal)
-                    wall_contacts[i].append(name)
+        x, y = c[:, 0], c[:, 1]
+        # walls in a fixed order, so each disc lists them left, right,
+        # bottom, top after its disc contacts
+        walls = [("left", (1.0, 0.0), x), ("right", (-1.0, 0.0), w - x),
+                 ("bottom", (0.0, 1.0), y), ("top", (0.0, -1.0), h - y)]
+        for name, normal, gap in walls:
+            for i in np.flatnonzero(np.abs(gap - r)
+                                    <= r * TANGENCY_REL).tolist():
+                normals[i].append(normal)
+                wall_contacts[i].append(name)
     return ContactGraph(normals, pairs, wall_contacts)
 
 

@@ -3,7 +3,8 @@
 import math
 
 from jampack.configuration import Configuration
-from jampack.construction import ConstructionError, CurveFamily
+from jampack.construction import (DEFAULT_EPS_HI, ConstructionError,
+                                  CurveFamily)
 from jampack.geometry import SOLVER_ABS, GeometryError
 
 TWO_PI = 2.0 * math.pi
@@ -42,6 +43,38 @@ def plain_chord_step(curve, x_start: float, chord: float) -> float:
         else:
             lo, glo = mid, gm
     return 0.5 * (lo + hi)
+
+
+def plain_tune_epsilon(g):
+    """tune_epsilon's scan and bisection on the residual g, evaluating g at
+    every midpoint: the reference whose epsilon* the package's replay must
+    return.  Returns epsilon* and the midpoints bisection visited."""
+    probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
+              for k in range(64)]
+    prev = None
+    for e in probes:
+        ge = g(e)
+        if prev is not None and prev[1] * ge < 0:
+            lo, hi = prev[0], e
+            break
+        prev = (e, ge)
+    else:
+        raise ValueError("the residual changes sign nowhere in the scan")
+    glo = g(lo)
+    mids = []
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        mids.append(mid)
+        gm = g(mid)
+        if glo * gm <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+        if hi - lo < 1e-16 * max(1.0, hi):
+            break
+    return min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e))), mids
 
 
 def scaled(config: Configuration, factor: float) -> Configuration:

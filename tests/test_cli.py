@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -98,6 +99,40 @@ def test_tiling_and_density(tmp_path, capsys):
     assert dispatch(["density", str(out), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert 0.3 < doc["density"] < 0.45
+
+
+@pytest.mark.parametrize("centers", [[], [[0.5, 0.5]]],
+                         ids=["no-discs", "one-disc"])
+def test_density_of_planar_file_without_window_needs_a_region(
+        tmp_path, capsys, centers):
+    # without window metadata the region is the centres' bounding box,
+    # which has no area for an empty file or a single disc
+    path = tmp_path / "plane.json"
+    path.write_text(json.dumps({"schema": "jampack-config/1", "box": "plane",
+                                "radius": 0.1, "centers": centers}))
+    assert dispatch(["density", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: a planar configuration without a window "
+                          "needs discs that span a region"), err
+    assert "%d disc(s)" % len(centers) in err
+
+
+def test_build_square_verify_render_bytes_are_pinned(tmp_path, capsys):
+    # sha256 of the N=4 square, its report and its drawing: tuning, the
+    # contact graph and the writers must keep every byte
+    square, report, svg = (tmp_path / name
+                           for name in ("sq.json", "report.json", "sq.svg"))
+    assert dispatch(["build-square", "--N", "4", "--out", str(square)]) == 0
+    assert dispatch(["verify", str(square), "--out", str(report)]) == 0
+    assert dispatch(["render", str(square), "--contacts", "--color",
+                     "--out", str(svg)]) == 0
+    capsys.readouterr()
+    digests = [hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in (square, report, svg)]
+    assert digests == [
+        "9eb7ebc2d91f795de583e1a6a3d65c25f117e53a4691a25c12abf73664f9e545",
+        "415c1d376d5f2f4ba73c7776dbc8442765274b71bc6608d9d6b2589408ddae47",
+        "caf256e292411cfc16a3ee75b113602e8a847ac73d9cd887ad37ea4d88bf602c"]
 
 
 def test_render_writes_svg(tmp_path):

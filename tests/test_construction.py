@@ -17,7 +17,8 @@ from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
                               circle_circle_intersections, dist)
 from jampack.verifier import verify_stable
 
-from _oracles import curve_eval, plain_chord_step, scaled
+from _oracles import (curve_eval, plain_chord_step, plain_tune_epsilon,
+                      scaled)
 
 S3 = math.sqrt(3.0)
 
@@ -353,6 +354,101 @@ def test_tune_epsilon_builds_each_chain_once(monkeypatch):
     assert len(calls) < 120
     assert len(set(calls[:-1])) == len(calls) - 1
     assert calls[-1] == eps == chain.epsilon_used
+
+
+def test_tune_epsilon_replays_its_bisection(monkeypatch):
+    # plain bisection builds 102 chains at N=8 and 91 at N=32
+    for N, most in ((8, 79), (32, 71)):
+        calls = 0
+        build = construction.build_half_chain
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(construction, "build_half_chain", counted)
+        tune_epsilon(CurveFamily(), N)
+        monkeypatch.undo()
+        assert calls <= most, (N, calls)
+
+
+def _tune_on(monkeypatch, residual):
+    """tune_epsilon(CurveFamily(), 8) with the closure residual replaced by
+    residual(eps); returns epsilon* and every epsilon evaluated."""
+    evaluated = []
+
+    def g(family, N, eps):
+        evaluated.append(eps)
+        return residual(eps)
+
+    monkeypatch.setattr(construction, "_closure_residual", g)
+    eps_star, _ = tune_epsilon(CurveFamily(), 8)
+    monkeypatch.undo()
+    return eps_star, set(evaluated)
+
+
+def test_tune_epsilon_evaluates_every_midpoint_when_the_window_fails(
+        monkeypatch):
+    # a step too steep for the secant: the window check fails, so the
+    # replay must fall back to evaluating each midpoint bisection visits
+    def step(eps):
+        return math.tanh(1e3 * (eps - 0.55))
+
+    eps_star, evaluated = _tune_on(monkeypatch, step)
+    expected, mids = plain_tune_epsilon(step)
+    assert eps_star == expected
+    assert len(mids) > 40
+    assert set(mids) <= evaluated
+
+
+def test_tune_epsilon_replay_holds_under_rounding_noise(monkeypatch):
+    # a residual monotone only up to a jitter of m/8, where m = 2^-44 * 4N
+    # is the margin tune_epsilon documents; rising and falling
+    amp = 2.0 ** -44 * 4.0 * 8 / 8.0
+    for root in (0.013, 0.55, 1.7, 31.0):
+        for sign in (1.0, -1.0):
+            def noisy(eps, root=root, sign=sign):
+                return sign * (eps - root) + amp * math.sin(1e13 * eps)
+
+            eps_star, evaluated = _tune_on(monkeypatch, noisy)
+            expected, mids = plain_tune_epsilon(noisy)
+            assert eps_star == expected, (root, sign)
+            # the replay skipped some midpoints
+            assert not set(mids) <= evaluated, (root, sign)
+
+
+def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
+    # the replay's assumption, sampled over the oracle test's lam and N:
+    # no chain terminates inside the bracket, and s*g strictly increases
+    class Bracket(Exception):
+        pass
+
+    def stop(g, lo, hi, glo, ghi, m):
+        raise Bracket(lo, hi)
+
+    monkeypatch.setattr(construction, "_sign_window", stop)
+    brackets = 0
+    for lam in (0.02, 0.05, 0.1):
+        family = CurveFamily(lam=lam)
+        for N in list(range(2, 21)) + [32, 64]:
+            try:
+                tune_epsilon(family, N)
+            except TuningError:
+                assert (lam, N) == (0.02, 2)
+                continue
+            except Bracket as b:
+                lo, hi = b.args
+            g = []
+            for k in range(32):
+                chain = build_half_chain(
+                    CurveFamily(lam, lo + (hi - lo) * k / 31.0), N)
+                assert chain.N == N, (lam, N, k)
+                g.append(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0)
+            s = math.copysign(1.0, g[-1])
+            assert all(s * u < s * v for u, v in zip(g, g[1:])), (lam, N)
+            brackets += 1
+    assert brackets == 62
 
 
 def test_symmetric_bridge_counts_and_closure():
