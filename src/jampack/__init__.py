@@ -3,9 +3,6 @@
 from .configuration import Configuration
 from .construction import (
     CurveFamily,
-    BridgeChain,
-    AssemblyMetrics,
-    build_half_chain,
     tune_epsilon,
     complete_symmetric_bridge,
     junction_piece,
@@ -16,15 +13,12 @@ from .construction import (
 )
 from .verifier import (
     contact_graph,
-    is_locally_jammed,
     verify_stable,
     overlap_audit,
 )
 from .metropolis import (
     ChainParams,
-    ChainStats,
     run_chain,
-    shrink_radius,
     escape_experiment,
 )
 

@@ -169,8 +169,9 @@ def _build_parser() -> _Parser:
     def curve_flags(sp):
         sp.add_argument("--N", type=int, default=8,
                         help="bridge depth (default 8)")
-        sp.add_argument("--lambda", dest="lam", type=float, default=0.05,
-                        help="base curve shape parameter (default 0.05)")
+        sp.add_argument("--lambda", dest="lam", type=float,
+                        default=construction.DEFAULT_LAMBDA,
+                        help="base curve shape parameter (default %(default)s)")
 
     sp = sub.add_parser("build-bridge", help="planar symmetric bridge")
     curve_flags(sp)

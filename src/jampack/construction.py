@@ -8,12 +8,11 @@ truncated-hexagonal (3.12.12) tiling configuration.
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import (_MARGIN, SOLVER_ABS, TANGENCY_REL, _sign_window,
+from .geometry import (_MARGIN, SOLVER_ABS, TANGENCY_REL, _replay_bisection,
                        chord_step, circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
@@ -35,19 +34,12 @@ class AssemblyError(ConstructionError):
     """Square assembly produced an invalid or unstable configuration."""
 
 
-def _default_base(lam: float) -> Callable[[float], float]:
-    def f(x: float) -> float:
-        return F_LIMIT + (2.0 - SQRT3) * math.exp(-lam * x)
-    return f
-
-
 @dataclass
 class CurveFamily:
     """Strictly convex decreasing curve f plus its epsilon perturbation.
 
     The perturbed curve is f_eps(x) = (1+eps) f(x) - eps f(0), which keeps
-    f_eps(0) = f(0) while lowering the asymptote.  The attribute `base` is
-    f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x).
+    f_eps(0) = f(0) while lowering the asymptote.
     """
 
     lam: float = DEFAULT_LAMBDA
@@ -58,7 +50,10 @@ class CurveFamily:
             raise ConstructionError("shape parameter lam must be positive")
         if self.epsilon < 0:
             raise ConstructionError("epsilon must be nonnegative")
-        self.base = _default_base(self.lam)
+
+    def base(self, x: float) -> float:
+        """f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x)."""
+        return F_LIMIT + (2.0 - SQRT3) * math.exp(-self.lam * x)
 
 
 @dataclass
@@ -134,17 +129,10 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for a sign change of the closure residual g, then
-    bisects until the midpoint of the bracket is no longer a float strictly
-    inside it.  Each residual is computed once per call; the returned chain
-    is built once, at epsilon*.
-
-    The bisection reads g only through its sign, so it is replayed the way
-    chord_step replays its own: _sign_window confirms a window about the
-    root of s*g, s being the sign of g at the bracket's top, and only the
-    midpoints inside the window are evaluated; a midpoint left of it takes
-    the sign of g(lo), one right of it the sign of g(hi).  If the window
-    check fails, every midpoint is evaluated.  epsilon* is the float that
-    plain bisection returns, from 75 chain builds instead of 102 at N = 8.
+    bisects the bracket down to 1e-16 with geometry's _replay_bisection,
+    applied to s*g, s being the sign of g at the bracket's top.  Each
+    residual is computed once per call; the returned chain is built once,
+    at epsilon*.  The replay builds 75 chains instead of 102 at N = 8.
 
     The margin m is 2^-44 (_MARGIN) of 4N, the chain's x-extent at depth
     N.  The replay assumes that on the scan bracket the computed residual
@@ -181,27 +169,8 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     glo, ghi = g(lo), g(hi)
     s = math.copysign(1.0, ghi)
-    wlo, whi = _sign_window(lambda e: s * g(e), lo, hi, s * glo, s * ghi,
-                            _MARGIN * 4.0 * N)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        # glo != 0 and g(hi) has the opposite sign or is 0, so a midpoint
-        # equal to lo or hi would leave (lo, hi) as it is on every later
-        # iteration: stopping here gives the same bracket
-        if not lo < mid < hi:
-            break
-        if mid <= wlo:
-            lo = mid
-        elif mid >= whi:
-            hi = mid
-        else:
-            gm = g(mid)
-            if glo * gm <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
+    lo, hi = _replay_bisection(lambda e: s * g(e), lo, hi, s * glo, s * ghi,
+                               _MARGIN * 4.0 * N, 1e-16)
     eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
     if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(

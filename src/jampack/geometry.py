@@ -33,10 +33,6 @@ def _require_finite(*points: Point):
             raise GeometryError("non-finite coordinate: %r" % (p,))
 
 
-def dist(p: Point, q: Point) -> float:
-    return math.hypot(p[0] - q[0], p[1] - q[1])
-
-
 def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
                                 ) -> list[Point]:
     """Intersection points of two circles.
@@ -48,7 +44,7 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
     _require_finite(c1, c2)
     if r1 <= 0 or r2 <= 0:
         raise GeometryError("radii must be positive")
-    d = dist(c1, c2)
+    d = math.dist(c1, c2)
     if d <= SOLVER_ABS:
         raise GeometryError("coincident circle centers")
     outer = r1 + r2
@@ -66,9 +62,10 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
     return [(mx + h * uy, my - h * ux), (mx - h * uy, my + h * ux)]
 
 
-# Rounding margin of chord_step's replay, as a share of the bracket's
+# Rounding margin of the bisection replay, as a share of the caller's
 # coordinate scale: 256 units in the last place of that scale.  At 2^-40
-# the window is wide enough to cost about four more evaluations per call.
+# chord_step's window is wide enough to cost about four more evaluations
+# per call.
 _MARGIN = 2.0 ** -44
 # Half-width of the replay's window, in units of the root estimate's
 # uncertainty (last secant step plus m / slope).
@@ -114,38 +111,63 @@ def _sign_window(g, lo, hi, glo, ghi, m):
     return lo, hi
 
 
+def _replay_bisection(g, lo, hi, glo, ghi, m, tol):
+    """The bracket (lo, hi) that plain bisection of the increasing g leaves:
+    split it at mid = 0.5 (lo + hi) while hi - lo > tol, keep the half
+    whose ends' g do not share a sign, and stop once mid is no longer a
+    float strictly inside the bracket.  glo and ghi are g(lo) and g(hi).
+
+    That loop reads g only through its sign, so it is replayed with the
+    same midpoints and the same rule while g is evaluated only near the
+    root.  _sign_window confirms a window (a, b) about the root with
+    g(a) < -m and g(b) > m; a midpoint left of it then takes g < 0, one
+    right of it g > 0, and only the midpoints inside are evaluated.  If the
+    check fails, every midpoint is evaluated, as in plain bisection.  The
+    caller vouches that the computed g lies within m/2 of a non-decreasing
+    function on the bracket, so that the sign beyond a window end whose |g|
+    exceeds m is the sign at that end.
+
+    A midpoint equal to lo or hi would leave the bracket as it is on every
+    later split, so the early stop gives plain bisection's bracket wherever
+    that loop ends; in chord_step it also ends the loop where ulp(x)
+    exceeds the tolerance (from x = 8192), where plain bisection would not.
+    """
+    wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if mid <= wlo:
+            lo = mid
+        elif mid >= whi:
+            hi = mid
+        else:
+            gm = g(mid)
+            if glo * gm <= 0:
+                hi = mid
+            else:
+                lo, glo = mid, gm
+    return lo, hi
+
+
 def chord_step(curve, x_start: float, chord: float) -> float:
     """Smallest x' > x_start at which the point (x', curve(x')) lies at the
     given chord distance from (x_start, curve(x_start)).
 
     The curve must be continuous and non-increasing on [x_start, inf), so
     g(x) = hypot(x - x_start, curve(x) - curve(x_start)) - chord grows with
-    x and the bracket [x_start, x_start + chord] always contains its root.
+    x and the bracket [x_start, x_start + chord] holds its root; where
+    x_start + chord rounds down, g at its top is below 0 by rounding alone
+    and the step ends there, as plain bisection does.  The result is the
+    last midpoint of plain bisection of g down to SOLVER_ABS, replayed by
+    _replay_bisection: on the bridge curves about 9 curve evaluations
+    replace about 45.
 
-    The result is the float that plain bisection of g returns: split the
-    bracket at mid = 0.5 (lo + hi) while hi - lo > SOLVER_ABS, keep
-    the half whose ends' g do not share a sign, and return the last
-    midpoint.  That loop reads g only through its sign, so it is replayed
-    with the same midpoints and the same rule while g is evaluated only
-    near the root.  Secant steps estimate the root x^, and a window
-    (x^ - d, x^ + d) is confirmed by g(x^ - d) < -m and g(x^ + d) > m,
-    with d sized from how far the secant steps converged.  A midpoint left
-    of the window then takes g < 0, one right of it g > 0, and only the
-    midpoints inside are evaluated.  If the check fails, every midpoint is
-    evaluated, as in plain bisection.  On the bridge curves about 9 curve
-    evaluations replace about 45.
-
-    m is 2^-44 (_MARGIN) of the bracket's coordinate scale, |x_start| +
-    chord + the larger |y| at the bracket's ends.  The replay assumes that
-    the computed curve lies within m/5 of some non-increasing function on
-    the bracket.  The computed g is then within m/2, its own rounding
-    included, of a non-decreasing function, so its sign beyond a window
-    end whose |g| exceeds m is the sign at that end.
-
-    The loop also stops once the midpoint is no longer strictly between lo
-    and hi, which happens only when ulp(x) exceeds SOLVER_ABS (from
-    x = 8192); plain bisection never ends there, and on
-    every input where it does end the stop changes nothing.
+    The margin m is 2^-44 (_MARGIN) of the bracket's coordinate scale,
+    |x_start| + chord + the larger |y| at the bracket's ends.  The replay
+    assumes that the computed curve lies within m/5 of some non-increasing
+    function on the bracket; the computed g is then within m/2, its own
+    rounding included, of a non-decreasing function.
     """
     if chord <= 0:
         raise GeometryError("chord must be positive")
@@ -162,24 +184,8 @@ def chord_step(curve, x_start: float, chord: float) -> float:
 
     glo = -chord                                # g(lo) = hypot(0, 0) - chord
     ghi = math.hypot(hi - x_start, y_hi - y0) - chord
-    if ghi < 0:
-        raise GeometryError("curve increased: no root in bracket")
     m = _MARGIN * (abs(x_start) + chord + max(abs(y0), abs(y_hi)))
-    wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
-    while hi - lo > SOLVER_ABS:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mid <= wlo:
-            lo = mid
-        elif mid >= whi:
-            hi = mid
-        else:
-            gm = g(mid)
-            if glo * gm <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
+    lo, hi = _replay_bisection(g, lo, hi, glo, ghi, m, SOLVER_ABS)
     return 0.5 * (lo + hi)
 
 

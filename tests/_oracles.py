@@ -32,8 +32,6 @@ def plain_chord_step(curve, x_start: float, chord: float) -> float:
         return math.hypot(x - x_start, curve(x) - y0) - chord
 
     lo, hi = x_start, x_start + chord
-    if g(hi) < 0:
-        raise GeometryError("curve increased: no root in bracket")
     glo = g(lo)
     while hi - lo > SOLVER_ABS:
         mid = 0.5 * (lo + hi)

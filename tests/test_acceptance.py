@@ -12,12 +12,12 @@ about 1.53r, runs at r.
 import math
 import random
 import time
+from math import dist
 
 import numpy as np
 import pytest
 
 import jampack as jp
-from jampack.geometry import dist
 from jampack.verifier import is_locally_jammed
 
 from _oracles import direction_oracle, scaled

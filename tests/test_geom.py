@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from math import dist
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 import jampack
 from jampack.geometry import (ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL,
                               GeometryError, chord_step,
-                              circle_circle_intersections, dist, near_pairs)
+                              circle_circle_intersections, near_pairs)
 
 from _oracles import plain_chord_step
 
@@ -84,6 +86,15 @@ def test_intersections_residuals_randomized():
 def test_chord_step_flat_curve():
     assert chord_step(lambda x: 0.0, 0.0, 2.0) == pytest.approx(2.0, abs=1e-10)
     assert chord_step(lambda x: 0.0, 3.5, 1.0) == pytest.approx(4.5, abs=1e-10)
+
+
+def test_chord_step_accepts_a_flat_curve_whose_bracket_rounds_down():
+    # x0 + chord rounds below the exact sum, so g(x0 + chord) < 0 by
+    # rounding alone; the step must still land on the exact sum
+    x0, chord = 39.68292743010356, 2.2191650156670955
+    assert x0 + chord < Fraction(x0) + Fraction(chord)
+    got = chord_step(lambda x: 1.0, x0, chord)
+    assert abs(Fraction(got) - (Fraction(x0) + Fraction(chord))) <= SOLVER_ABS
 
 
 def test_chord_step_against_grid_oracle():

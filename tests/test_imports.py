@@ -1,11 +1,13 @@
-"""Every name a module imports is read somewhere in that module, and every
-module-level private name of the package is read somewhere in the package.
+"""Every name a module imports is read somewhere in that module, every
+module-level private name of the package is read somewhere in the package,
+and the package binds exactly the names the README's Python API lists.
 
 Package __init__ modules are skipped by the import check: their imports are
 their exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -76,3 +78,16 @@ def test_detector_flags_an_unread_private_name():
 
 def test_no_unread_private_names():
     assert unread_private_names([p.read_text() for p in PACKAGE]) == []
+
+
+def test_package_binds_the_readme_python_api():
+    tree = ast.parse((ROOT / "src/jampack/__init__.py").read_text())
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets}
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Python API\n", 1)[1].split("\n#", 1)[0]
+    assert bound - {"__version__"} == set(re.findall(r"`(\w+)`", section))
