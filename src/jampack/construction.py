@@ -124,15 +124,66 @@ def _closure_residual(family: CurveFamily, N: int, epsilon: float) -> float:
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
+def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
+                    ) -> np.ndarray:
+    """_closure_residual at every epsilon of eps at once, from chains grown
+    side by side in numpy.  Each chord step is a fixed count of Newton
+    steps from the tangent guess instead of the replayed bisection, so the
+    values drift from the scalar ones by rounding: tune_epsilon reads only
+    their signs, and only where |g| is far above that drift."""
+    lam, k, f0 = family.lam, 2.0 - SQRT3, family.base(0.0)
+    one = 1.0 + eps
+    e0 = eps * f0
+    ax = np.zeros_like(eps)
+    ay = one * f0 - e0
+    cx = np.ones_like(eps)
+    res = np.ones_like(eps)
+    alive = np.ones(eps.shape, bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for i in range(1, N):
+            # the curve point at chord 2 from a: Newton on
+            # (x - ax)^2 + (f(x) - ay)^2 = 4, from the tangent's point
+            slope = -one * k * lam * np.exp(-lam * ax)
+            x = ax + 2.0 / np.sqrt(1.0 + slope * slope)
+            for _ in range(3):
+                t = one * k * np.exp(-lam * x)
+                dy = one * F_LIMIT + t - e0 - ay
+                h = (x - ax) ** 2 + dy * dy - 4.0
+                x = x - h / (2.0 * (x - ax) - 2.0 * dy * lam * t)
+            ax, ay = x, one * (F_LIMIT + k * np.exp(-lam * x)) - e0
+            # b: the larger-x intersection of the radius-2 circles about
+            # a and c; chains cut short before depth N score +1
+            ux, uy = cx - ax, -ay
+            d = np.sqrt(ux * ux + uy * uy)
+            half = np.sqrt(4.0 - 0.25 * d * d) / d
+            bx = ax + 0.5 * ux + half * np.abs(uy)
+            by = ay + 0.5 * uy + half * np.where(uy < 0, ux, -ux)
+            stop = d > 4.0 + SOLVER_ABS                 # no_b
+            if i + 1 < N:
+                stop |= by > 2.0                        # no_c
+            alive &= ~stop
+            cx = bx + np.sqrt(4.0 - by * by)
+    res[alive] = (bx - ax - 1.0)[alive]
+    return res
+
+
 def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
     Scans 64 log-spaced epsilon values over eight decades up to
-    DEFAULT_EPS_HI for a sign change of the closure residual g, then
-    bisects the bracket down to 1e-16 with geometry's _replay_bisection,
-    applied to s*g, s being the sign of g at the bracket's top.  Each
-    residual is computed once per call; the returned chain is built once,
-    at epsilon*.  The replay builds 75 chains instead of 102 at N = 8.
+    DEFAULT_EPS_HI for the first sign change of the closure residual g,
+    then bisects the bracket down to 1e-16 with geometry's
+    _replay_bisection, applied to s*g, s being the sign of g at the
+    bracket's top.  Each residual is computed once per call; the returned
+    chain is built once, at epsilon*.
+
+    The scan takes a probe's sign from _scan_residuals where that value
+    exceeds 1e-6 in size, and from g elsewhere; below every scalar
+    bracket for lam in {0.02, 0.05, 0.1} and N <= 160 the two were
+    measured to differ by at most 1e-12.  g must then change sign
+    across the bracket found, or the scan is run again on g alone.  So a
+    spurious sign change from the vector pass is caught; only a missed
+    one rests on the 1e-6 bound.
 
     The margin m is 2^-44 (_MARGIN) of 4N, the chain's x-extent at depth
     N.  The replay assumes that on the scan bracket the computed residual
@@ -152,21 +203,29 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
               for k in range(64)]
-    lo = hi = None
-    prev = None
-    for e in probes:
-        ge = g(e)
-        if prev is not None and prev[1] * ge < 0:
-            lo, hi = prev[0], e
-            break
-        prev = (e, ge)
-    if lo is None:
+
+    def scan(sign):
+        prev = None
+        for e in probes:
+            ge = sign(e)
+            if prev is not None and prev[1] * ge < 0:
+                return prev[0], e
+            prev = (e, ge)
+        return None
+
+    fast = dict(zip(probes, _scan_residuals(family, N, np.array(probes))
+                    .tolist()))
+    bracket = scan(lambda e: fast[e] if abs(fast[e]) > 1e-6 else g(e))
+    if bracket is None or not g(bracket[0]) * g(bracket[1]) < 0:
+        bracket = scan(g)
+    if bracket is None:
         raise TuningError(
             "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "
             "residual changes sign nowhere in the scan; the last probe "
             "eps=%.6g has residual %.3g"
-            % (N, family.lam, DEFAULT_EPS_HI, prev[0], prev[1]))
+            % (N, family.lam, DEFAULT_EPS_HI, probes[-1], g(probes[-1])))
 
+    lo, hi = bracket
     glo, ghi = g(lo), g(hi)
     s = math.copysign(1.0, ghi)
     lo, hi = _replay_bisection(lambda e: s * g(e), lo, hi, s * glo, s * ghi,

@@ -18,18 +18,21 @@ class SchemaError(ValueError):
 
 def write_config(config: Configuration, path):
     """Write a configuration as versioned JSON; floats keep full precision
-    (shortest round-trip decimal), so write/read is lossless."""
-    doc = {
-        "schema": SCHEMA,
-        "box": "plane" if config.box is None else [config.box[0],
-                                                   config.box[1]],
-        "radius": config.radius,
-        "centers": config.centers.tolist(),
-        "metadata": config.metadata,
-    }
+    (shortest round-trip decimal), so write/read is lossless.
+
+    The bytes are json.dump's with indent=1; the centres are formatted
+    directly, since json's indenting encoder runs in pure Python."""
+    box = "plane" if config.box is None else [config.box[0], config.box[1]]
+    head = json.dumps({"schema": SCHEMA, "box": box,
+                       "radius": config.radius}, indent=1)
+    rows = ",\n".join("  [\n   %r,\n   %r\n  ]" % (x, y)
+                      for x, y in config.centers.tolist())
+    centers = "[\n%s\n ]" % rows if rows else "[]"
+    # json strings hold no raw newline, so this indents one level deeper
+    meta = json.dumps(config.metadata, indent=1).replace("\n", "\n ")
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write('%s,\n "centers": %s,\n "metadata": %s\n}\n'
+                 % (head[:-2], centers, meta))
 
 
 def _number(value, name: str) -> float:

@@ -8,6 +8,9 @@ from jampack.construction import (DEFAULT_EPS_HI, ConstructionError,
 from jampack.geometry import SOLVER_ABS, GeometryError
 
 TWO_PI = 2.0 * math.pi
+# tune_epsilon's scan: 64 log-spaced epsilon over eight decades up to 50
+PROBES = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
+          for k in range(64)]
 
 
 def curve_eval(family: CurveFamily, x: float) -> float:
@@ -47,10 +50,8 @@ def plain_tune_epsilon(g):
     """tune_epsilon's scan and bisection on the residual g, evaluating g at
     every midpoint: the reference whose epsilon* the package's replay must
     return.  Returns epsilon* and the midpoints bisection visited."""
-    probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
-              for k in range(64)]
     prev = None
-    for e in probes:
+    for e in PROBES:
         ge = g(e)
         if prev is not None and prev[1] * ge < 0:
             lo, hi = prev[0], e

@@ -18,8 +18,8 @@ from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
                               circle_circle_intersections)
 from jampack.verifier import verify_stable
 
-from _oracles import (curve_eval, plain_chord_step, plain_tune_epsilon,
-                      scaled)
+from _oracles import (PROBES, curve_eval, plain_chord_step,
+                      plain_tune_epsilon, scaled)
 
 S3 = math.sqrt(3.0)
 
@@ -260,6 +260,75 @@ def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
         assert outcomes == {True, False}   # N=2 has no bracket here
 
 
+@pytest.mark.parametrize("lam, N", [(0.05, 96), (0.05, 128), (0.05, 160),
+                                    (0.1, 64), (0.1, 96)])
+def test_tune_epsilon_matches_parent_where_margins_are_thin(lam, N):
+    # past N = 64 the sign pass drifts far from g above the bracket, and
+    # at (0.05, 160) and (0.1, 96) there is no bracket at all
+    family = CurveFamily(lam=lam)
+    assert (_tuned(tune_epsilon, family, N)
+            == _tuned(_parent_tune_epsilon, family, N))
+
+
+def test_scan_residuals_trusted_signs_are_the_scalar_signs():
+    # on every scan probe, not only those below the bracket
+    trusted = 0
+    for lam in (0.02, 0.05, 0.1):
+        family = CurveFamily(lam=lam)
+        for N in list(range(2, 21)) + [32, 64]:
+            fast = construction._scan_residuals(family, N, np.array(PROBES))
+            for eps, v in zip(PROBES, fast.tolist()):
+                if abs(v) > 1e-6:
+                    g = construction._closure_residual(family, N, eps)
+                    assert (v > 0) == (g > 0), (lam, N, eps, v, g)
+                    trusted += 1
+    assert trusted > 0.99 * 3 * 21 * 64
+
+
+def _flip_once(v):
+    v[10] = -v[10]          # a sign change far below the bracket
+    return v
+
+
+def _flip_bracket_top(v):
+    k = next(k for k in range(1, len(v)) if v[k - 1] * v[k] < 0)
+    v[k] = -v[k]            # the bracket's sign change goes missing
+    return v
+
+
+@pytest.mark.parametrize("fake", [
+    _flip_once, _flip_bracket_top,
+    lambda v: np.full_like(v, np.nan),
+    lambda v: -0.5e-6 * np.sign(v),         # wrong, but under the bound
+    lambda v: np.ones_like(v)],             # no sign change at all
+    ids=["flip-once", "flip-bracket-top", "nan", "below-bound", "no-change"])
+def test_tune_epsilon_falls_back_to_the_scalar_scan(monkeypatch, fake):
+    family = CurveFamily()
+    memo = {}
+
+    def g(eps):
+        if eps not in memo:
+            memo[eps] = construction._closure_residual(family, 8, eps)
+        return memo[eps]
+
+    expected, _ = plain_tune_epsilon(g)
+    top = next(k for k in range(1, 64) if g(PROBES[k - 1]) * g(PROBES[k]) < 0)
+    evaluated = set()
+    scalar = construction._closure_residual
+    fast = construction._scan_residuals
+
+    def counted(family, N, eps):
+        evaluated.add(eps)
+        return scalar(family, N, eps)
+
+    monkeypatch.setattr(construction, "_closure_residual", counted)
+    monkeypatch.setattr(construction, "_scan_residuals",
+                        lambda family, N, eps: fake(fast(family, N, eps)))
+    eps_star, _ = tune_epsilon(family, 8)
+    assert eps_star == expected
+    assert set(PROBES[:top + 1]) <= evaluated
+
+
 def _random_curve(rnd):
     """A non-increasing curve of one of four kinds, with values up to about
     1e3, a start point up to 4000 and a chord up to 10."""
@@ -336,7 +405,11 @@ def test_chord_step_evaluations_per_call(monkeypatch):
         return chord_step(c, x_start, chord)
 
     monkeypatch.setattr(construction, "chord_step", counted)
+    # tuning alone makes about 930 chord steps; the 64 scan-probe chains
+    # add steps over the whole range of epsilon
     tune_epsilon(CurveFamily(), 32)
+    for eps in PROBES:
+        build_half_chain(CurveFamily(epsilon=eps), 32)
     assert calls > 2000
     assert evals <= 12 * calls, evals / calls
 
@@ -359,8 +432,9 @@ def test_tune_epsilon_builds_each_chain_once(monkeypatch):
 
 
 def test_tune_epsilon_replays_its_bisection(monkeypatch):
-    # plain bisection builds 102 chains at N=8 and 91 at N=32
-    for N, most in ((8, 79), (32, 71)):
+    # plain bisection builds 102 chains at N=8 and 91 at N=32; the sign
+    # pass and the replay leave 26 and 30
+    for N, most in ((8, 28), (32, 32)):
         calls = 0
         build = construction.build_half_chain
 
@@ -385,6 +459,10 @@ def _tune_on(monkeypatch, residual):
         return residual(eps)
 
     monkeypatch.setattr(construction, "_closure_residual", g)
+    # the sign pass grows real chains and knows nothing of residual; with
+    # NaN none of its signs is trusted, so residual decides every probe
+    monkeypatch.setattr(construction, "_scan_residuals",
+                        lambda family, N, eps: np.full_like(eps, np.nan))
     eps_star, _ = tune_epsilon(CurveFamily(), 8)
     monkeypatch.undo()
     return eps_star, set(evaluated)
