@@ -2,6 +2,7 @@
 rendering."""
 
 import argparse
+import functools
 import json
 import sys
 
@@ -119,6 +120,9 @@ def _cmd_escape(args):
     table = metropolis.escape_experiment(config, args.shrink, params)
     _emit(args, {"acceptance": {f: s.acceptance_rate
                                 for f, s in table.items()},
+                 "first_accepted": {f: s.first_accepted
+                                    for f, s in table.items()},
+                 "trace": {f: s.trace for f, s in table.items()},
                  "step_radius": params.step_radius})
     return 0
 
@@ -156,7 +160,9 @@ def _cmd_render(args):
     return 0
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args leaves it unchanged."""
     p = _Parser(prog="jampack",
                 description="Sparse stable disc packings: build, verify, "
                             "simulate, render.")

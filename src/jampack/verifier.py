@@ -3,6 +3,7 @@ verdicts from contact normals, and overlap auditing."""
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -10,6 +11,11 @@ from .configuration import Configuration
 from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
+# _judge's numpy pass calls a disc jammed only this far (rad) inside the
+# scalar bound: 1000x the 9e-16 np.arctan2 and math.atan2 differ by at most
+_CLEAR_BAND = 1e-12
+_WALLS = ("left", "right", "bottom", "top")
+_WALL_NORMALS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
 
 class OverlapError(ValueError):
@@ -99,8 +105,8 @@ def contact_graph(config: Configuration) -> ContactGraph:
     so verdicts survive uniform scaling; wall contacts use gap <=
     r*TANGENCY_REL.  Input that overlap_audit faults (overlapping discs,
     discs outside the box) is rejected.  Candidate pairs come from
-    near_pairs and are tested in (i, j) order, so each disc's normals are
-    listed by partner index, walls last.
+    near_pairs; each disc lists its normals by partner index, then its
+    walls left, right, bottom, top.
     """
     c = config.centers
     r = config.radius
@@ -116,31 +122,32 @@ def contact_graph(config: Configuration) -> ContactGraph:
                            % audit.outside[0], audit)
 
     n = len(c)
-    xs = c[:, 0].tolist()
-    ys = c[:, 1].tolist()
-    normals = [[] for _ in range(n)]
+    dx = c[near_i, 0] - c[near_j, 0]
+    dy = c[near_i, 1] - c[near_j, 1]
+    d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
+    touch = np.abs(d - 2.0 * r) <= 2.0 * r * TANGENCY_REL
+    i, j, d = near_i[touch], near_j[touch], d[touch]
+    u = np.column_stack((dx[touch] / d, dy[touch] / d))
+    # math.hypot and -u give a pair loop's normals bit for bit.  Pairs come
+    # sorted by (i, j), so a stable sort on the owner lists each disc's
+    # lower partners, then its higher ones, then its walls in _WALLS order
+    owner, unit = [j, i], [-u, u]
     wall_contacts = [[] for _ in range(n)]
-    pairs = []
-    for i, j in zip(near_i.tolist(), near_j.tolist()):
-        dx = xs[i] - xs[j]
-        dy = ys[i] - ys[j]
-        d = math.hypot(dx, dy)
-        if abs(d - 2.0 * r) <= 2.0 * r * TANGENCY_REL:
-            normals[i].append((dx / d, dy / d))
-            normals[j].append((-dx / d, -dy / d))
-            pairs.append((i, j))
     if config.box is not None:
         w, h = config.box
         x, y = c[:, 0], c[:, 1]
-        # walls in a fixed order, so each disc lists them left, right,
-        # bottom, top after its disc contacts
-        walls = [("left", (1.0, 0.0), x), ("right", (-1.0, 0.0), w - x),
-                 ("bottom", (0.0, 1.0), y), ("top", (0.0, -1.0), h - y)]
-        for name, normal, gap in walls:
-            for i in np.flatnonzero(np.abs(gap - r)
-                                    <= r * TANGENCY_REL).tolist():
-                normals[i].append(normal)
-                wall_contacts[i].append(name)
+        gaps = np.column_stack((x, w - x, y, h - y))
+        at, k = np.nonzero(np.abs(gaps - r) <= r * TANGENCY_REL)
+        for a, b in zip(at.tolist(), k.tolist()):
+            wall_contacts[a].append(_WALLS[b])
+        owner.append(at)
+        unit.append(_WALL_NORMALS[k])
+    owner, unit = np.concatenate(owner), np.concatenate(unit)
+    unit = unit[np.argsort(owner, kind="stable")]
+    flat = list(zip(unit[:, 0].tolist(), unit[:, 1].tolist()))
+    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
+    normals = [flat[a:b] for a, b in zip([0] + ends, ends)]
+    pairs = list(zip(i.tolist(), j.tolist()))
     return ContactGraph(normals, pairs, wall_contacts)
 
 
@@ -192,18 +199,35 @@ def verify_stable(config: Configuration) -> JammingReport:
 
 
 def _judge(graph: ContactGraph) -> JammingReport:
-    """Per-disc verdicts from an already built contact graph."""
-    verdicts = []
-    jammed = movable = rattlers = 0
-    for i, normals in enumerate(graph.normals):
-        v = is_locally_jammed(normals)
+    """Per-disc verdicts from an already built contact graph.
+
+    One numpy pass finds every disc's largest normal gap G and calls a
+    disc with at least 3 normals jammed where G < pi - ANGLE_SLACK -
+    _CLEAR_BAND; is_locally_jammed decides every other disc.
+    """
+    n = len(graph.normals)
+    counts = np.fromiter(map(len, graph.normals), np.intp, n)
+    xy = np.fromiter(chain.from_iterable(chain.from_iterable(graph.normals)),
+                     float, 2 * int(counts.sum()))
+    owner = np.repeat(np.arange(n), counts)
+    a = np.arctan2(xy[1::2], xy[0::2]) % TWO_PI
+    a = a[np.lexsort((a, owner))]
+    gaps = np.append(a[1:] - a[:-1], 0.0)
+    has = counts > 0
+    first = (np.cumsum(counts) - counts)[has]
+    last = first + counts[has] - 1
+    gaps[last] = a[first] + TWO_PI - a[last]
+    clear = np.zeros(n, bool)
+    clear[has] = (np.maximum.reduceat(gaps, first)
+                  < math.pi - ANGLE_SLACK - _CLEAR_BAND)
+    clear &= counts >= 3
+    verdicts = list(map(DiscVerdict, range(n), repeat("jammed"), repeat(None),
+                        counts.tolist()))
+    status = []
+    for i in np.flatnonzero(~clear).tolist():
+        v = verdicts[i] = is_locally_jammed(graph.normals[i])
         v.index = i
-        verdicts.append(v)
-        if v.status == "jammed":
-            jammed += 1
-        elif v.status == "rattler":
-            rattlers += 1
-        else:
-            movable += 1
-    return JammingReport(verdicts, jammed, movable, rattlers,
+        status.append(v.status)
+    movable, rattlers = status.count("movable"), status.count("rattler")
+    return JammingReport(verdicts, n - movable - rattlers, movable, rattlers,
                          movable == 0 and rattlers == 0)

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import jampack
+from jampack import cli
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
 from jampack.construction import five_disc_config
 from jampack.files import read_config, write_config
-from jampack.metropolis import ChainParams, run_chain, shrink_radius
+from jampack.metropolis import (ChainParams, escape_experiment, run_chain,
+                                shrink_radius)
 
 
 def test_build_square_then_verify(tmp_path, capsys):
@@ -79,6 +81,43 @@ def test_escape_reports_acceptance(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["acceptance"]["1.0"] == 0.0
     assert doc["acceptance"]["0.95"] > 0.0
+    config = five_disc_config()
+    table = escape_experiment(config, [1.0, 0.95],
+                              ChainParams(20000, config.radius, seed=0))
+    assert doc["first_accepted"] == {
+        "1.0": None, "0.95": list(table[0.95].first_accepted)}
+    assert doc["trace"] == {"1.0": table[1.0].trace,
+                            "0.95": table[0.95].trace}
+    assert doc["trace"]["1.0"] == [0.0, 0.0]
+
+
+def test_cached_parser_matches_a_fresh_one(tmp_path, capsys, monkeypatch):
+    square = tmp_path / "sq4.json"
+    sequence = [["build-square", "--N", "4", "--out", str(square)],
+                ["verify", str(square), "--format", "json"],
+                ["verify", str(square), "--tol", "1e-6"],
+                ["escape", str(square), "--shrink", "0.9", "--steps", "300"],
+                ["escape", str(square), "--steps", "300", "--format", "json"]]
+    parser = cli._build_parser()
+    default = parser.parse_args(["escape", str(square)]).shrink
+    assert default == [1.0, 0.99]
+
+    def run(argv):
+        code = dispatch(argv)
+        out, err = capsys.readouterr()
+        return code, out, err, square.read_bytes()
+
+    codes = []
+    for argv in sequence:
+        cached = run(argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            assert run(argv) == cached
+        codes.append(cached[0])
+    assert codes == [0, 0, 1, 0, 0]
+    assert cli._build_parser() is parser
+    assert default == [1.0, 0.99]
+    assert parser.parse_args(["escape", str(square)]).shrink is default
 
 
 def test_build_bridge_and_junction(tmp_path, capsys):

@@ -4,12 +4,14 @@ import random
 import numpy as np
 import pytest
 
+from jampack import verifier
 from jampack.configuration import Configuration
-from jampack.construction import (assemble_square, five_disc_config,
-                                  junction_piece, tiling_3_12_12)
-from jampack.geometry import TANGENCY_REL
-from jampack.verifier import (OverlapError, contact_graph, is_locally_jammed,
-                              overlap_audit, verify_stable)
+from jampack.construction import (CurveFamily, assemble_square,
+                                  complete_symmetric_bridge, five_disc_config,
+                                  junction_piece, tiling_3_12_12, tune_epsilon)
+from jampack.geometry import ANGLE_SLACK, TANGENCY_REL
+from jampack.verifier import (ContactGraph, OverlapError, contact_graph,
+                              is_locally_jammed, overlap_audit, verify_stable)
 
 from _oracles import direction_oracle, scaled
 
@@ -254,6 +256,77 @@ def test_contact_graph_matches_double_loop_randomized():
         _assert_same_graph(_random_config(rnd, planar=rnd.random() < 0.3))
     for _ in range(20):
         _assert_same_graph(_lattice_config(rnd))
+
+
+def _scalar_verdicts(graph):
+    """is_locally_jammed on every disc, with its index set."""
+    verdicts = []
+    for i, normals in enumerate(graph.normals):
+        v = is_locally_jammed(normals)
+        v.index = i
+        verdicts.append(v)
+    return verdicts
+
+
+def test_verdicts_are_the_scalar_rule_on_constructions():
+    rnd = random.Random(92)
+    _, bridge = tune_epsilon(CurveFamily(), 4)
+    configs = [assemble_square(N)[0] for N in (4, 8, 16, 32)]
+    configs += [tiling_3_12_12(10), tiling_3_12_12(24), five_disc_config(),
+                complete_symmetric_bridge(bridge)]
+    configs += [_lattice_config(rnd) for _ in range(20)]
+    statuses = set()
+    for config in configs:
+        report = verify_stable(config)
+        expected = _scalar_verdicts(contact_graph(config))
+        assert report.verdicts == expected
+        counts = [sum(v.status == s for v in expected)
+                  for s in ("jammed", "movable", "rattler")]
+        assert [report.jammed_count, report.movable_count,
+                report.rattler_count] == counts
+        assert report.stable == (counts[0] == config.n)
+        statuses |= {v.status for v in expected}
+    assert statuses == {"jammed", "movable", "rattler"}
+
+
+def _gap_disc(gap):
+    """Three normals whose largest circular gap is gap (> 2pi/3)."""
+    return [(math.cos(a), math.sin(a))
+            for a in (0.0, gap, gap + (2.0 * math.pi - gap) / 2.0)]
+
+
+def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
+    bound = math.pi - ANGLE_SLACK
+    discs = [_gap_disc(bound - 1e-13), _gap_disc(bound + 1e-13),
+             _gap_disc(bound - 1e-11), [], [(1.0, 0.0)],
+             [(1.0, 0.0), (0.0, 1.0)], [(0.6, 0.8)] * 3,
+             [(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]]
+    graph = ContactGraph(discs, [], [[] for _ in discs])
+    expected = _scalar_verdicts(graph)
+    decided = []
+
+    def scalar(normals):
+        decided.append(discs.index(normals))
+        return is_locally_jammed(normals)
+
+    monkeypatch.setattr(verifier, "is_locally_jammed", scalar)
+    assert verifier._judge(graph).verdicts == expected
+    # only the disc 1e-11 inside the bound is clearly jammed; the two
+    # within the band, the discs with fewer than 3 normals, the three
+    # coincident normals and the gap tie go to the scalar rule
+    assert decided == [0, 1, 3, 4, 5, 6, 7]
+    status = [v.status for v in expected]
+    assert status[:6] == ["jammed", "movable", "jammed", "rattler",
+                          "movable", "movable"]
+    assert status[7] == "movable"
+    # the gap tie (pi from 0 and from pi) goes to the larger start angle
+    assert expected[7].witness[1] > 0.0
+
+
+def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
+    square, _ = assemble_square(8)
+    monkeypatch.setattr(verifier, "is_locally_jammed", None)
+    assert verify_stable(square).jammed_count == square.n
 
 
 def test_overlap_audit_matches_matrix_scan_randomized():
