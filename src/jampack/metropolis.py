@@ -68,65 +68,70 @@ class _Grid:
 
     Cells have side a hair above 2r, so every disc within 2r of a point lies
     in the 3x3 block of cells around it (the margin absorbs the rounding of
-    the distance test and of the cell index).  Centres are kept as Python
-    floats; the accept rule does the same float operations, in the same
-    order, as a scan of the full centre array, so trajectories do not depend
-    on the cell layout.
+    the distance test and of the cell index); blocks maps a cell's key to
+    the discs of its block.  Centres are kept as Python floats; the accept
+    rule does the same float operations as a scan of the full centre array,
+    and its verdict does not depend on the order of the neighbours, so
+    trajectories do not depend on the cell layout.
     """
 
     def __init__(self, config: Configuration, step_radius: float):
-        self.radius = config.radius
+        self.radius = r = config.radius
         self.step_radius = step_radius
         self.box = config.box
         self.xs = config.centers[:, 0].tolist()
         self.ys = config.centers[:, 1].tolist()
-        self.side = 2.0 * config.radius * (1.0 + 1e-6)
-        self.cells = {}
-        for i in range(len(self.xs)):
-            self.cells.setdefault(self._key(self.xs[i], self.ys[i]),
-                                  []).append(i)
+        self.side = 2.0 * r * (1.0 + 1e-6)
+        self.limit = 4.0 * r * r
+        # a target is inside when lo <= x <= hx and lo <= y <= hy
+        w, h = (math.inf, math.inf) if self.box is None else self.box
+        self.bounds = (-math.inf if self.box is None else r, w - r, h - r)
+        self.blocks = {}
+        for i, key in enumerate(map(self._key, self.xs, self.ys)):
+            for off in _BLOCK:
+                self.blocks.setdefault(key + off, []).append(i)
 
     def _key(self, x: float, y: float) -> int:
         return int(x // self.side) * _STRIDE + int(y // self.side)
 
-    def propose(self, u0: float, u1: float, u2: float
-                ) -> tuple[int, float, float, bool]:
-        """Evaluate one proposal from three uniform deviates.
-
-        Returns (disc index, new x, new y, accepted).  The displacement is
-        uniform in the disc of radius step_radius via polar inversion.
+    def offsets(self, u: np.ndarray):
+        """(disc, dx, dy) for each row of three uniform deviates: the
+        displacement is uniform in the disc of radius step_radius via polar
+        inversion.  The float operations are the scalar rule's, with libm's
+        cos and sin, so disc i's target is exactly xs[i] + dx, ys[i] + dy.
         """
-        xs = self.xs
-        ys = self.ys
-        n = len(xs)
-        radius = self.radius
-        i = min(int(u0 * n), n - 1)
-        ang = 2.0 * math.pi * u1
-        rad = self.step_radius * math.sqrt(u2)
-        x = xs[i] + rad * math.cos(ang)
-        y = ys[i] + rad * math.sin(ang)
-        if self.box is not None:
-            w, h = self.box
-            if x < radius or x > w - radius or y < radius or y > h - radius:
-                return i, x, y, False
-        limit = 4.0 * radius * radius
-        key = self._key(x, y)
-        cells = self.cells
-        for off in _BLOCK:
-            for j in cells.get(key + off, ()):
-                if j != i:
-                    dx = xs[j] - x
-                    dy = ys[j] - y
-                    if dx * dx + dy * dy < limit:
-                        return i, x, y, False
-        return i, x, y, True
+        n = len(self.xs)
+        i = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)
+        ang = (2.0 * math.pi * u[:, 1]).tolist()
+        rad = self.step_radius * np.sqrt(u[:, 2])
+        dx = rad * np.fromiter(map(math.cos, ang), float, len(ang))
+        dy = rad * np.fromiter(map(math.sin, ang), float, len(ang))
+        return zip(i.tolist(), dx.tolist(), dy.tolist())
+
+    def free(self, i: int, x: float, y: float) -> bool:
+        """Whether disc i may move to (x, y): inside the box, and no other
+        centre within 2r."""
+        lo, hx, hy = self.bounds
+        if x < lo or x > hx or y < lo or y > hy:
+            return False
+        xs, ys, limit, side = self.xs, self.ys, self.limit, self.side
+        for j in self.blocks.get(int(x // side) * _STRIDE + int(y // side),
+                                 ()):
+            if j != i:
+                dx = xs[j] - x
+                dy = ys[j] - y
+                if dx * dx + dy * dy < limit:
+                    return False
+        return True
 
     def move(self, i: int, x: float, y: float):
         old = self._key(self.xs[i], self.ys[i])
         new = self._key(x, y)
         if new != old:
-            self.cells[old].remove(i)
-            self.cells.setdefault(new, []).append(i)
+            blocks = self.blocks
+            for off in _BLOCK:
+                blocks[old + off].remove(i)
+                blocks.setdefault(new + off, []).append(i)
         self.xs[i] = x
         self.ys[i] = y
 
@@ -139,13 +144,13 @@ class _QuietFilter:
     next moves a disc.
 
     For a block of proposals at once it computes the targets in numpy, from
-    the same deviates with the same float operations as _Grid.propose, and
+    the same deviates with the same float operations as _Grid.offsets, and
     marks a proposal surely rejected when its target leaves the box, or
     comes within 2r of a neighbour, by more than a slack.  The slack is
     1e-9 r plus 2^-40 of the coordinate scale, far above any rounding
     difference from the scalar rule (numpy's sin and cos need not round as
     libm's do).  The filter never accepts: a proposal it cannot reject goes
-    to _Grid.propose.
+    to _Grid.free.
     """
 
     def __init__(self, grid: _Grid):
@@ -234,6 +239,7 @@ def run_chain(config: Configuration, params: ChainParams
     _check_valid(config)
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
+    xs, ys = grid.xs, grid.ys
     initial = config.centers.copy()
     r = config.radius
     every = RECORD_INTERVAL
@@ -270,9 +276,10 @@ def run_chain(config: Configuration, params: ChainParams
                     close_interval()
                 done += f - k
                 k = f
-            for u0, u1, u2 in u[k:stop].tolist():
-                i, x, y, ok = grid.propose(u0, u1, u2)
-                if ok:
+            for i, dx, dy in grid.offsets(u[k:stop]):
+                x = xs[i] + dx
+                y = ys[i] + dy
+                if grid.free(i, x, y):
                     grid.move(i, x, y)
                     if first is None:
                         first = (done, i)

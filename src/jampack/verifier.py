@@ -163,7 +163,7 @@ def _largest_gap(angles: list) -> tuple[float, float]:
         start = angles[k]
         end = angles[(k + 1) % m]
         gap = (end - start) % TWO_PI
-        if m == 1:
+        if angles[0] == angles[-1]:   # one direction: a half-plane is free
             gap = TWO_PI
         if gap > best[0] or (gap == best[0] and start > best[1]):
             best = (gap, start)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -74,15 +75,20 @@ def _full_scan_chain(config, params):
     return c, accepted, trace, first
 
 
-@pytest.mark.parametrize("case", ["five-shrunk", "square-N4", "tiling"])
+@pytest.mark.parametrize("case", ["five-shrunk", "square-N4", "square-N32",
+                                  "tiling"])
 def test_run_chain_matches_full_scan_reference(case):
-    # boxed and planar chains whose accepted moves cross grid cells
+    # boxed and planar chains whose accepted moves cross grid cells; the
+    # squares are run as the chain-fluid benchmark runs them
     if case == "five-shrunk":
         config = shrink_radius(five_disc_config(), 0.9)
         params = ChainParams(5000, config.radius, seed=4)
     elif case == "square-N4":
         config, _ = assemble_square(4)
         params = ChainParams(20000, config.radius, seed=7)
+    elif case == "square-N32":
+        config, _ = assemble_square(32)
+        params = ChainParams(20000, config.radius, seed=1)
     else:
         config = shrink_radius(tiling_3_12_12(6), 0.9)
         params = ChainParams(20000, 0.5, seed=3)
@@ -92,6 +98,53 @@ def test_run_chain_matches_full_scan_reference(case):
     assert np.array_equal(final.centers, centers)
     assert stats.trace == trace
     assert stats.first_accepted == first
+
+
+def test_offsets_match_the_scalar_formula():
+    config, _ = assemble_square(4)
+    grid = metropolis._Grid(config, config.radius)
+    n = config.n
+    edges = list(itertools.product([0.0, 1.0 - 2.0 ** -53], repeat=3))
+    u = np.vstack((np.random.default_rng(5).random((10 ** 5, 3)), edges))
+    expected = []
+    for u0, u1, u2 in u.tolist():
+        ang = 2.0 * math.pi * u1
+        rad = config.radius * math.sqrt(u2)
+        expected.append((min(int(u0 * n), n - 1),
+                         (rad * math.cos(ang)).hex(),
+                         (rad * math.sin(ang)).hex()))
+    got = [(i, dx.hex(), dy.hex()) for i, dx, dy in grid.offsets(u)]
+    assert got == expected
+    assert got[-1][0] == n - 1
+
+
+def test_block_lists_follow_the_moves(monkeypatch):
+    grids = []
+    real = metropolis._Grid
+
+    def kept(*args):
+        grids.append(real(*args))
+        return grids[-1]
+    monkeypatch.setattr(metropolis, "_Grid", kept)
+    config, _ = assemble_square(4)
+    final, stats = run_chain(config, ChainParams(20000, config.radius,
+                                                 seed=7))
+    grid, = grids
+    side = grid.side
+
+    def cells(centers):
+        return [(int(x // side), int(y // side)) for x, y in centers.tolist()]
+    start, end = cells(config.centers), cells(final.centers)
+    assert sum(a != b for a, b in zip(start, end)) > 10
+    expected = {}
+    for j, (kx, ky) in enumerate(end):
+        for a in (-1, 0, 1):
+            for b in (-1, 0, 1):
+                key = (kx + a) * metropolis._STRIDE + ky + b
+                expected.setdefault(key, set()).add(j)
+    blocks = {key: v for key, v in grid.blocks.items() if v}
+    assert {key: set(v) for key, v in blocks.items()} == expected
+    assert all(len(v) == len(set(v)) for v in blocks.values())
 
 
 def _touching_pair():
@@ -150,7 +203,7 @@ def _count_calls(monkeypatch, owner, name):
 
 def test_frozen_chain_rejects_in_bulk(monkeypatch):
     config = five_disc_config()
-    calls = _count_calls(monkeypatch, metropolis._Grid, "propose")
+    calls = _count_calls(monkeypatch, metropolis._Grid, "free")
     params = ChainParams(10 ** 5, config.radius, seed=3)
     _, stats = run_chain(config, params)
     assert stats.accepted == 0
@@ -164,7 +217,7 @@ def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
     # them (the pair tests the wall margin, the five-disc centre disc the
     # neighbour margin)
     config, params = _quiet_case(case)
-    calls = _count_calls(monkeypatch, metropolis._Grid, "propose")
+    calls = _count_calls(monkeypatch, metropolis._Grid, "free")
     _, stats = run_chain(config, params)
     assert stats.accepted == 0
     assert len(calls) == params.steps
@@ -209,8 +262,9 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
     while k < len(u):
         f, k = quiet.next_open(u, k)
         open_rows.update(range(f, k))
-    accepted = {row for row, v in enumerate(u.tolist())
-                if grid.propose(*v)[3]}
+    xs, ys = grid.xs, grid.ys
+    accepted = {row for row, (i, dx, dy) in enumerate(grid.offsets(u))
+                if grid.free(i, xs[i] + dx, ys[i] + dy)}
     assert accepted
     assert accepted <= open_rows
     assert len(open_rows) < len(u)

@@ -318,9 +318,21 @@ def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
     status = [v.status for v in expected]
     assert status[:6] == ["jammed", "movable", "jammed", "rattler",
                           "movable", "movable"]
-    assert status[7] == "movable"
+    assert status[6:] == ["movable", "movable"]
     # the gap tie (pi from 0 and from pi) goes to the larger start angle
     assert expected[7].witness[1] > 0.0
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_coincident_normals_leave_a_half_plane_free(m):
+    # every normal points one way, so the disc may move along it
+    one = is_locally_jammed([(0.6, 0.8)])
+    v = is_locally_jammed([(0.6, 0.8)] * m)
+    assert v.status == "movable"
+    assert v.witness == one.witness
+    assert v.witness == pytest.approx((0.6, 0.8), abs=1e-15)
+    graph = ContactGraph([[(0.6, 0.8)] * m], [], [[]])
+    assert verifier._judge(graph).verdicts == _scalar_verdicts(graph)
 
 
 def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
