@@ -127,8 +127,7 @@ def test_block_lists_follow_the_moves(monkeypatch):
         return grids[-1]
     monkeypatch.setattr(metropolis, "_Grid", kept)
     config, _ = assemble_square(4)
-    final, stats = run_chain(config, ChainParams(20000, config.radius,
-                                                 seed=7))
+    final, _ = run_chain(config, ChainParams(20000, config.radius, seed=7))
     grid, = grids
     side = grid.side
 
