@@ -18,8 +18,8 @@ RNG_ALGORITHM = "numpy-pcg64"
 _STRIDE = 1 << 20
 _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
 
-# The quiet-run filter tests about this many (proposal, neighbour) entries
-# at a time, which bounds its temporaries to about 1 MB for any table width.
+# _Grid.shut tests about this many (proposal, neighbour) entries at a
+# time, which bounds its temporaries to about 1 MB for any table width.
 _FILTER_ENTRIES = 1 << 14
 
 # Proposals per trace entry and validity check; run_chain reads it per call.
@@ -73,37 +73,45 @@ class _Grid:
     rule does the same float operations as a scan of the full centre array,
     and its verdict does not depend on the order of the neighbours, so
     trajectories do not depend on the cell layout.
+
+    shut rejects runs of proposals in bulk against a table of each disc's
+    neighbours within 2r + step_radius.  The table is built on the first
+    shut after a move, which drops it.
     """
 
     def __init__(self, config: Configuration, step_radius: float):
         self.radius = r = config.radius
         self.step_radius = step_radius
-        self.box = config.box
         self.xs = config.centers[:, 0].tolist()
         self.ys = config.centers[:, 1].tolist()
         self.side = 2.0 * r * (1.0 + 1e-6)
         self.limit = 4.0 * r * r
         # a target is inside when lo <= x <= hx and lo <= y <= hy
-        w, h = (math.inf, math.inf) if self.box is None else self.box
-        self.bounds = (-math.inf if self.box is None else r, w - r, h - r)
+        w, h = (math.inf, math.inf) if config.box is None else config.box
+        self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
         self.blocks = {}
         for i, key in enumerate(map(self._key, self.xs, self.ys)):
             for off in _BLOCK:
                 self.blocks.setdefault(key + off, []).append(i)
+        self.table = None
 
     def _key(self, x: float, y: float) -> int:
         return int(x // self.side) * _STRIDE + int(y // self.side)
 
-    def offsets(self, u: np.ndarray):
-        """(disc, dx, dy) for each row of three uniform deviates: the
-        displacement is uniform in the disc of radius step_radius via polar
-        inversion.  The float operations are the scalar rule's, with libm's
-        cos and sin, so disc i's target is exactly xs[i] + dx, ys[i] + dy.
-        """
+    def _polar(self, u: np.ndarray):
+        """Disc index, angle and length of the displacement for each row of
+        three uniform deviates: the displacement is uniform in the disc of
+        radius step_radius via polar inversion."""
         n = len(self.xs)
-        i = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)
-        ang = (2.0 * math.pi * u[:, 1]).tolist()
-        rad = self.step_radius * np.sqrt(u[:, 2])
+        return (np.minimum((u[:, 0] * n).astype(np.intp), n - 1),
+                2.0 * math.pi * u[:, 1], self.step_radius * np.sqrt(u[:, 2]))
+
+    def offsets(self, u: np.ndarray):
+        """(disc, dx, dy) for each row of u.  The float operations are the
+        scalar rule's, with libm's cos and sin, so disc i's target is
+        exactly xs[i] + dx, ys[i] + dy."""
+        i, ang, rad = self._polar(u)
+        ang = ang.tolist()
         dx = rad * np.fromiter(map(math.cos, ang), float, len(ang))
         dy = rad * np.fromiter(map(math.sin, ang), float, len(ang))
         return zip(i.tolist(), dx.tolist(), dy.tolist())
@@ -124,6 +132,56 @@ class _Grid:
                     return False
         return True
 
+    def shut(self, u: np.ndarray) -> np.ndarray:
+        """Mask over the first rows of u, about _FILTER_ENTRIES (proposal,
+        neighbour) entries: true where free surely rejects the proposal.
+
+        The targets come from numpy's cos and sin, and a proposal is shut
+        only when its target leaves the box, or comes within 2r of a
+        neighbour, by more than a slack of 1e-9 r plus 2^-40 of the
+        coordinate scale, far above any rounding difference from libm's.
+        The mask never accepts: an open row is for free to decide.
+        """
+        if self.table is None:
+            self._tabulate()
+        near, xs, ys, limit, (lo, hx, hy) = self.table
+        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // max(len(near), 1)])
+        x = xs[i] + rad * np.cos(ang)
+        y = ys[i] + rad * np.sin(ang)
+        near = near.take(i, axis=1)
+        dx = xs.take(near)
+        dx -= x
+        dx *= dx
+        dy = ys.take(near)
+        dy -= y
+        dy *= dy
+        dx += dy
+        return (np.any(dx < limit, axis=0)
+                | (x < lo) | (x > hx) | (y < lo) | (y > hy))
+
+    def _tabulate(self):
+        c = self.centers()
+        n = len(c)
+        r = self.radius
+        step = self.step_radius
+        slack = 1e-9 * r + 2.0 ** -40 * (float(np.abs(c).max()) + step)
+        lo, hx, hy = self.bounds
+        # any disc a proposal can hit lies within 2r + step of the mover
+        i, j, _ = near_pairs(c, (2.0 * r + step) * (1.0 + 1e-6))
+        a = np.concatenate((i, j))
+        b = np.concatenate((j, i))
+        deg = np.bincount(a, minlength=n)
+        order = np.argsort(a, kind="stable")
+        a, b = a[order], b[order]
+        slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
+        # column i: i's neighbours, padded with n, a disc at infinity
+        near = np.full((int(deg.max(initial=0)), n), n, np.intp)
+        near[slot, a] = b
+        self.table = (near, np.append(c[:, 0], math.inf),
+                      np.append(c[:, 1], math.inf),
+                      max(2.0 * r - slack, 0.0) ** 2,
+                      (lo - slack, hx + slack, hy + slack))
+
     def move(self, i: int, x: float, y: float):
         old = self._key(self.xs[i], self.ys[i])
         new = self._key(x, y)
@@ -134,94 +192,10 @@ class _Grid:
                 blocks.setdefault(new + off, []).append(i)
         self.xs[i] = x
         self.ys[i] = y
+        self.table = None
 
     def centers(self) -> np.ndarray:
         return np.column_stack((self.xs, self.ys))
-
-
-class _QuietFilter:
-    """Vectorised pre-test for a run of rejections, valid until the grid
-    next moves a disc.
-
-    For a block of proposals at once it computes the targets in numpy, from
-    the same deviates with the same float operations as _Grid.offsets, and
-    marks a proposal surely rejected when its target leaves the box, or
-    comes within 2r of a neighbour, by more than a slack.  The slack is
-    1e-9 r plus 2^-40 of the coordinate scale, far above any rounding
-    difference from the scalar rule (numpy's sin and cos need not round as
-    libm's do).  The filter never accepts: a proposal it cannot reject goes
-    to _Grid.free.
-    """
-
-    def __init__(self, grid: _Grid):
-        c = grid.centers()
-        n = len(c)
-        r = grid.radius
-        self.n = n
-        self.step = grid.step_radius
-        slack = 1e-9 * r + 2.0 ** -40 * (float(np.abs(c).max()) + self.step)
-        self.limit = max(2.0 * r - slack, 0.0) ** 2
-        self.box = None
-        if grid.box is not None:
-            w, h = grid.box
-            self.box = (r - slack, w - r + slack, h - r + slack)
-        # any disc a proposal can hit lies within 2r + step of the mover
-        i, j, _ = near_pairs(c, (2.0 * r + self.step) * (1.0 + 1e-6))
-        a = np.concatenate((i, j))
-        b = np.concatenate((j, i))
-        deg = np.bincount(a, minlength=n)
-        order = np.argsort(a, kind="stable")
-        a, b = a[order], b[order]
-        slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
-        # column i: i's neighbours, padded with n, a disc at infinity
-        self.table = np.full((int(deg.max(initial=0)), n), n, np.intp)
-        self.table[slot, a] = b
-        self.xs = np.append(c[:, 0], math.inf)
-        self.ys = np.append(c[:, 1], math.inf)
-        self.rows = _FILTER_ENTRIES // max(len(self.table), 1)
-        self.u = None
-        self.start = self.end = 0
-
-    def next_open(self, u: np.ndarray, k: int) -> tuple[int, int]:
-        """(f, g): rows k..f-1 of u are surely rejected, and rows f..g-1
-        are a run that the filter cannot reject; (len(u), len(u)) when all
-        rows from k on are.  A tested block is not tested again."""
-        while k < len(u):
-            if self.u is not u or not self.start <= k < self.end:
-                self._test(u, k)
-            pos = np.searchsorted(self.open, k)
-            if pos < len(self.open):
-                f = int(self.open[pos])
-                pos = np.searchsorted(self.shut, f)
-                return f, (int(self.shut[pos]) if pos < len(self.shut)
-                           else self.end)
-            k = self.end
-        return len(u), len(u)
-
-    def _test(self, u: np.ndarray, start: int):
-        b = u[start:start + self.rows]
-        n = self.n
-        i = np.minimum((b[:, 0] * n).astype(np.intp), n - 1)
-        ang = 2.0 * math.pi * b[:, 1]
-        rad = self.step * np.sqrt(b[:, 2])
-        x = self.xs[i] + rad * np.cos(ang)
-        y = self.ys[i] + rad * np.sin(ang)
-        near = self.table.take(i, axis=1)
-        dx = self.xs.take(near)
-        dx -= x
-        dx *= dx
-        dy = self.ys.take(near)
-        dy -= y
-        dy *= dy
-        dx += dy
-        shut = np.any(dx < self.limit, axis=0)
-        if self.box is not None:
-            lo, hx, hy = self.box
-            shut |= (x < lo) | (x > hx) | (y < lo) | (y > hy)
-        self.u = u
-        self.start, self.end = start, start + len(b)
-        self.open = start + np.flatnonzero(~shut)
-        self.shut = start + np.flatnonzero(shut)
 
 
 def run_chain(config: Configuration, params: ChainParams
@@ -229,10 +203,11 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    After a chunk of proposals with no acceptance, a _QuietFilter commits
-    the rejections it is sure of in bulk, with the same trace entries and
-    validity checks, and hands each proposal it cannot reject to the grid.
-    An acceptance returns the chain to proposal-by-proposal work.
+    The walk goes in blocks that end at every RECORD_INTERVAL boundary,
+    where the trace entry and the validity check are made.  Within chunk
+    proposals of the last acceptance every proposal goes to _Grid.free.
+    After that, _Grid.shut rejects in bulk what it is sure of, free
+    decides the rest, and the block stops at the first acceptance.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
@@ -249,47 +224,43 @@ def run_chain(config: Configuration, params: ChainParams
     interval_accepted = 0
     done = 0
     last = 0  # index of the last accepted proposal
-    quiet, quiet_at = None, -1  # filter, and the acceptance count it is for
     batch = 65536
     chunk = 1024  # rows per list conversion; a whole batch costs ~5 MB
 
-    def close_interval():
-        nonlocal interval_accepted
-        trace.append(interval_accepted / every)
-        interval_accepted = 0
-        snapshot = Configuration(r, grid.centers(), config.box,
-                                 dict(config.metadata))
-        _check_valid(snapshot)
-
     while done < params.steps:
-        m = min(batch, params.steps - done)
-        u = rng.random((m, 3))
+        u = rng.random((min(batch, params.steps - done), 3))
         k = 0
-        while k < m:
-            if done - last < chunk:
-                stop = k + chunk
+        while k < len(u):
+            b = u[k:k + every - done % every]
+            quiet = done - last >= chunk
+            if quiet:
+                shut = grid.shut(b)
+                size = len(shut)
+                rows = np.flatnonzero(~shut)
+                rows, b = rows.tolist(), b[rows]
             else:
-                if quiet_at != accepted:
-                    quiet, quiet_at = _QuietFilter(grid), accepted
-                f, stop = quiet.next_open(u, k)
-                for _ in range(done // every, (done + f - k) // every):
-                    close_interval()
-                done += f - k
-                k = f
-            for i, dx, dy in grid.offsets(u[k:stop]):
+                size = min(len(b), chunk)
+                rows, b = range(size), b[:size]
+            for row, (i, dx, dy) in zip(rows, grid.offsets(b) if rows else ()):
                 x = xs[i] + dx
                 y = ys[i] + dy
                 if grid.free(i, x, y):
                     grid.move(i, x, y)
+                    last = done + row
                     if first is None:
-                        first = (done, i)
+                        first = (last, i)
                     accepted += 1
                     interval_accepted += 1
-                    last = done
-                done += 1
-                if done % every == 0:
-                    close_interval()
-            k = stop
+                    if quiet:
+                        size = row + 1
+                        break
+            k += size
+            done += size
+            if done % every == 0:
+                trace.append(interval_accepted / every)
+                interval_accepted = 0
+                _check_valid(Configuration(r, grid.centers(), config.box,
+                                           dict(config.metadata)))
     centers = grid.centers()
     final = Configuration(r, centers, config.box, dict(config.metadata))
     _check_valid(final)

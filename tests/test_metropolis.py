@@ -189,6 +189,29 @@ def test_quiet_filter_matches_full_scan_reference(case, accepts):
         assert accepted == accepts
 
 
+@pytest.mark.parametrize("case", ["square-N4", "five-0.99", "five-0.975"])
+def test_trace_boundaries_match_full_scan_reference(monkeypatch, case):
+    # 997 divides none of the chunk, the mask block or the batch, so blocks
+    # end at trace boundaries at every offset, in both walking modes; at
+    # 0.975 a masked block often holds more than one free proposal
+    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+    if case == "square-N4":
+        config, _ = assemble_square(4)
+        params = ChainParams(20000, config.radius, seed=7)
+    elif case == "five-0.975":
+        config = shrink_radius(five_disc_config(), 0.975)
+        params = ChainParams(10 ** 5, config.radius, seed=5)
+    else:
+        config, params = _quiet_case(case)
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert len(trace) == params.steps // 997
+    assert stats.trace == trace
+    assert stats.first_accepted == first
+    assert stats.accepted == accepted > 0
+    assert np.array_equal(final.centers, centers)
+
+
 def _count_calls(monkeypatch, owner, name):
     calls = []
     real = getattr(owner, name)
@@ -241,9 +264,9 @@ def test_every_record_interval_is_checked(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
 def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
-    # the filter's own soundness, on boxed and planar inputs; planar chains
+    # the mask's own soundness, on boxed and planar inputs; planar chains
     # of a few hundred discs are never quiet for 1024 proposals, so this is
-    # where the filter meets a configuration without a box
+    # where the mask meets a configuration without a box
     if case == "five":
         config = shrink_radius(five_disc_config(), 0.99)
         step = config.radius
@@ -254,19 +277,56 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
         config = shrink_radius(tiling_3_12_12(6), 0.999)
         step = 0.5 * config.radius
     grid = metropolis._Grid(config, step)
-    quiet = metropolis._QuietFilter(grid)
     u = np.random.default_rng(1).random((20000, 3))
     open_rows = set()
     k = 0
     while k < len(u):
-        f, k = quiet.next_open(u, k)
-        open_rows.update(range(f, k))
+        shut = grid.shut(u[k:])
+        open_rows.update((k + np.flatnonzero(~shut)).tolist())
+        k += len(shut)
     xs, ys = grid.xs, grid.ys
     accepted = {row for row, (i, dx, dy) in enumerate(grid.offsets(u))
                 if grid.free(i, xs[i] + dx, ys[i] + dy)}
     assert accepted
     assert accepted <= open_rows
     assert len(open_rows) < len(u)
+
+
+def test_mask_follows_the_moves():
+    # a table left from before a move would shut proposals that are free
+    config = shrink_radius(five_disc_config(), 0.9)
+    grid = metropolis._Grid(config, config.radius)
+    u = np.random.default_rng(2).random((4000, 3))
+    before = grid.shut(u)
+    xs, ys = grid.xs, grid.ys
+    i, dx, dy = max(((i, dx, dy) for i, dx, dy in grid.offsets(u)
+                     if grid.free(i, xs[i] + dx, ys[i] + dy)),
+                    key=lambda m: math.hypot(m[1], m[2]))
+    grid.move(i, xs[i] + dx, ys[i] + dy)
+    after = grid.shut(u)
+    moved = Configuration(config.radius, grid.centers(), config.box)
+    fresh = metropolis._Grid(moved, config.radius).shut(u)
+    assert np.array_equal(after, fresh)
+    assert not np.array_equal(after, before)
+
+
+def test_offsets_never_gets_an_empty_block(monkeypatch):
+    sizes = []
+    real = metropolis._Grid.offsets
+
+    def recorded(grid, u):
+        sizes.append(len(u))
+        return real(grid, u)
+    monkeypatch.setattr(metropolis._Grid, "offsets", recorded)
+    five = five_disc_config()
+    square, _ = assemble_square(32)
+    for config, params in [(five, ChainParams(30000, five.radius, seed=1)),
+                           (square, ChainParams(20000, 1e-5 * square.radius,
+                                                seed=1))]:
+        sizes.clear()
+        _, stats = run_chain(config, params)
+        assert stats.accepted == 0
+        assert sizes and 0 not in sizes
 
 
 def test_chain_determinism_same_seed():
