@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import construction, files, metropolis, render
-from .verifier import OverlapError, verify_stable
+from .verifier import verify_stable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,9 +168,13 @@ def _build_parser() -> _Parser:
                             "simulate, render.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", help="output file path")
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+    def common(sp, out=True, fmt=True):
+        # --out where the command writes a file, --format where it _emits
+        if out:
+            sp.add_argument("--out", help="output file path")
+        if fmt:
+            sp.add_argument("--format", choices=("text", "json"),
+                            default="text")
 
     def curve_flags(sp):
         sp.add_argument("--N", type=int, default=8,
@@ -224,12 +228,12 @@ def _build_parser() -> _Parser:
     sp.add_argument("config")
     sp.add_argument("--shrink", type=float, nargs="+", default=[1.0, 0.99])
     chain_flags(sp)
-    common(sp)
+    common(sp, out=False)
     sp.set_defaults(func=_cmd_escape)
 
     sp = sub.add_parser("density", help="covered fraction of a region")
     sp.add_argument("config")
-    common(sp)
+    common(sp, out=False)
     sp.set_defaults(func=_cmd_density)
 
     sp = sub.add_parser("render", help="SVG drawing of a config file")
@@ -237,7 +241,7 @@ def _build_parser() -> _Parser:
     sp.add_argument("--contacts", action="store_true")
     sp.add_argument("--color", action="store_true",
                     help="color discs by jamming verdict")
-    common(sp)
+    common(sp, fmt=False)
     sp.set_defaults(func=_cmd_render)
     return p
 
@@ -250,8 +254,7 @@ def dispatch(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.func(args)
-    except (construction.ConstructionError, OverlapError, files.SchemaError,
-            ValueError, OSError) as e:
+    except (ValueError, OSError) as e:  # every jampack error is a ValueError
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -8,7 +8,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import near_pairs
-from .verifier import overlap_audit
+from .verifier import check_valid
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -49,17 +49,6 @@ class ChainStats:
     # (0-based proposal index, disc moved) of the first acceptance, or None
     first_accepted: tuple[int, int] | None = None
     rng_algorithm: str = RNG_ALGORITHM
-
-
-def _check_valid(config: Configuration):
-    audit = overlap_audit(config)
-    if audit.pairs:
-        i, j, d = audit.pairs[0]
-        raise ValueError("invalid configuration: discs %d and %d overlap "
-                         "(distance %.17g)" % (i, j, d))
-    if audit.outside:
-        raise ValueError("invalid configuration: disc %d outside the box"
-                         % audit.outside[0])
 
 
 class _Grid:
@@ -204,14 +193,16 @@ def run_chain(config: Configuration, params: ChainParams
     generator; deterministic in (config, params).
 
     The walk goes in blocks that end at every RECORD_INTERVAL boundary,
-    where the trace entry and the validity check are made.  Within chunk
+    where the trace entry is made.  check_valid refuses invalid input, and
+    re-checks at a boundary, or at the end, only if a disc moved since the
+    last check: unmoved centres stay valid.  Within chunk
     proposals of the last acceptance every proposal goes to _Grid.free.
     After that, _Grid.shut rejects in bulk what it is sure of, free
     decides the rest, and the block stops at the first acceptance.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
-    _check_valid(config)
+    check_valid(config)
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
     xs, ys = grid.xs, grid.ys
@@ -258,12 +249,13 @@ def run_chain(config: Configuration, params: ChainParams
             done += size
             if done % every == 0:
                 trace.append(interval_accepted / every)
+                if interval_accepted:
+                    check_valid(Configuration(r, grid.centers(), config.box))
                 interval_accepted = 0
-                _check_valid(Configuration(r, grid.centers(), config.box,
-                                           dict(config.metadata)))
     centers = grid.centers()
     final = Configuration(r, centers, config.box, dict(config.metadata))
-    _check_valid(final)
+    if interval_accepted:
+        check_valid(final)
     disp = float(np.max(np.hypot(centers[:, 0] - initial[:, 0],
                                  centers[:, 1] - initial[:, 1])))
     stats = ChainStats(params.steps, accepted, accepted / params.steps,

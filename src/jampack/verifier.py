@@ -98,29 +98,34 @@ def _audit(config: Configuration, i, j, d) -> OverlapReport:
     return OverlapReport(float(np.max(pens, initial=0.0)), pairs, outside)
 
 
+def check_valid(config: Configuration):
+    """The near_pairs arrays (i, j, d) at _reach; OverlapError names the
+    first overlapping pair, else the first disc outside the box."""
+    near = near_pairs(config.centers, _reach(config.radius))
+    audit = _audit(config, *near)
+    if audit.pairs:
+        i, j, d = audit.pairs[0]
+        raise OverlapError(
+            "discs %d and %d overlap: distance %.17g < 2r, penetration %.3g"
+            % (i, j, d, 2.0 * config.radius - d), audit)
+    if audit.outside:
+        raise OverlapError("disc %d lies outside the box"
+                           % audit.outside[0], audit)
+    return near
+
+
 def contact_graph(config: Configuration) -> ContactGraph:
     """Tangency adjacency of a configuration, walls included.
 
     Disc-disc contacts use the relative tolerance |d - 2r| <= 2r*TANGENCY_REL
     so verdicts survive uniform scaling; wall contacts use gap <=
-    r*TANGENCY_REL.  Input that overlap_audit faults (overlapping discs,
-    discs outside the box) is rejected.  Candidate pairs come from
-    near_pairs; each disc lists its normals by partner index, then its
-    walls left, right, bottom, top.
+    r*TANGENCY_REL.  check_valid refuses invalid input first.  Candidate
+    pairs come from near_pairs; each disc lists its normals by partner
+    index, then its walls left, right, bottom, top.
     """
+    near_i, near_j, _ = check_valid(config)
     c = config.centers
     r = config.radius
-    near_i, near_j, near_d = near_pairs(c, _reach(r))
-    audit = _audit(config, near_i, near_j, near_d)
-    if audit.pairs:
-        i, j, d = audit.pairs[0]
-        raise OverlapError(
-            "discs %d and %d overlap: distance %.17g < 2r, penetration %.3g"
-            % (i, j, d, 2.0 * r - d), audit)
-    if audit.outside:
-        raise OverlapError("disc %d lies outside the box"
-                           % audit.outside[0], audit)
-
     n = len(c)
     dx = c[near_i, 0] - c[near_j, 0]
     dy = c[near_i, 1] - c[near_j, 1]

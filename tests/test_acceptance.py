@@ -105,7 +105,11 @@ def test_criterion_3_square_assembly(squares):
 
 def _hop_floor(config):
     """Smallest 4r*cos(G/2) over the discs, G the largest gap between a
-    disc's contact normals; no proposal shorter than this can be accepted.
+    disc's contact normals.  No shorter proposal can be accepted when every
+    contact is exactly tangent; the float file's contact gaps, up to about
+    6e-13 r and half of them positive, leave thin strips that this bound
+    does not cover (the N=1024 square accepts 9 of 10^6 proposals at half
+    its floor), though not at the N <= 32 squares run here.
     """
     floor = math.inf
     for normals in jp.contact_graph(config).normals:

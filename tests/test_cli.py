@@ -219,6 +219,20 @@ def test_tol_flag_is_a_usage_error(tmp_path, capsys):
     assert "usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["density", "--out", "x.json"],
+                                  ["escape", "--out", "x.json"],
+                                  ["render", "--format", "json"]],
+                         ids=["density-out", "escape-out", "render-format"])
+def test_unread_output_flag_is_a_usage_error(tmp_path, capsys, argv):
+    # --out only where a command writes a file, --format only where it
+    # prints a result; no flag is accepted and then ignored
+    path = tmp_path / "five.json"
+    write_config(five_disc_config(), path)
+    assert dispatch([argv[0], str(path)] + argv[1:]) == 1
+    assert "usage" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_build_square_small_n_exit_1(capsys):
     assert dispatch(["build-square", "--N", "2"]) == 1
     assert "N >= 3" in capsys.readouterr().err
@@ -241,6 +255,22 @@ def test_disc_outside_box_refused(tmp_path, capsys, x):
     assert dispatch(["simulate", str(path), "--steps", "10"]) == 1
     err = capsys.readouterr().err
     assert err.count("disc 0") == 2 and "outside the box" in err
+
+
+@pytest.mark.parametrize("config", [
+    Configuration(1.0, [[0.0, 0.0], [1.5, 0.0]]),
+    Configuration(0.1, [[0.05, 0.5], [0.5, 0.5]], (1.0, 1.0))],
+    ids=["overlap", "outside"])
+def test_verify_and_simulate_word_a_refusal_alike(tmp_path, capsys, config):
+    path = tmp_path / "bad.json"
+    write_config(config, path)
+    errors = []
+    for argv in (["verify", str(path)],
+                 ["simulate", str(path), "--steps", "10"]):
+        assert dispatch(argv) == 1
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("error: ") and errors[0].count("\n") == 1
 
 
 @pytest.mark.parametrize("field, value", [
@@ -293,9 +323,10 @@ def test_infinite_box_side_refused(tmp_path, capsys, box):
     doc = json.loads(path.read_text())
     doc["box"] = "BOX"
     path.write_text(json.dumps(doc).replace('"BOX"', box))
-    for command in ("verify", "render", "density"):
-        assert dispatch([command, str(path),
-                         "--out", str(tmp_path / "out")]) == 1
+    out = ["--out", str(tmp_path / "out")]
+    for argv in (["verify", str(path)] + out, ["render", str(path)] + out,
+                 ["density", str(path)]):
+        assert dispatch(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "box" in err
         assert "Traceback" not in err

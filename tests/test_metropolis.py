@@ -10,6 +10,7 @@ from jampack.construction import (assemble_square, five_disc_config,
                                   tiling_3_12_12)
 from jampack.metropolis import (ChainParams, ChainStats, escape_experiment,
                                 run_chain, shrink_radius)
+from jampack.verifier import OverlapError
 
 
 def _free_disc():
@@ -248,18 +249,55 @@ def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
 @pytest.mark.parametrize("case", ["frozen", "fluid"])
 def test_every_record_interval_is_checked(monkeypatch, case):
     # 997 does not divide the chunk, the filter block or the batch, so
-    # bulk-committed runs cross interval boundaries at every offset
+    # bulk-committed runs cross interval boundaries at every offset.  The
+    # input is always checked; a boundary, and the end, only after a move,
+    # so the frozen chain is checked once and the fluid one, which accepts
+    # in every interval, at every boundary and at the end
     if case == "frozen":
         config = five_disc_config()
     else:
         config, _ = assemble_square(4)
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
     params = ChainParams(70000, config.radius, seed=1)
-    calls = _count_calls(monkeypatch, metropolis, "_check_valid")
+    calls = _count_calls(monkeypatch, metropolis, "check_valid")
     _, stats = run_chain(config, params)
     assert (stats.accepted == 0) == (case == "frozen")
     assert len(stats.trace) == params.steps // 997
-    assert len(calls) == params.steps // 997 + 2
+    assert all(stats.trace) == (case == "fluid")
+    assert len(calls) == (1 if case == "frozen" else params.steps // 997 + 2)
+
+
+def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
+    # a grid that wrongly accepts one overlapping proposal early in a
+    # frozen chain is refused at the first interval boundary after the
+    # move, not at the end of the chain
+    config = five_disc_config()
+    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+    real_free = metropolis._Grid.free
+    proposals, moves, checks = [], [], []
+
+    def free(grid, i, x, y):
+        proposals.append(i)
+        lo, hx, hy = grid.bounds
+        inside = lo <= x <= hx and lo <= y <= hy
+        # every disc's hop floor is about 1.53r, so a move of r/2 that
+        # stays in the box overlaps a disc
+        if not moves and inside and math.hypot(
+                x - grid.xs[i], y - grid.ys[i]) > 0.5 * config.radius:
+            moves.append(len(proposals))
+            return True
+        return real_free(grid, i, x, y)
+    monkeypatch.setattr(metropolis._Grid, "free", free)
+    real_check = metropolis.check_valid
+
+    def check(c):
+        checks.append(len(proposals))
+        return real_check(c)
+    monkeypatch.setattr(metropolis, "check_valid", check)
+    with pytest.raises(OverlapError, match="overlap"):
+        run_chain(config, ChainParams(70000, config.radius, seed=1))
+    assert moves and moves[0] < 10
+    assert checks == [0, 997]
 
 
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
@@ -346,7 +384,7 @@ def test_invalid_input_rejected():
 
 def test_disc_outside_box_rejected():
     outside = Configuration(0.1, [[0.05, 0.5], [0.5, 0.5]], (1.0, 1.0))
-    with pytest.raises(ValueError, match="disc 0 outside the box"):
+    with pytest.raises(ValueError, match="disc 0 lies outside the box"):
         run_chain(outside, ChainParams(10, 0.05))
 
 
