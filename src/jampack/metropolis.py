@@ -8,7 +8,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import near_pairs
-from .verifier import check_valid
+from .verifier import check_valid, overlap_audit
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -193,16 +193,16 @@ def run_chain(config: Configuration, params: ChainParams
     generator; deterministic in (config, params).
 
     The walk goes in blocks that end at every RECORD_INTERVAL boundary,
-    where the trace entry is made.  check_valid refuses invalid input, and
-    re-checks at a boundary, or at the end, only if a disc moved since the
-    last check: unmoved centres stay valid.  Within chunk
-    proposals of the last acceptance every proposal goes to _Grid.free.
-    After that, _Grid.shut rejects in bulk what it is sure of, free
+    where the trace entry is made.  check_valid refuses invalid input by
+    its overlap_audit, and the audit is repeated at a boundary, or at the
+    end, only if a disc moved since the last one: unmoved centres stay
+    valid.  Within chunk proposals of the last acceptance every proposal
+    goes to _Grid.free.  After that, _Grid.shut rejects in bulk what it is sure of, free
     decides the rest, and the block stops at the first acceptance.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
-    check_valid(config)
+    check_valid(config, overlap_audit(config))
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
     xs, ys = grid.xs, grid.ys
@@ -250,12 +250,13 @@ def run_chain(config: Configuration, params: ChainParams
             if done % every == 0:
                 trace.append(interval_accepted / every)
                 if interval_accepted:
-                    check_valid(Configuration(r, grid.centers(), config.box))
+                    now = Configuration(r, grid.centers(), config.box)
+                    check_valid(now, overlap_audit(now))
                 interval_accepted = 0
     centers = grid.centers()
     final = Configuration(r, centers, config.box, dict(config.metadata))
     if interval_accepted:
-        check_valid(final)
+        check_valid(final, overlap_audit(final))
     disp = float(np.max(np.hypot(centers[:, 0] - initial[:, 0],
                                  centers[:, 1] - initial[:, 1])))
     stats = ChainStats(params.steps, accepted, accepted / params.steps,

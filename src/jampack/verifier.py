@@ -98,11 +98,9 @@ def _audit(config: Configuration, i, j, d) -> OverlapReport:
     return OverlapReport(float(np.max(pens, initial=0.0)), pairs, outside)
 
 
-def check_valid(config: Configuration):
-    """The near_pairs arrays (i, j, d) at _reach; OverlapError names the
+def check_valid(config: Configuration, audit: OverlapReport):
+    """Refuse config, whose overlap_audit is audit: OverlapError names the
     first overlapping pair, else the first disc outside the box."""
-    near = near_pairs(config.centers, _reach(config.radius))
-    audit = _audit(config, *near)
     if audit.pairs:
         i, j, d = audit.pairs[0]
         raise OverlapError(
@@ -111,7 +109,6 @@ def check_valid(config: Configuration):
     if audit.outside:
         raise OverlapError("disc %d lies outside the box"
                            % audit.outside[0], audit)
-    return near
 
 
 def contact_graph(config: Configuration) -> ContactGraph:
@@ -123,9 +120,10 @@ def contact_graph(config: Configuration) -> ContactGraph:
     pairs come from near_pairs; each disc lists its normals by partner
     index, then its walls left, right, bottom, top.
     """
-    near_i, near_j, _ = check_valid(config)
     c = config.centers
     r = config.radius
+    near_i, near_j, near_d = near_pairs(c, _reach(r))
+    check_valid(config, _audit(config, near_i, near_j, near_d))
     n = len(c)
     dx = c[near_i, 0] - c[near_j, 0]
     dy = c[near_i, 1] - c[near_j, 1]

@@ -288,16 +288,20 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
             return True
         return real_free(grid, i, x, y)
     monkeypatch.setattr(metropolis._Grid, "free", free)
+    masks = _count_calls(monkeypatch, metropolis._Grid, "shut")
     real_check = metropolis.check_valid
 
-    def check(c):
-        checks.append(len(proposals))
-        return real_check(c)
+    def check(*args):
+        checks.append((len(proposals), len(masks)))
+        return real_check(*args)
     monkeypatch.setattr(metropolis, "check_valid", check)
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(70000, config.radius, seed=1))
     assert moves and moves[0] < 10
-    assert checks == [0, 997]
+    # checks hold (free calls, shut calls) at each check.  With no shut
+    # call, every proposal went to free one at a time, so the free calls
+    # are the chain's proposal count: the input, then proposal 997
+    assert checks == [(0, 0), (997, 0)]
 
 
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
