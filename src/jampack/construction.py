@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration
-from .geometry import (_MARGIN, SOLVER_ABS, TANGENCY_REL, _replay_bisection,
-                       chord_step, circle_circle_intersections, near_pairs)
+from .geometry import (SOLVER_ABS, TANGENCY_REL, chord_step,
+                       circle_circle_intersections, near_pairs)
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -115,13 +115,14 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
 
 
-def _closure_residual(family: CurveFamily, N: int, epsilon: float) -> float:
-    """g(eps) = x(b_N) - x(a_N) - 1; chains that terminate before N take
-    the sign of the large-epsilon side."""
+def _closure_residual(family: CurveFamily, N: int, epsilon: float
+                      ) -> tuple[float, BridgeChain]:
+    """g(eps) = x(b_N) - x(a_N) - 1 and the chain it was read from; chains
+    that terminate before N take the sign of the large-epsilon side."""
     chain = build_half_chain(CurveFamily(family.lam, epsilon), N)
     if chain.terminated_at is not None and chain.N < N:
-        return 1.0
-    return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
+        return 1.0, chain
+    return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0, chain
 
 
 def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
@@ -167,15 +168,41 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
     return res
 
 
+def _false_position(g, x0, x1, f0, f1):
+    """Illinois false position (Dowell and Jarratt, BIT 11, 1971) on the
+    bracket x0, x1, where f0 = g(x0) and f1 = g(x1) differ in sign and x1
+    is the newer end.  Each step evaluates g where the chord through the
+    two ends meets zero; at the midpoint instead after two steps that each
+    failed to halve the bracket, or if that point is not strictly inside.
+    It becomes x1; the old x1 becomes x0 if their g differ in sign, else
+    f0 is halved.  Stops at g = 0 or once no float lies strictly inside,
+    and returns the evaluated point of least |g|.
+    """
+    best, slow = min((x0, f0), (x1, f1), key=lambda p: abs(p[1])), 0
+    while best[1] != 0:
+        lo, hi = min(x0, x1), max(x0, x1)
+        x = x1 - f1 * (x1 - x0) / (f1 - f0)
+        x = x if slow < 2 and lo < x < hi else 0.5 * (lo + hi)
+        if not lo < x < hi:
+            break
+        fx = g(x)
+        best = min(best, (x, fx), key=lambda p: abs(p[1]))
+        if (fx < 0) == (f1 < 0):
+            f0 *= 0.5
+        else:
+            x0, f0 = x1, f1
+        x1, f1 = x, fx
+        slow = slow + 1 if abs(x1 - x0) > 0.5 * (hi - lo) else 0
+    return best[0]
+
+
 def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for the first sign change of the closure residual g,
-    then bisects the bracket down to 1e-16 with geometry's
-    _replay_bisection, applied to s*g, s being the sign of g at the
-    bracket's top.  Each residual is computed once per call; the returned
-    chain is built once, at epsilon*.
+    then closes the bracket by _false_position.  Each chain is built once
+    per call; the one returned is the chain g was read from at epsilon*.
 
     The scan takes a probe's sign from _scan_residuals where that value
     exceeds 1e-6 in size, and from g elsewhere; below every scalar
@@ -184,22 +211,16 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     across the bracket found, or the scan is run again on g alone.  So a
     spurious sign change from the vector pass is caught; only a missed
     one rests on the 1e-6 bound.
-
-    The margin m is 2^-44 (_MARGIN) of 4N, the chain's x-extent at depth
-    N.  The replay assumes that on the scan bracket the computed residual
-    lies within m/2 of a monotone function of epsilon.  The scan probes and
-    its first-sign-change rule are kept as they are: the residual is not
-    known to be monotone over the whole scan.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
 
-    residuals = {}
+    closures = {}
 
     def g(eps):
-        if eps not in residuals:
-            residuals[eps] = _closure_residual(family, N, eps)
-        return residuals[eps]
+        if eps not in closures:
+            closures[eps] = _closure_residual(family, N, eps)
+        return closures[eps][0]
 
     probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
               for k in range(64)]
@@ -225,18 +246,12 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
             "eps=%.6g has residual %.3g"
             % (N, family.lam, DEFAULT_EPS_HI, probes[-1], g(probes[-1])))
 
-    lo, hi = bracket
-    glo, ghi = g(lo), g(hi)
-    s = math.copysign(1.0, ghi)
-    lo, hi = _replay_bisection(lambda e: s * g(e), lo, hi, s * glo, s * ghi,
-                               _MARGIN * 4.0 * N, 1e-16)
-    eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
+    eps_star = _false_position(g, *bracket, *map(g, bracket))
     if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
             "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
-    chain = build_half_chain(CurveFamily(family.lam, eps_star), N)
-    return eps_star, chain
+    return eps_star, closures[eps_star][1]
 
 
 def _check_tuned(chain: BridgeChain):

@@ -62,10 +62,9 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
     return [(mx + h * uy, my - h * ux), (mx - h * uy, my + h * ux)]
 
 
-# Rounding margin of the bisection replay, as a share of the caller's
-# coordinate scale: 256 units in the last place of that scale.  At 2^-40
-# chord_step's window is wide enough to cost about four more evaluations
-# per call.
+# Rounding margin of chord_step's bisection replay, as a share of its
+# coordinate scale: 256 units in the last place.  At 2^-40 the replay's
+# window is wide enough to cost about four more evaluations per call.
 _MARGIN = 2.0 ** -44
 # Half-width of the replay's window, in units of the root estimate's
 # uncertainty (last secant step plus m / slope).
@@ -112,10 +111,11 @@ def _sign_window(g, lo, hi, glo, ghi, m):
 
 
 def _replay_bisection(g, lo, hi, glo, ghi, m, tol):
-    """The bracket (lo, hi) that plain bisection of the increasing g leaves:
-    split it at mid = 0.5 (lo + hi) while hi - lo > tol, keep the half
-    whose ends' g do not share a sign, and stop once mid is no longer a
-    float strictly inside the bracket.  glo and ghi are g(lo) and g(hi).
+    """The bracket (lo, hi) that plain bisection of the increasing g leaves,
+    for chord_step, its one caller: split it at mid = 0.5 (lo + hi) while
+    hi - lo > tol, keep the half whose ends' g do not share a sign, and
+    stop once mid is no longer a float strictly inside the bracket.  glo
+    and ghi are g(lo) and g(hi).
 
     That loop reads g only through its sign, so it is replayed with the
     same midpoints and the same rule while g is evaluated only near the
@@ -129,8 +129,8 @@ def _replay_bisection(g, lo, hi, glo, ghi, m, tol):
 
     A midpoint equal to lo or hi would leave the bracket as it is on every
     later split, so the early stop gives plain bisection's bracket wherever
-    that loop ends; in chord_step it also ends the loop where ulp(x)
-    exceeds the tolerance (from x = 8192), where plain bisection would not.
+    that loop ends; it also ends the loop where ulp(x) exceeds the tolerance
+    (from x = 8192), where plain bisection would not.
     """
     wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
     while hi - lo > tol:

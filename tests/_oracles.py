@@ -47,9 +47,10 @@ def plain_chord_step(curve, x_start: float, chord: float) -> float:
 
 
 def plain_tune_epsilon(g):
-    """tune_epsilon's scan and bisection on the residual g, evaluating g at
-    every midpoint: the reference whose epsilon* the package's replay must
-    return.  Returns epsilon* and the midpoints bisection visited."""
+    """tune_epsilon's scan, then plain bisection of the residual g,
+    evaluating g at every midpoint: the reference that tune_epsilon's false
+    position is checked against.  Returns epsilon* and the midpoints
+    bisection visited."""
     prev = None
     for e in PROBES:
         ge = g(e)

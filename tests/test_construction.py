@@ -195,67 +195,50 @@ def _parent_closure_residual(family, N, epsilon):
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
-def _parent_tune_epsilon(family, N, eps_hi=50.0):
-    """Oracle: the scan and bisection as they were before the residual memo
-    and the midpoint stop rule, on the builder above."""
-    if N < 2:
-        raise ConstructionError("N must be at least 2")
-    if eps_hi <= 0:
-        raise ConstructionError("eps_hi must be positive")
+def _check_against_bisection(family, N):
+    """tune_epsilon(family, N) against plain scan and bisection of the
+    parent's residual: the same TuningError cases and messages, a closure
+    residual within 2^-50 * 4N, and every chain centre within 2^-44 * 4N
+    of the parent's chain at bisection's epsilon*.  Returns whether
+    tuning failed."""
+    memo = {}
 
     def g(eps):
-        return _parent_closure_residual(family, N, eps)
+        if eps not in memo:
+            memo[eps] = _parent_closure_residual(family, N, eps)
+        return memo[eps]
 
-    probes = [eps_hi * 10.0 ** (-8.0 * (1.0 - k / 63.0)) for k in range(64)]
-    lo = hi = None
-    prev = None
-    for e in probes:
-        ge = g(e)
-        if prev is not None and prev[1] * ge < 0:
-            lo, hi = prev[0], e
-            break
-        prev = (e, ge)
-    if lo is None:
-        raise TuningError(
-            "no closure bracket for N=%d with eps_hi=%g" % (N, eps_hi))
-
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if glo * gm <= 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-16 * max(1.0, hi):
-            break
-    eps_star = min((lo, hi, 0.5 * (lo + hi)), key=lambda e: abs(g(e)))
-    if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
-        raise TuningError(
-            "closure residual %.3g exceeds tolerance at N=%d"
-            % (g(eps_star), N))
-    chain = _parent_build_half_chain(CurveFamily(family.lam, eps_star), N)
-    return eps_star, chain
-
-
-def _tuned(fn, family, N):
     try:
-        eps, chain = fn(family, N)
-    except TuningError:
-        return "TuningError"
-    return eps, (chain.a, chain.b, chain.c, chain.N, chain.epsilon_used,
-                 chain.mirror_x, chain.terminated_at)
+        expected, _ = plain_tune_epsilon(g)
+    except ValueError:
+        with pytest.raises(TuningError) as e:
+            tune_epsilon(family, N)
+        assert str(e.value) == (
+            "no closure bracket for N=%d, lam=%g with eps_hi=50: the "
+            "residual changes sign nowhere in the scan; the last probe "
+            "eps=50 has residual %.3g" % (N, family.lam, g(PROBES[-1])))
+        return True
+    eps, chain = tune_epsilon(family, N)
+    scale = 4.0 * N
+    assert abs(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0) <= (
+        2.0 ** -50 * scale), N
+    parent = _parent_build_half_chain(CurveFamily(family.lam, expected), N)
+    assert (chain.N, chain.terminated_at) == (parent.N, parent.terminated_at)
+    for row, parent_row in ((chain.a, parent.a), (chain.b, parent.b),
+                            (chain.c, parent.c)):
+        assert len(row) == len(parent_row), N
+        assert np.max(np.abs(np.subtract(row, parent_row))) <= (
+            2.0 ** -44 * scale), N
+    assert chain.epsilon_used == eps
+    return False
 
 
 @pytest.mark.parametrize("lam", [0.02, 0.05, 0.1])
 def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
-    # bit-identical epsilon*, chains and failures, not merely close ones
+    # the same failures, and chains within rounding of bisection's
     family = CurveFamily(lam=lam)
-    outcomes = set()
-    for N in list(range(2, 21)) + [32, 64]:
-        expected = _tuned(_parent_tune_epsilon, family, N)
-        assert _tuned(tune_epsilon, family, N) == expected, N
-        outcomes.add(expected == "TuningError")
+    outcomes = {_check_against_bisection(family, N)
+                for N in list(range(2, 21)) + [32, 64]}
     if lam == 0.02:
         assert outcomes == {True, False}   # N=2 has no bracket here
 
@@ -265,9 +248,8 @@ def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
 def test_tune_epsilon_matches_parent_where_margins_are_thin(lam, N):
     # past N = 64 the sign pass drifts far from g above the bracket, and
     # at (0.05, 160) and (0.1, 96) there is no bracket at all
-    family = CurveFamily(lam=lam)
-    assert (_tuned(tune_epsilon, family, N)
-            == _tuned(_parent_tune_epsilon, family, N))
+    failed = _check_against_bisection(CurveFamily(lam=lam), N)
+    assert failed == ((lam, N) in ((0.05, 160), (0.1, 96)))
 
 
 def test_scan_residuals_trusted_signs_are_the_scalar_signs():
@@ -279,7 +261,7 @@ def test_scan_residuals_trusted_signs_are_the_scalar_signs():
             fast = construction._scan_residuals(family, N, np.array(PROBES))
             for eps, v in zip(PROBES, fast.tolist()):
                 if abs(v) > 1e-6:
-                    g = construction._closure_residual(family, N, eps)
+                    g, _ = construction._closure_residual(family, N, eps)
                     assert (v > 0) == (g > 0), (lam, N, eps, v, g)
                     trusted += 1
     assert trusted > 0.99 * 3 * 21 * 64
@@ -303,15 +285,13 @@ def _flip_bracket_top(v):
     lambda v: np.ones_like(v)],             # no sign change at all
     ids=["flip-once", "flip-bracket-top", "nan", "below-bound", "no-change"])
 def test_tune_epsilon_falls_back_to_the_scalar_scan(monkeypatch, fake):
+    # whatever the sign pass says, epsilon* is the honest pass's, bit for bit
     family = CurveFamily()
-    memo = {}
+    expected, _ = tune_epsilon(family, 8)
 
     def g(eps):
-        if eps not in memo:
-            memo[eps] = construction._closure_residual(family, 8, eps)
-        return memo[eps]
+        return construction._closure_residual(family, 8, eps)[0]
 
-    expected, _ = plain_tune_epsilon(g)
     top = next(k for k in range(1, 64) if g(PROBES[k - 1]) * g(PROBES[k]) < 0)
     evaluated = set()
     scalar = construction._closure_residual
@@ -415,26 +395,27 @@ def test_chord_step_evaluations_per_call(monkeypatch):
 
 
 def test_tune_epsilon_builds_each_chain_once(monkeypatch):
-    calls = []
+    built = []
     build = construction.build_half_chain
 
     def counted(*args, **kwargs):
-        calls.append(args[0].epsilon)
-        return build(*args, **kwargs)
+        built.append(build(*args, **kwargs))
+        return built[-1]
 
     monkeypatch.setattr(construction, "build_half_chain", counted)
     eps, chain = tune_epsilon(CurveFamily(), 8)
-    # scan, bisection and the returned chain: 257 builds without the memo
-    # and the midpoint stop rule
-    assert len(calls) < 120
-    assert len(set(calls[:-1])) == len(calls) - 1
-    assert calls[-1] == eps == chain.epsilon_used
+    # every epsilon once, and the chain returned is the one g was read from
+    calls = [c.epsilon_used for c in built]
+    assert len(set(calls)) == len(calls)
+    assert any(c is chain for c in built)
+    assert chain.epsilon_used == eps
 
 
-def test_tune_epsilon_replays_its_bisection(monkeypatch):
-    # plain bisection builds 102 chains at N=8 and 91 at N=32; the sign
-    # pass and the replay leave 26 and 30
-    for N, most in ((8, 28), (32, 32)):
+def test_tune_epsilon_closes_in_few_builds(monkeypatch):
+    # plain scan and bisection build 102 chains at N=8 and 91 at N=32; the
+    # sign pass and replayed bisection built 26 and 30, the sign pass and
+    # false position 8 and 6
+    for N, most in ((8, 10), (32, 8)):
         calls = 0
         build = construction.build_half_chain
 
@@ -456,7 +437,7 @@ def _tune_on(monkeypatch, residual):
 
     def g(family, N, eps):
         evaluated.append(eps)
-        return residual(eps)
+        return residual(eps), None
 
     monkeypatch.setattr(construction, "_closure_residual", g)
     # the sign pass grows real chains and knows nothing of residual; with
@@ -468,23 +449,37 @@ def _tune_on(monkeypatch, residual):
     return eps_star, set(evaluated)
 
 
-def test_tune_epsilon_evaluates_every_midpoint_when_the_window_fails(
+def test_tune_epsilon_closes_a_steep_step_in_bisections_builds(
         monkeypatch):
-    # a step too steep for the secant: the window check fails, so the
-    # replay must fall back to evaluating each midpoint bisection visits
+    # a step that keeps the chord far from the root for its first steps:
+    # epsilon* still ends next to the root, in no more residuals than
+    # plain bisection evaluates past the scan
     def step(eps):
         return math.tanh(1e3 * (eps - 0.55))
 
     eps_star, evaluated = _tune_on(monkeypatch, step)
-    expected, mids = plain_tune_epsilon(step)
-    assert eps_star == expected
+    _, mids = plain_tune_epsilon(step)
+    assert abs(eps_star - 0.55) <= math.ulp(0.55)
     assert len(mids) > 40
-    assert set(mids) <= evaluated
+    assert len(evaluated - set(PROBES)) <= len(mids)
 
 
-def test_tune_epsilon_replay_holds_under_rounding_noise(monkeypatch):
-    # a residual monotone only up to a jitter of m/8, where m = 2^-44 * 4N
-    # is the margin tune_epsilon documents; rising and falling
+def test_tune_epsilon_bisects_where_false_position_stalls(monkeypatch):
+    # a residual flat at its root keeps every chord on one side; the
+    # midpoint after two steps that fail to halve the bracket bounds the
+    # run at a few times plain bisection's (without it: 415 against 51)
+    def flat(eps):
+        return (eps - 0.55) ** 9
+
+    eps_star, evaluated = _tune_on(monkeypatch, flat)
+    _, mids = plain_tune_epsilon(flat)
+    assert abs(eps_star - 0.55) <= math.ulp(0.55)
+    assert len(evaluated - set(PROBES)) <= 2 * len(mids)
+
+
+def test_tune_epsilon_holds_under_rounding_noise(monkeypatch):
+    # a residual monotone only up to a jitter of amp = m/8, m = 2^-44 * 4N
+    # being the rounding scale of the chain at depth N; rising and falling
     amp = 2.0 ** -44 * 4.0 * 8 / 8.0
     for root in (0.013, 0.55, 1.7, 31.0, 1.0 - 2.0 ** -53, 1.0,
                  1.0 + 2.0 ** -52, 0.5 + 2.0 ** -54):
@@ -493,22 +488,23 @@ def test_tune_epsilon_replay_holds_under_rounding_noise(monkeypatch):
                 return sign * (eps - root) + amp * math.sin(1e13 * eps)
 
             eps_star, evaluated = _tune_on(monkeypatch, noisy)
-            expected, mids = plain_tune_epsilon(noisy)
-            assert eps_star == expected, (root, sign)
-            # the replay skipped some midpoints
-            assert not set(mids) <= evaluated, (root, sign)
+            assert abs(eps_star - root) <= amp + 4.0 * math.ulp(root), (
+                root, sign)
+            # the evaluated epsilon of least |g|
+            assert abs(noisy(eps_star)) == min(map(abs, map(noisy,
+                                                            evaluated)))
 
 
 def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
-    # the replay's assumption, sampled over the oracle test's lam and N:
-    # no chain terminates inside the bracket, and s*g strictly increases
+    # sampled over the oracle test's lam and N: no chain terminates inside
+    # the scan bracket, and s*g strictly increases
     class Bracket(Exception):
         pass
 
-    def stop(g, lo, hi, glo, ghi, m, tol):
-        raise Bracket(lo, hi)
+    def stop(g, x0, x1, f0, f1):
+        raise Bracket(x0, x1)
 
-    monkeypatch.setattr(construction, "_replay_bisection", stop)
+    monkeypatch.setattr(construction, "_false_position", stop)
     brackets = 0
     for lam in (0.02, 0.05, 0.1):
         family = CurveFamily(lam=lam)
