@@ -74,14 +74,30 @@ _WINDOW = 1.5
 _SECANT_STEPS = 8
 
 
-def _sign_window(g, lo, hi, glo, ghi, m):
-    """Interval (a, b) about the root of the increasing g on [lo, hi] such
-    that g(a) < -m unless a <= lo, and g(b) > m unless b >= hi; (lo, hi)
-    itself when that check fails.
+def _replay_bisection(g, lo, hi, glo, ghi, m):
+    """The bracket (lo, hi) that plain bisection of the increasing g leaves,
+    for chord_step, its one caller: split it at mid = 0.5 (lo + hi) while
+    hi - lo > SOLVER_ABS, keep the half whose ends' g do not share a sign,
+    and stop once mid is no longer a float strictly inside the bracket.
+    glo and ghi are g(lo) and g(hi).
 
-    The root is estimated by false position from the bracket ends, then
-    secant steps until |g| is within m; the window is as wide as the last
-    step plus the margin's width in x, times _WINDOW.
+    That loop reads g only through its sign, so it is replayed with the
+    same midpoints and the same rule while g is evaluated only near the
+    root.  False position from the bracket ends, then secant steps until
+    |g| is within m, estimate the root; a window (a, b) about it, as wide
+    as the last step plus the margin's width in x, times _WINDOW, is
+    confirmed where g(a) < -m unless a <= lo, and g(b) > m unless b >= hi.
+    A midpoint left of it then takes g < 0, one right of it g > 0, and
+    only the midpoints inside are evaluated.  If the check fails, every
+    midpoint is evaluated, as in plain bisection.  The caller vouches that
+    the computed g lies within m/2 of a non-decreasing function on the
+    bracket, so that the sign beyond a window end whose |g| exceeds m is
+    the sign at that end.
+
+    A midpoint equal to lo or hi would leave the bracket as it is on every
+    later split, so the early stop gives plain bisection's bracket wherever
+    that loop ends; it also ends the loop where ulp(x) exceeds SOLVER_ABS
+    (from x = 8192), where plain bisection would not.
     """
     x = lo - glo * (hi - lo) / (ghi - glo)
     xp, gp = hi, ghi
@@ -98,42 +114,14 @@ def _sign_window(g, lo, hi, glo, ghi, m):
         step = abs(x - xp)
         if abs(gx) <= m:
             break
-    if not slope > 0:
-        return lo, hi
-    d = _WINDOW * (step + m / slope)
-    if not 0.0 <= d < hi - lo:
-        return lo, hi
-    x = min(max(x, lo), hi)
-    a, b = x - d, x + d
-    if (a <= lo or g(a) < -m) and (b >= hi or g(b) > m):
-        return a, b
-    return lo, hi
-
-
-def _replay_bisection(g, lo, hi, glo, ghi, m, tol):
-    """The bracket (lo, hi) that plain bisection of the increasing g leaves,
-    for chord_step, its one caller: split it at mid = 0.5 (lo + hi) while
-    hi - lo > tol, keep the half whose ends' g do not share a sign, and
-    stop once mid is no longer a float strictly inside the bracket.  glo
-    and ghi are g(lo) and g(hi).
-
-    That loop reads g only through its sign, so it is replayed with the
-    same midpoints and the same rule while g is evaluated only near the
-    root.  _sign_window confirms a window (a, b) about the root with
-    g(a) < -m and g(b) > m; a midpoint left of it then takes g < 0, one
-    right of it g > 0, and only the midpoints inside are evaluated.  If the
-    check fails, every midpoint is evaluated, as in plain bisection.  The
-    caller vouches that the computed g lies within m/2 of a non-decreasing
-    function on the bracket, so that the sign beyond a window end whose |g|
-    exceeds m is the sign at that end.
-
-    A midpoint equal to lo or hi would leave the bracket as it is on every
-    later split, so the early stop gives plain bisection's bracket wherever
-    that loop ends; it also ends the loop where ulp(x) exceeds the tolerance
-    (from x = 8192), where plain bisection would not.
-    """
-    wlo, whi = _sign_window(g, lo, hi, glo, ghi, m)
-    while hi - lo > tol:
+    wlo, whi = lo, hi
+    d = _WINDOW * (step + m / slope) if slope > 0 else -1.0
+    if 0.0 <= d < hi - lo:
+        x = min(max(x, lo), hi)
+        a, b = x - d, x + d
+        if (a <= lo or g(a) < -m) and (b >= hi or g(b) > m):
+            wlo, whi = a, b
+    while hi - lo > SOLVER_ABS:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
@@ -185,7 +173,7 @@ def chord_step(curve, x_start: float, chord: float) -> float:
     glo = -chord                                # g(lo) = hypot(0, 0) - chord
     ghi = math.hypot(hi - x_start, y_hi - y0) - chord
     m = _MARGIN * (abs(x_start) + chord + max(abs(y0), abs(y_hi)))
-    lo, hi = _replay_bisection(g, lo, hi, glo, ghi, m, SOLVER_ABS)
+    lo, hi = _replay_bisection(g, lo, hi, glo, ghi, m)
     return 0.5 * (lo + hi)
 
 

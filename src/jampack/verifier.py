@@ -3,7 +3,8 @@ verdicts from contact normals, and overlap auditing."""
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
@@ -36,14 +37,38 @@ class OverlapReport:
     outside: list = field(default_factory=list)   # discs crossing a wall
 
 
-@dataclass
+@dataclass(eq=False)
 class ContactGraph:
-    """Per-disc contact normals (unit vectors pointing from the obstacle
-    into the disc center) and the disc-disc contact pair list."""
+    """Tangency adjacency as owner-sorted arrays: disc k's contacts are rows
+    ends[k]:ends[k + 1] of unit (normals pointing from the obstacle into the
+    disc center), partner (the other disc, or -1 - w for wall _WALLS[w])
+    and gap (d - 2r, or the wall distance - r); i and j are the disc-disc
+    pairs.  normals, pairs and wall_contacts list the same per disc as (x, y)
+    tuples, as (i, j) tuples and as wall names; each is built when read."""
 
-    normals: list
-    pairs: list
-    wall_contacts: list
+    unit: np.ndarray
+    partner: np.ndarray
+    gap: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    ends: np.ndarray
+
+    def _per_disc(self, rows: list) -> list:
+        ends = self.ends.tolist()
+        return [rows[a:b] for a, b in zip(ends, ends[1:])]
+
+    @cached_property
+    def normals(self) -> list:
+        return self._per_disc(list(map(tuple, self.unit.tolist())))
+
+    @cached_property
+    def pairs(self) -> list:
+        return list(zip(self.i.tolist(), self.j.tolist()))
+
+    @cached_property
+    def wall_contacts(self) -> list:
+        return [[_WALLS[~p] for p in row if p < 0]
+                for row in self._per_disc(self.partner.tolist())]
 
 
 @dataclass
@@ -124,7 +149,6 @@ def contact_graph(config: Configuration) -> ContactGraph:
     r = config.radius
     near_i, near_j, near_d = near_pairs(c, _reach(r))
     check_valid(config, _audit(config, near_i, near_j, near_d))
-    n = len(c)
     dx = c[near_i, 0] - c[near_j, 0]
     dy = c[near_i, 1] - c[near_j, 1]
     d = np.fromiter(map(math.hypot, dx.tolist(), dy.tolist()), float, len(dx))
@@ -134,28 +158,17 @@ def contact_graph(config: Configuration) -> ContactGraph:
     # math.hypot and -u give a pair loop's normals bit for bit.  Pairs come
     # sorted by (i, j), so a stable sort on the owner lists each disc's
     # lower partners, then its higher ones, then its walls in _WALLS order
-    owner, unit = [j, i], [-u, u]
-    wall_contacts = [[] for _ in range(n)]
+    parts = [(j, -u, i, d - 2.0 * r), (i, u, j, d - 2.0 * r)]
     if config.box is not None:
         w, h = config.box
         x, y = c[:, 0], c[:, 1]
-        gaps = np.column_stack((x, w - x, y, h - y))
-        at, k = np.nonzero(np.abs(gaps - r) <= r * TANGENCY_REL)
-        for a, b in zip(at.tolist(), k.tolist()):
-            wall_contacts[a].append(_WALLS[b])
-        owner.append(at)
-        unit.append(_WALL_NORMALS[k])
-    owner, unit = np.concatenate(owner), np.concatenate(unit)
-    unit = unit[np.argsort(owner, kind="stable")]
-    flat = list(zip(unit[:, 0].tolist(), unit[:, 1].tolist()))
-    ends = np.cumsum(np.bincount(owner, minlength=n)).tolist()
-    normals = [flat[a:b] for a, b in zip([0] + ends, ends)]
-    pairs = list(zip(i.tolist(), j.tolist()))
-    return ContactGraph(normals, pairs, wall_contacts)
-
-
-def _sorted_angles(normals) -> list:
-    return sorted(math.atan2(n[1], n[0]) % TWO_PI for n in normals)
+        off = np.column_stack((x, w - x, y, h - y)) - r
+        at, k = np.nonzero(np.abs(off) <= r * TANGENCY_REL)
+        parts.append((at, _WALL_NORMALS[k], ~k, off[at, k]))
+    owner, unit, partner, gap = map(np.concatenate, zip(*parts))
+    order = np.argsort(owner, kind="stable")
+    ends = np.cumsum(np.bincount(owner + 1, minlength=len(c) + 1))
+    return ContactGraph(unit[order], partner[order], gap[order], i, j, ends)
 
 
 def _largest_gap(angles: list) -> tuple[float, float]:
@@ -184,7 +197,7 @@ def is_locally_jammed(normals) -> DiscVerdict:
     """
     if len(normals) == 0:
         return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
-    angles = _sorted_angles(normals)
+    angles = sorted(math.atan2(y, x) % TWO_PI for x, y in normals)
     gap, start = _largest_gap(angles)
     if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
         return DiscVerdict(-1, "jammed", None, len(normals))
@@ -208,17 +221,15 @@ def _judge(graph: ContactGraph) -> JammingReport:
     disc with at least 3 normals jammed where G < pi - ANGLE_SLACK -
     _CLEAR_BAND; is_locally_jammed decides every other disc.
     """
-    n = len(graph.normals)
-    counts = np.fromiter(map(len, graph.normals), np.intp, n)
-    xy = np.fromiter(chain.from_iterable(chain.from_iterable(graph.normals)),
-                     float, 2 * int(counts.sum()))
+    ends = graph.ends.tolist()
+    n = len(ends) - 1
+    counts = np.diff(graph.ends)
     owner = np.repeat(np.arange(n), counts)
-    a = np.arctan2(xy[1::2], xy[0::2]) % TWO_PI
+    a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
     a = a[np.lexsort((a, owner))]
     gaps = np.append(a[1:] - a[:-1], 0.0)
     has = counts > 0
-    first = (np.cumsum(counts) - counts)[has]
-    last = first + counts[has] - 1
+    first, last = graph.ends[:-1][has], graph.ends[1:][has] - 1
     gaps[last] = a[first] + TWO_PI - a[last]
     clear = np.zeros(n, bool)
     clear[has] = (np.maximum.reduceat(gaps, first)
@@ -228,7 +239,8 @@ def _judge(graph: ContactGraph) -> JammingReport:
                         counts.tolist()))
     status = []
     for i in np.flatnonzero(~clear).tolist():
-        v = verdicts[i] = is_locally_jammed(graph.normals[i])
+        normals = list(map(tuple, graph.unit[ends[i]:ends[i + 1]].tolist()))
+        v = verdicts[i] = is_locally_jammed(normals)
         v.index = i
         status.append(v.status)
     movable, rattlers = status.count("movable"), status.count("rattler")

@@ -10,6 +10,7 @@ from jampack.construction import (CurveFamily, assemble_square,
                                   complete_symmetric_bridge, five_disc_config,
                                   junction_piece, tiling_3_12_12, tune_epsilon)
 from jampack.geometry import ANGLE_SLACK, TANGENCY_REL
+from jampack.render import render_svg
 from jampack.verifier import (ContactGraph, OverlapError, contact_graph,
                               is_locally_jammed, overlap_audit, verify_stable)
 
@@ -258,6 +259,61 @@ def test_contact_graph_matches_double_loop_randomized():
         _assert_same_graph(_lattice_config(rnd))
 
 
+_WALL_CODES = {"left": -1, "right": -2, "bottom": -3, "top": -4}
+_WALL_UNITS = {-1: [1.0, 0.0], -2: [-1.0, 0.0], -3: [0.0, 1.0],
+               -4: [0.0, -1.0]}
+
+
+def _brute_contact_rows(config):
+    """Oracle: each disc's (partner, gap) rows in the graph's order (lower
+    partners, higher partners, walls), from the double loop's pairs and
+    wall names."""
+    pairs, _, wall_contacts = _brute_contact_graph(config)
+    c, r = config.centers, config.radius
+    rows = [[] for _ in range(config.n)]
+    for a, b in pairs:
+        gap = math.hypot(c[a, 0] - c[b, 0], c[a, 1] - c[b, 1]) - 2.0 * r
+        rows[a].append((b, gap))
+        rows[b].append((a, gap))
+    for k, names in enumerate(wall_contacts):
+        if names:
+            w, h = config.box
+            x, y = c[k]
+            dist = {"left": x, "right": w - x, "bottom": y, "top": h - y}
+            rows[k] += [(_WALL_CODES[name], dist[name] - r) for name in names]
+    return pairs, rows
+
+
+def test_contact_arrays_match_double_loop():
+    codes = set()
+    for config in (assemble_square(4)[0], assemble_square(8)[0],
+                   five_disc_config(), tiling_3_12_12(10)):
+        g = contact_graph(config)
+        pairs, rows = _brute_contact_rows(config)
+        assert list(zip(g.i.tolist(), g.j.tolist())) == pairs
+        assert g.ends.tolist() == np.cumsum([0] + list(map(len, rows))).tolist()
+        assert g.partner.tolist() == [p for row in rows for p, _ in row]
+        assert g.gap.tolist() == [gap for row in rows for _, gap in row]
+        assert np.all(np.abs(g.gap) <= 2.0 * config.radius * TANGENCY_REL)
+        walls = g.partner < 0
+        assert g.unit[walls].tolist() == [_WALL_UNITS[p]
+                                          for p in g.partner[walls].tolist()]
+        codes |= set(g.partner[walls].tolist())
+    assert codes == {-1, -2, -3, -4}
+
+
+def test_fast_path_never_builds_the_normal_lists(monkeypatch):
+    def refuse(graph):
+        raise AssertionError("per-disc normal lists built")
+
+    monkeypatch.setattr(ContactGraph, "normals", property(refuse))
+    square, _ = assemble_square(8)
+    assert verify_stable(square).stable
+    assert verify_stable(tiling_3_12_12(10)).movable_count > 0
+    svg = render_svg(square, contacts=True, color_verdicts=True)
+    assert svg.count("<line") == len(contact_graph(square).pairs)
+
+
 def _scalar_verdicts(graph):
     """is_locally_jammed on every disc, with its index set."""
     verdicts = []
@@ -289,6 +345,17 @@ def test_verdicts_are_the_scalar_rule_on_constructions():
     assert statuses == {"jammed", "movable", "rattler"}
 
 
+def _graph_of(discs):
+    """A ContactGraph whose disc k has the normals discs[k].  Verdicts read
+    only unit and ends, so the pair arrays are empty and partner and gap
+    are zero."""
+    unit = np.array([n for normals in discs for n in normals], float)
+    none = np.zeros(0, np.intp)
+    return ContactGraph(unit.reshape(-1, 2), np.zeros(len(unit), np.intp),
+                        np.zeros(len(unit)), none, none,
+                        np.cumsum([0] + [len(normals) for normals in discs]))
+
+
 def _gap_disc(gap):
     """Three normals whose largest circular gap is gap (> 2pi/3)."""
     return [(math.cos(a), math.sin(a))
@@ -301,7 +368,7 @@ def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
              _gap_disc(bound - 1e-11), [], [(1.0, 0.0)],
              [(1.0, 0.0), (0.0, 1.0)], [(0.6, 0.8)] * 3,
              [(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]]
-    graph = ContactGraph(discs, [], [[] for _ in discs])
+    graph = _graph_of(discs)
     expected = _scalar_verdicts(graph)
     decided = []
 
@@ -331,7 +398,7 @@ def test_coincident_normals_leave_a_half_plane_free(m):
     assert v.status == "movable"
     assert v.witness == one.witness
     assert v.witness == pytest.approx((0.6, 0.8), abs=1e-15)
-    graph = ContactGraph([[(0.6, 0.8)] * m], [], [[]])
+    graph = _graph_of([[(0.6, 0.8)] * m])
     assert verifier._judge(graph).verdicts == _scalar_verdicts(graph)
 
 
