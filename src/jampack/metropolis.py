@@ -58,14 +58,15 @@ class _Grid:
     Cells have side a hair above 2r, so every disc within 2r of a point lies
     in the 3x3 block of cells around it (the margin absorbs the rounding of
     the distance test and of the cell index); blocks maps a cell's key to
-    the discs of its block.  Centres are kept as Python floats; the accept
-    rule does the same float operations as a scan of the full centre array,
-    and its verdict does not depend on the order of the neighbours, so
-    trajectories do not depend on the cell layout.
+    the discs of its block, and keys holds each disc's own cell key.
+    Centres are kept as Python floats; walk's accept rule does the same
+    float operations as a scan of the full centre array, and its verdict
+    does not depend on the order of the neighbours, so trajectories do not
+    depend on the cell layout.
 
     shut rejects runs of proposals in bulk against a table of each disc's
     neighbours within 2r + step_radius.  The table is built on the first
-    shut after a move, which drops it.
+    shut after an accepted move, which drops it.
     """
 
     def __init__(self, config: Configuration, step_radius: float):
@@ -78,8 +79,9 @@ class _Grid:
         # a target is inside when lo <= x <= hx and lo <= y <= hy
         w, h = (math.inf, math.inf) if config.box is None else config.box
         self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
+        self.keys = list(map(self._key, self.xs, self.ys))
         self.blocks = {}
-        for i, key in enumerate(map(self._key, self.xs, self.ys)):
+        for i, key in enumerate(self.keys):
             for off in _BLOCK:
                 self.blocks.setdefault(key + off, []).append(i)
         self.table = None
@@ -105,36 +107,56 @@ class _Grid:
         dy = rad * np.fromiter(map(math.sin, ang), float, len(ang))
         return zip(i.tolist(), dx.tolist(), dy.tolist())
 
-    def free(self, i: int, x: float, y: float) -> bool:
-        """Whether disc i may move to (x, y): inside the box, and no other
-        centre within 2r."""
-        lo, hx, hy = self.bounds
-        if x < lo or x > hx or y < lo or y > hy:
-            return False
-        xs, ys, limit, side = self.xs, self.ys, self.limit, self.side
-        for j in self.blocks.get(int(x // side) * _STRIDE + int(y // side),
-                                 ()):
-            if j != i:
-                dx = xs[j] - x
-                dy = ys[j] - y
-                if dx * dx + dy * dy < limit:
-                    return False
-        return True
+    def walk(self, rows, moves, quiet: bool) -> list:
+        """(row, disc) of each proposal, in order, that keeps the discs
+        valid: moves gives (disc, dx, dy) per row, as offsets does, and the
+        target is inside the box with no other centre within 2r.  Each
+        acceptance moves its disc; a quiet walk stops at the first."""
+        xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
+        (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
+        hits = []
+        for row, (i, dx, dy) in zip(rows, moves):
+            x = xs[i] + dx
+            y = ys[i] + dy
+            if x < lo or x > hx or y < lo or y > hy:
+                continue
+            key = int(x // side) * _STRIDE + int(y // side)
+            for j in blocks.get(key, ()):
+                if j != i:
+                    ex = xs[j] - x
+                    ey = ys[j] - y
+                    if ex * ex + ey * ey < limit:
+                        break
+            else:
+                old = keys[i]
+                if key != old:
+                    for off in _BLOCK:
+                        blocks[old + off].remove(i)
+                        blocks.setdefault(key + off, []).append(i)
+                    keys[i] = key
+                xs[i] = x
+                ys[i] = y
+                self.table = None
+                hits.append((row, i))
+                if quiet:
+                    break
+        return hits
 
     def shut(self, u: np.ndarray) -> np.ndarray:
         """Mask over the first rows of u, about _FILTER_ENTRIES (proposal,
-        neighbour) entries: true where free surely rejects the proposal.
+        neighbour) entries but at least one row: true where walk surely
+        rejects the proposal.
 
         The targets come from numpy's cos and sin, and a proposal is shut
         only when its target leaves the box, or comes within 2r of a
         neighbour, by more than a slack of 1e-9 r plus 2^-40 of the
         coordinate scale, far above any rounding difference from libm's.
-        The mask never accepts: an open row is for free to decide.
+        The mask never accepts: an open row is for walk to decide.
         """
         if self.table is None:
             self._tabulate()
         near, xs, ys, limit, (lo, hx, hy) = self.table
-        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // max(len(near), 1)])
+        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // (len(near) or 1) or 1])
         x = xs[i] + rad * np.cos(ang)
         y = ys[i] + rad * np.sin(ang)
         near = near.take(i, axis=1)
@@ -171,18 +193,6 @@ class _Grid:
                       max(2.0 * r - slack, 0.0) ** 2,
                       (lo - slack, hx + slack, hy + slack))
 
-    def move(self, i: int, x: float, y: float):
-        old = self._key(self.xs[i], self.ys[i])
-        new = self._key(x, y)
-        if new != old:
-            blocks = self.blocks
-            for off in _BLOCK:
-                blocks[old + off].remove(i)
-                blocks.setdefault(new + off, []).append(i)
-        self.xs[i] = x
-        self.ys[i] = y
-        self.table = None
-
     def centers(self) -> np.ndarray:
         return np.column_stack((self.xs, self.ys))
 
@@ -196,16 +206,16 @@ def run_chain(config: Configuration, params: ChainParams
     where the trace entry is made.  check_valid refuses invalid input by
     its overlap_audit, and the audit is repeated at a boundary, or at the
     end, only if a disc moved since the last one: unmoved centres stay
-    valid.  Within chunk proposals of the last acceptance every proposal
-    goes to _Grid.free.  After that, _Grid.shut rejects in bulk what it is sure of, free
-    decides the rest, and the block stops at the first acceptance.
+    valid.  Each block is one _Grid.walk.  Within chunk proposals of the
+    last acceptance the walk takes every proposal of the block.  After
+    that, _Grid.shut rejects in bulk what it is sure of, the walk decides
+    the rest, and the block stops at the first acceptance.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
     check_valid(config, overlap_audit(config))
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
-    xs, ys = grid.xs, grid.ys
     initial = config.centers.copy()
     r = config.radius
     every = RECORD_INTERVAL
@@ -232,19 +242,15 @@ def run_chain(config: Configuration, params: ChainParams
             else:
                 size = min(len(b), chunk)
                 rows, b = range(size), b[:size]
-            for row, (i, dx, dy) in zip(rows, grid.offsets(b) if rows else ()):
-                x = xs[i] + dx
-                y = ys[i] + dy
-                if grid.free(i, x, y):
-                    grid.move(i, x, y)
-                    last = done + row
-                    if first is None:
-                        first = (last, i)
-                    accepted += 1
-                    interval_accepted += 1
-                    if quiet:
-                        size = row + 1
-                        break
+            hits = grid.walk(rows, grid.offsets(b), quiet) if rows else ()
+            if hits:
+                last = done + hits[-1][0]
+                if first is None:
+                    first = (done + hits[0][0], hits[0][1])
+                accepted += len(hits)
+                interval_accepted += len(hits)
+                if quiet:
+                    size = last - done + 1
             k += size
             done += size
             if done % every == 0:

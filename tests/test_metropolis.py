@@ -145,6 +145,7 @@ def test_block_lists_follow_the_moves(monkeypatch):
     blocks = {key: v for key, v in grid.blocks.items() if v}
     assert {key: set(v) for key, v in blocks.items()} == expected
     assert all(len(v) == len(set(v)) for v in blocks.values())
+    assert grid.keys == [kx * metropolis._STRIDE + ky for kx, ky in end]
 
 
 def _touching_pair():
@@ -224,13 +225,25 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
+def _count_walked(monkeypatch):
+    """Sizes of the row lists handed to _Grid.walk, one entry per call."""
+    sizes = []
+    real = metropolis._Grid.walk
+
+    def counted(grid, rows, moves, quiet):
+        sizes.append(len(rows))
+        return real(grid, rows, moves, quiet)
+    monkeypatch.setattr(metropolis._Grid, "walk", counted)
+    return sizes
+
+
 def test_frozen_chain_rejects_in_bulk(monkeypatch):
     config = five_disc_config()
-    calls = _count_calls(monkeypatch, metropolis._Grid, "free")
+    walked = _count_walked(monkeypatch)
     params = ChainParams(10 ** 5, config.radius, seed=3)
     _, stats = run_chain(config, params)
     assert stats.accepted == 0
-    assert len(calls) < 0.05 * params.steps
+    assert 0 < sum(walked) < 0.05 * params.steps
 
 
 @pytest.mark.parametrize("case", ["pair-1e-12", "five-1e-12"])
@@ -240,10 +253,10 @@ def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
     # them (the pair tests the wall margin, the five-disc centre disc the
     # neighbour margin)
     config, params = _quiet_case(case)
-    calls = _count_calls(monkeypatch, metropolis._Grid, "free")
+    walked = _count_walked(monkeypatch)
     _, stats = run_chain(config, params)
     assert stats.accepted == 0
-    assert len(calls) == params.steps
+    assert sum(walked) == params.steps
 
 
 @pytest.mark.parametrize("case", ["frozen", "fluid"])
@@ -273,21 +286,30 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     # move, not at the end of the chain
     config = five_disc_config()
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
-    real_free = metropolis._Grid.free
+    real_walk = metropolis._Grid.walk
     proposals, moves, checks = [], [], []
 
-    def free(grid, i, x, y):
-        proposals.append(i)
-        lo, hx, hy = grid.bounds
-        inside = lo <= x <= hx and lo <= y <= hy
-        # every disc's hop floor is about 1.53r, so a move of r/2 that
+    def walk(grid, rows, offsets, quiet):
+        # the real walk, one proposal at a time; the first long move that
+        # stays in the box is walked with the disc test switched off.
+        # Every disc's hop floor is about 1.53r, so a move of r/2 that
         # stays in the box overlaps a disc
-        if not moves and inside and math.hypot(
-                x - grid.xs[i], y - grid.ys[i]) > 0.5 * config.radius:
-            moves.append(len(proposals))
-            return True
-        return real_free(grid, i, x, y)
-    monkeypatch.setattr(metropolis._Grid, "free", free)
+        hits = []
+        for row, (i, dx, dy) in zip(rows, offsets):
+            proposals.append(row)
+            lo, hx, hy = grid.bounds
+            x, y = grid.xs[i] + dx, grid.ys[i] + dy
+            limit = grid.limit
+            if not moves and lo <= x <= hx and lo <= y <= hy and math.hypot(
+                    dx, dy) > 0.5 * config.radius:
+                moves.append(len(proposals))
+                grid.limit = 0.0
+            hits += real_walk(grid, [row], [(i, dx, dy)], quiet)
+            grid.limit = limit
+            if quiet and hits:
+                break
+        return hits
+    monkeypatch.setattr(metropolis._Grid, "walk", walk)
     masks = _count_calls(monkeypatch, metropolis._Grid, "shut")
     real_check = metropolis.check_valid
 
@@ -298,10 +320,26 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(70000, config.radius, seed=1))
     assert moves and moves[0] < 10
-    # checks hold (free calls, shut calls) at each check.  With no shut
-    # call, every proposal went to free one at a time, so the free calls
-    # are the chain's proposal count: the input, then proposal 997
+    # checks hold (proposals walked, shut calls) at each check.  With no
+    # shut call, every proposal was walked, so the proposals walked are the
+    # chain's proposal count: the input, then proposal 997
     assert checks == [(0, 0), (997, 0)]
+
+
+def _static_free(config, i, dx, dy):
+    """Whether disc i of config may move by (dx, dy), by the rule of
+    _full_scan_chain: inside the box, and no other centre within 2r."""
+    c = config.centers
+    r = config.radius
+    x = c[i, 0] + dx
+    y = c[i, 1] + dy
+    if config.box is not None:
+        w, h = config.box
+        if x < r or x > w - r or y < r or y > h - r:
+            return False
+    d2 = (c[:, 0] - x) ** 2 + (c[:, 1] - y) ** 2
+    d2[i] = math.inf
+    return not np.min(d2) < 4.0 * r * r
 
 
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
@@ -326,9 +364,8 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
         shut = grid.shut(u[k:])
         open_rows.update((k + np.flatnonzero(~shut)).tolist())
         k += len(shut)
-    xs, ys = grid.xs, grid.ys
     accepted = {row for row, (i, dx, dy) in enumerate(grid.offsets(u))
-                if grid.free(i, xs[i] + dx, ys[i] + dy)}
+                if _static_free(config, i, dx, dy)}
     assert accepted
     assert accepted <= open_rows
     assert len(open_rows) < len(u)
@@ -340,16 +377,27 @@ def test_mask_follows_the_moves():
     grid = metropolis._Grid(config, config.radius)
     u = np.random.default_rng(2).random((4000, 3))
     before = grid.shut(u)
-    xs, ys = grid.xs, grid.ys
     i, dx, dy = max(((i, dx, dy) for i, dx, dy in grid.offsets(u)
-                     if grid.free(i, xs[i] + dx, ys[i] + dy)),
+                     if _static_free(config, i, dx, dy)),
                     key=lambda m: math.hypot(m[1], m[2]))
-    grid.move(i, xs[i] + dx, ys[i] + dy)
+    assert grid.walk([0], [(i, dx, dy)], True) == [(0, i)]
     after = grid.shut(u)
     moved = Configuration(config.radius, grid.centers(), config.box)
     fresh = metropolis._Grid(moved, config.radius).shut(u)
     assert np.array_equal(after, fresh)
     assert not np.array_equal(after, before)
+
+
+def test_quiet_walk_stops_at_its_first_acceptance():
+    config = shrink_radius(five_disc_config(), 0.9)
+    u = np.random.default_rng(2).random((400, 3))
+    grid = metropolis._Grid(config, config.radius)
+    free = [(row, i) for row, (i, dx, dy) in enumerate(grid.offsets(u))
+            if _static_free(config, i, dx, dy)]
+    assert len(free) > 1
+    assert grid.walk(range(len(u)), grid.offsets(u), True) == free[:1]
+    loud = metropolis._Grid(config, config.radius)
+    assert len(loud.walk(range(len(u)), loud.offsets(u), False)) > 1
 
 
 def test_offsets_never_gets_an_empty_block(monkeypatch):
@@ -369,6 +417,23 @@ def test_offsets_never_gets_an_empty_block(monkeypatch):
         _, stats = run_chain(config, params)
         assert stats.accepted == 0
         assert sizes and 0 not in sizes
+
+
+def test_mask_covers_a_row_however_wide_the_table(monkeypatch):
+    # with fewer filter entries than the table is wide, the mask still
+    # covers a row, so a quiet chain keeps advancing
+    monkeypatch.setattr(metropolis, "_FILTER_ENTRIES", 3)
+    config = five_disc_config()
+    grid = metropolis._Grid(config, config.radius)
+    u = np.random.default_rng(1).random((100, 3))
+    assert len(grid.shut(u)) >= 1
+    assert len(grid.table[0]) > metropolis._FILTER_ENTRIES
+    params = ChainParams(3000, config.radius, seed=1)
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert stats.accepted == accepted
+    assert stats.first_accepted == first
+    assert np.array_equal(final.centers, centers)
 
 
 def test_chain_determinism_same_seed():
