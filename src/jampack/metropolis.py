@@ -58,7 +58,8 @@ class _Grid:
     Cells have side a hair above 2r, so every disc within 2r of a point lies
     in the 3x3 block of cells around it (the margin absorbs the rounding of
     the distance test and of the cell index); blocks maps a cell's key to
-    the discs of its block, and keys holds each disc's own cell key.
+    the discs of its block, and keys holds each disc's own cell key, as
+    exact Python ints; both are built by the first walk, if any.
     Centres are kept as Python floats; walk's accept rule does the same
     float operations as a scan of the full centre array, and its verdict
     does not depend on the order of the neighbours, so trajectories do not
@@ -79,15 +80,17 @@ class _Grid:
         # a target is inside when lo <= x <= hx and lo <= y <= hy
         w, h = (math.inf, math.inf) if config.box is None else config.box
         self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
-        self.keys = list(map(self._key, self.xs, self.ys))
+        self.blocks = None
+        self.table = None
+
+    def _index(self):
+        floor, side = math.floor, self.side
+        self.keys = [floor(x // side) * _STRIDE + floor(y // side)
+                     for x, y in zip(self.xs, self.ys)]
         self.blocks = {}
         for i, key in enumerate(self.keys):
             for off in _BLOCK:
                 self.blocks.setdefault(key + off, []).append(i)
-        self.table = None
-
-    def _key(self, x: float, y: float) -> int:
-        return int(x // self.side) * _STRIDE + int(y // self.side)
 
     def _polar(self, u: np.ndarray):
         """Disc index, angle and length of the displacement for each row of
@@ -112,15 +115,18 @@ class _Grid:
         valid: moves gives (disc, dx, dy) per row, as offsets does, and the
         target is inside the box with no other centre within 2r.  Each
         acceptance moves its disc; a quiet walk stops at the first."""
+        if self.blocks is None:
+            self._index()
         xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
         (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
+        floor = math.floor
         hits = []
         for row, (i, dx, dy) in zip(rows, moves):
             x = xs[i] + dx
             y = ys[i] + dy
             if x < lo or x > hx or y < lo or y > hy:
                 continue
-            key = int(x // side) * _STRIDE + int(y // side)
+            key = floor(x // side) * _STRIDE + floor(y // side)
             for j in blocks.get(key, ()):
                 if j != i:
                     ex = xs[j] - x
@@ -206,10 +212,10 @@ def run_chain(config: Configuration, params: ChainParams
     where the trace entry is made.  check_valid refuses invalid input by
     its overlap_audit, and the audit is repeated at a boundary, or at the
     end, only if a disc moved since the last one: unmoved centres stay
-    valid.  Each block is one _Grid.walk.  Within chunk proposals of the
-    last acceptance the walk takes every proposal of the block.  After
-    that, _Grid.shut rejects in bulk what it is sure of, the walk decides
-    the rest, and the block stops at the first acceptance.
+    valid.  Each block is one _Grid.walk.  From the first proposal on,
+    _Grid.shut rejects in bulk what it is sure of, the walk decides the
+    rest, and the block stops at the first acceptance; only the chunk
+    proposals after an acceptance are all walked, without a mask.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
@@ -224,9 +230,9 @@ def run_chain(config: Configuration, params: ChainParams
     trace = []
     interval_accepted = 0
     done = 0
-    last = 0  # index of the last accepted proposal
     batch = 65536
-    chunk = 1024  # rows per list conversion; a whole batch costs ~5 MB
+    chunk = 1024  # proposals walked unmasked after each acceptance
+    last = -chunk  # index of the last acceptance; the chain starts quiet
 
     while done < params.steps:
         u = rng.random((min(batch, params.steps - done), 3))

@@ -119,7 +119,8 @@ def test_offsets_match_the_scalar_formula():
     assert got[-1][0] == n - 1
 
 
-def test_block_lists_follow_the_moves(monkeypatch):
+def _keep_grids(monkeypatch):
+    """The _Grid of each run_chain call, in order."""
     grids = []
     real = metropolis._Grid
 
@@ -127,6 +128,11 @@ def test_block_lists_follow_the_moves(monkeypatch):
         grids.append(real(*args))
         return grids[-1]
     monkeypatch.setattr(metropolis, "_Grid", kept)
+    return grids
+
+
+def test_block_lists_follow_the_moves(monkeypatch):
+    grids = _keep_grids(monkeypatch)
     config, _ = assemble_square(4)
     final, _ = run_chain(config, ChainParams(20000, config.radius, seed=7))
     grid, = grids
@@ -238,12 +244,40 @@ def _count_walked(monkeypatch):
 
 
 def test_frozen_chain_rejects_in_bulk(monkeypatch):
+    # the mask runs from the first proposal and shuts every one, so the
+    # grid walks nothing and is never built
     config = five_disc_config()
     walked = _count_walked(monkeypatch)
+    grids = _keep_grids(monkeypatch)
     params = ChainParams(10 ** 5, config.radius, seed=3)
     _, stats = run_chain(config, params)
     assert stats.accepted == 0
-    assert 0 < sum(walked) < 0.05 * params.steps
+    assert sum(walked) == 0
+    grid, = grids
+    assert grid.blocks is None
+
+
+@pytest.mark.parametrize("case, builds", [
+    ("square-N4", 1), ("five", 0), ("square-N32-1e-5", 0)])
+def test_grid_is_built_on_the_first_walk(monkeypatch, case, builds):
+    # a fluid chain builds its block lists once; the two chain-frozen
+    # benchmark chains never build them
+    if case == "square-N4":
+        config, _ = assemble_square(4)
+        params = ChainParams(20000, config.radius, seed=7)
+    elif case == "five":
+        config = five_disc_config()
+        params = ChainParams(30000, config.radius, seed=1)
+    else:
+        config, _ = assemble_square(32)
+        params = ChainParams(20000, 1e-5 * config.radius, seed=1)
+    indexed = _count_calls(monkeypatch, metropolis._Grid, "_index")
+    grids = _keep_grids(monkeypatch)
+    _, stats = run_chain(config, params)
+    grid, = grids
+    assert len(indexed) == builds
+    assert (grid.blocks is None) == (builds == 0)
+    assert (stats.accepted > 0) == (builds > 0)
 
 
 @pytest.mark.parametrize("case", ["pair-1e-12", "five-1e-12"])
@@ -283,11 +317,17 @@ def test_every_record_interval_is_checked(monkeypatch, case):
 def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     # a grid that wrongly accepts one overlapping proposal early in a
     # frozen chain is refused at the first interval boundary after the
-    # move, not at the end of the chain
+    # move, not at the end of the chain.  The first mask is all open, so
+    # the early proposals reach the walk
     config = five_disc_config()
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
     real_walk = metropolis._Grid.walk
-    proposals, moves, checks = [], [], []
+    real_shut = metropolis._Grid.shut
+    proposals, moves, checks, masks = [], [], [], []
+
+    def shut(grid, u):
+        masks.append(None)
+        return real_shut(grid, u) & (len(masks) > 1)
 
     def walk(grid, rows, offsets, quiet):
         # the real walk, one proposal at a time; the first long move that
@@ -310,7 +350,7 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
                 break
         return hits
     monkeypatch.setattr(metropolis._Grid, "walk", walk)
-    masks = _count_calls(monkeypatch, metropolis._Grid, "shut")
+    monkeypatch.setattr(metropolis._Grid, "shut", shut)
     real_check = metropolis.check_valid
 
     def check(*args):
@@ -320,10 +360,11 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(70000, config.radius, seed=1))
     assert moves and moves[0] < 10
-    # checks hold (proposals walked, shut calls) at each check.  With no
-    # shut call, every proposal was walked, so the proposals walked are the
-    # chain's proposal count: the input, then proposal 997
-    assert checks == [(0, 0), (997, 0)]
+    # checks hold (proposals walked, shut calls) at each check.  The one
+    # open mask and the unmasked walk after the move take every proposal,
+    # so the proposals walked are the chain's proposal count: the input,
+    # then proposal 997
+    assert checks == [(0, 0), (997, 1)]
 
 
 def _static_free(config, i, dx, dy):
@@ -408,15 +449,19 @@ def test_offsets_never_gets_an_empty_block(monkeypatch):
         sizes.append(len(u))
         return real(grid, u)
     monkeypatch.setattr(metropolis._Grid, "offsets", recorded)
+    # the two frozen chains shut every proposal and never reach offsets;
+    # five-0.99 starts quiet, so its first offsets call is a masked block
     five = five_disc_config()
     square, _ = assemble_square(32)
-    for config, params in [(five, ChainParams(30000, five.radius, seed=1)),
-                           (square, ChainParams(20000, 1e-5 * square.radius,
-                                                seed=1))]:
+    for config, params, accepts in [
+            (five, ChainParams(30000, five.radius, seed=1), 0),
+            (square, ChainParams(20000, 1e-5 * square.radius, seed=1), 0),
+            (*_quiet_case("five-0.99"), 24)]:
         sizes.clear()
         _, stats = run_chain(config, params)
-        assert stats.accepted == 0
-        assert sizes and 0 not in sizes
+        assert stats.accepted == accepts
+        assert bool(sizes) == bool(accepts)
+        assert 0 not in sizes
 
 
 def test_mask_covers_a_row_however_wide_the_table(monkeypatch):
@@ -432,6 +477,19 @@ def test_mask_covers_a_row_however_wide_the_table(monkeypatch):
     final, stats = run_chain(config, params)
     centers, accepted, trace, first = _full_scan_chain(config, params)
     assert stats.accepted == accepted
+    assert stats.first_accepted == first
+    assert np.array_equal(final.centers, centers)
+
+
+def test_cell_keys_stay_exact_far_from_the_origin():
+    # at x = 1e11 the cell index is about 5e13, so a key is about 5e19,
+    # past any 64-bit integer; Python ints keep every key distinct
+    r = 1e-3
+    config = Configuration(r, [[1e11 + 2.02 * r * k, 0.0] for k in range(6)])
+    params = ChainParams(20000, 0.9 * r, seed=1)
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert stats.accepted == accepted == 19920
     assert stats.first_accepted == first
     assert np.array_equal(final.centers, centers)
 
