@@ -46,10 +46,11 @@ class CurveFamily:
     epsilon: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ConstructionError("shape parameter lam must be positive")
-        if self.epsilon < 0:
-            raise ConstructionError("epsilon must be nonnegative")
+        if not 0 < self.lam < math.inf:
+            raise ConstructionError("shape parameter lam must be positive "
+                                    "and finite")
+        if not 0 <= self.epsilon < math.inf:
+            raise ConstructionError("epsilon must be nonnegative and finite")
 
     def base(self, x: float) -> float:
         """f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x)."""
@@ -430,37 +431,36 @@ def tiling_3_12_12(window_half_width: int) -> Configuration:
 
     window_half_width is measured in tiling edge lengths; the window is the
     square of half-width 2*window_half_width centered on the pattern.
+
+    The dodecagons sit at (L/4 + j*L/2 + i*L, L/4 + j*row_h), and each
+    vertex lies on the one edge two of them share.  It is emitted once, by
+    the dodecagon first in (j, i) order: its vertices 11 and 0 face
+    (j, i+1), 1 and 2 face (j+1, i), 3 and 4 face (j+1, i-1).  Discs come
+    in (j, i, k) order.
     """
     if window_half_width < 2:
         raise ConstructionError("window_half_width must be at least 2")
     W = 2.0 * window_half_width
     L = 2.0 * (2.0 + SQRT3)              # dodecagon center spacing
     R = math.sqrt(6.0) + math.sqrt(2.0)  # dodecagon circumradius
-    offset = (L / 4.0, L / 4.0)
-    verts = [(R * math.cos(math.radians(15.0 + 30.0 * k)),
-              R * math.sin(math.radians(15.0 + 30.0 * k))) for k in range(12)]
-
-    seen = set()
-    pts = []
     row_h = L * SQRT3 / 2.0
-    j_span = int((W + R) / row_h) + 2
-    for j in range(-j_span, j_span + 1):
-        gy = offset[1] + j * row_h
-        shear = offset[0] + j * L / 2.0
-        i_lo = int(math.floor((-W - R - shear) / L)) - 1
-        i_hi = int(math.ceil((W + R - shear) / L)) + 1
-        for i in range(i_lo, i_hi + 1):
-            gx = shear + i * L
-            for vx, vy in verts:
-                x, y = gx + vx, gy + vy
-                if abs(x) <= W and abs(y) <= W:
-                    key = (round(x * 1e9), round(y * 1e9))
-                    if key not in seen:
-                        seen.add(key)
-                        pts.append((x, y))
+    own = (0, 1, 2, 3, 4, 11)
+    vx = np.array([R * math.cos(math.radians(15.0 + 30.0 * k)) for k in own])
+    vy = np.array([R * math.sin(math.radians(15.0 + 30.0 * k)) for k in own])
+    rows = int((W + R) / row_h) + 2
+    # A vertex's owner lies within R of it, so within R of the window.
+    # Row j is shifted by j/2 + 1/4 columns, so one range |i| <= cols
+    # holds every such dodecagon of every row |j| <= rows
+    cols = int((W + R) / L) + rows // 2 + 3
+    j = np.arange(-rows, rows + 1)[:, None, None]
+    i = np.arange(-cols, cols + 1)[None, :, None]
+    x = (L / 4.0 + j * L / 2.0) + i * L + vx
+    y = np.broadcast_to(L / 4.0 + j * row_h + vy, x.shape)
+    keep = (np.abs(x) <= W) & (np.abs(y) <= W)
     meta = {"construction": "tiling-3.12.12",
             "window_half_width": window_half_width, "window": W}
-    return Configuration(1.0, np.array(pts), None, meta)
+    return Configuration(1.0, np.column_stack((x[keep], y[keep])), None,
+                         meta)
 
 
 def density(config: Configuration, region: tuple[float, float, float, float]

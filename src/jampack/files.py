@@ -73,9 +73,11 @@ def read_config(path) -> Configuration:
     radius = _number(doc["radius"], "radius")
     try:
         centers = np.array(doc["centers"])
-        if centers.dtype.kind not in "iuf":
+        if centers.shape == (0,):
+            centers = centers.reshape(0, 2)
+        if centers.dtype.kind not in "iuf" or centers.shape[1:] != (2,):
             raise ValueError
-        centers = centers.astype(float).reshape(-1, 2)
+        centers = centers.astype(float)
     except ValueError:
         raise SchemaError("centers must be a list of [x, y] number pairs")
     if not np.all(np.isfinite(centers)) or not math.isfinite(radius):

@@ -15,7 +15,7 @@ TWO_PI = 2.0 * math.pi
 # _judge's numpy pass calls a disc jammed only this far (rad) inside the
 # scalar bound: 1000x the 9e-16 np.arctan2 and math.atan2 differ by at most
 _CLEAR_BAND = 1e-12
-_WALLS = ("left", "right", "bottom", "top")
+# the left, right, bottom and top walls' normals
 _WALL_NORMALS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
 
@@ -41,10 +41,10 @@ class OverlapReport:
 class ContactGraph:
     """Tangency adjacency as owner-sorted arrays: disc k's contacts are rows
     ends[k]:ends[k + 1] of unit (normals pointing from the obstacle into the
-    disc center), partner (the other disc, or -1 - w for wall _WALLS[w])
-    and gap (d - 2r, or the wall distance - r); i and j are the disc-disc
-    pairs.  normals, pairs and wall_contacts list the same per disc as (x, y)
-    tuples, as (i, j) tuples and as wall names; each is built when read."""
+    disc center), partner (the other disc, or -1 - w for wall w of left,
+    right, bottom, top) and gap (d - 2r, or the wall distance - r); i and j
+    are the disc-disc pairs, which pairs lists as (i, j) tuples when
+    read."""
 
     unit: np.ndarray
     partner: np.ndarray
@@ -53,22 +53,9 @@ class ContactGraph:
     j: np.ndarray
     ends: np.ndarray
 
-    def _per_disc(self, rows: list) -> list:
-        ends = self.ends.tolist()
-        return [rows[a:b] for a, b in zip(ends, ends[1:])]
-
-    @cached_property
-    def normals(self) -> list:
-        return self._per_disc(list(map(tuple, self.unit.tolist())))
-
     @cached_property
     def pairs(self) -> list:
         return list(zip(self.i.tolist(), self.j.tolist()))
-
-    @cached_property
-    def wall_contacts(self) -> list:
-        return [[_WALLS[~p] for p in row if p < 0]
-                for row in self._per_disc(self.partner.tolist())]
 
 
 @dataclass
@@ -157,7 +144,8 @@ def contact_graph(config: Configuration) -> ContactGraph:
     u = np.column_stack((dx[touch] / d, dy[touch] / d))
     # math.hypot and -u give a pair loop's normals bit for bit.  Pairs come
     # sorted by (i, j), so a stable sort on the owner lists each disc's
-    # lower partners, then its higher ones, then its walls in _WALLS order
+    # lower partners, then its higher ones, then its walls left, right,
+    # bottom, top
     parts = [(j, -u, i, d - 2.0 * r), (i, u, j, d - 2.0 * r)]
     if config.box is not None:
         w, h = config.box

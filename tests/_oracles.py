@@ -1,13 +1,17 @@
-"""Brute-force references that the tests check the package against."""
+"""Brute-force references that the tests check the package against, and
+the per-disc list views of a contact graph that the tests compare."""
 
 import math
 
+import numpy as np
+
 from jampack.configuration import Configuration
-from jampack.construction import (DEFAULT_EPS_HI, ConstructionError,
+from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
                                   CurveFamily)
 from jampack.geometry import SOLVER_ABS, GeometryError
 
 TWO_PI = 2.0 * math.pi
+WALLS = ("left", "right", "bottom", "top")   # wall w has partner -1 - w
 # tune_epsilon's scan: 64 log-spaced epsilon over eight decades up to 50
 PROBES = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
           for k in range(64)]
@@ -85,6 +89,17 @@ def scaled(config: Configuration, factor: float) -> Configuration:
                          box, dict(config.metadata))
 
 
+def contact_lists(graph) -> tuple[list, list]:
+    """Each disc's contact normals as (x, y) tuples and its walls by name,
+    read from the graph's owner-sorted unit, partner and ends arrays."""
+    ends = graph.ends.tolist()
+    spans = list(zip(ends, ends[1:]))
+    unit = list(map(tuple, graph.unit.tolist()))
+    partner = graph.partner.tolist()
+    return ([unit[a:b] for a, b in spans],
+            [[WALLS[~p] for p in partner[a:b] if p < 0] for a, b in spans])
+
+
 def direction_oracle(normals, K: int = 720) -> str:
     """Brute-force jamming check: scan K equally spaced directions and call
     the disc movable iff some direction clears every normal.  Test oracle
@@ -99,3 +114,35 @@ def direction_oracle(normals, K: int = 720) -> str:
         if all(d[0] * n[0] + d[1] * n[1] >= 0.0 for n in normals):
             return "movable"
     return "jammed"
+
+
+def tiling_loop(window_half_width: int) -> Configuration:
+    """tiling_3_12_12 by a loop over every dodecagon and all twelve of its
+    vertices, keeping the first point seen at each rounded position: the
+    reference the package's one-owner broadcast must equal bit for bit."""
+    W = 2.0 * window_half_width
+    L = 2.0 * (2.0 + SQRT3)
+    R = math.sqrt(6.0) + math.sqrt(2.0)
+    verts = [(R * math.cos(math.radians(15.0 + 30.0 * k)),
+              R * math.sin(math.radians(15.0 + 30.0 * k))) for k in range(12)]
+    seen = set()
+    pts = []
+    row_h = L * SQRT3 / 2.0
+    j_span = int((W + R) / row_h) + 2
+    for j in range(-j_span, j_span + 1):
+        gy = L / 4.0 + j * row_h
+        shear = L / 4.0 + j * L / 2.0
+        i_lo = int(math.floor((-W - R - shear) / L)) - 1
+        i_hi = int(math.ceil((W + R - shear) / L)) + 1
+        for i in range(i_lo, i_hi + 1):
+            gx = shear + i * L
+            for vx, vy in verts:
+                x, y = gx + vx, gy + vy
+                if abs(x) <= W and abs(y) <= W:
+                    key = (round(x * 1e9), round(y * 1e9))
+                    if key not in seen:
+                        seen.add(key)
+                        pts.append((x, y))
+    meta = {"construction": "tiling-3.12.12",
+            "window_half_width": window_half_width, "window": W}
+    return Configuration(1.0, np.array(pts), None, meta)

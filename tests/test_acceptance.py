@@ -20,7 +20,7 @@ import pytest
 import jampack as jp
 from jampack.verifier import is_locally_jammed
 
-from _oracles import direction_oracle, scaled
+from _oracles import contact_lists, direction_oracle, scaled
 
 S3 = math.sqrt(3.0)
 NS = (4, 8, 16, 32)
@@ -112,7 +112,7 @@ def _hop_floor(config):
     its floor), though not at the N <= 32 squares run here.
     """
     floor = math.inf
-    for normals in jp.contact_graph(config).normals:
+    for normals in contact_lists(jp.contact_graph(config))[0]:
         angles = sorted(math.atan2(y, x) for x, y in normals)
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(2.0 * math.pi - sum(gaps))

@@ -238,6 +238,13 @@ def test_build_square_small_n_exit_1(capsys):
     assert "N >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("lam", ["nan", "inf"])
+def test_build_square_non_finite_lambda_exit_1(capsys, lam):
+    assert dispatch(["build-square", "--N", "4", "--lambda", lam]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "lam" in err
+
+
 def test_overlapping_input_refused(tmp_path, capsys):
     path = tmp_path / "bad.json"
     write_config(Configuration(1.0, [[0.0, 0.0], [1.5, 0.0]]), path)

@@ -19,7 +19,7 @@ from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
 from jampack.verifier import verify_stable
 
 from _oracles import (PROBES, curve_eval, plain_chord_step,
-                      plain_tune_epsilon, scaled)
+                      plain_tune_epsilon, scaled, tiling_loop)
 
 S3 = math.sqrt(3.0)
 
@@ -43,6 +43,14 @@ def test_curve_limits():
 def test_curve_family_validation():
     with pytest.raises(ConstructionError):
         CurveFamily(lam=-1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lam", math.nan), ("lam", math.inf), ("lam", 0.0),
+    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1e-3)])
+def test_curve_family_refuses_parameters_by_name(field, value):
+    with pytest.raises(ConstructionError, match=field):
+        CurveFamily(**{field: value})
 
 
 def test_chain_seed_geometry():
@@ -707,11 +715,19 @@ def test_five_disc_geometry():
 
 
 def test_tiling_nearest_neighbor_distance():
-    config = tiling_3_12_12(3)
-    c = config.centers
-    d = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(2))
-    np.fill_diagonal(d, np.inf)
-    assert np.min(d) == pytest.approx(2.0, abs=1e-9)
+    for whw in (2, 3, 7):
+        c = tiling_3_12_12(whw).centers
+        d = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(2))
+        np.fill_diagonal(d, np.inf)
+        assert np.min(d) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_tiling_is_the_loop_over_every_dodecagon_vertex():
+    for whw in range(2, 61):
+        config, loop = tiling_3_12_12(whw), tiling_loop(whw)
+        assert config.centers.shape == loop.centers.shape
+        assert config.centers.tobytes() == loop.centers.tobytes()
+        assert config.metadata == loop.metadata
 
 
 def test_tiling_interior_vertices_have_three_neighbors():

@@ -1,5 +1,6 @@
 """Every name a module imports is read somewhere in that module, every
 module-level private name of the package is read somewhere in the package,
+every function and method of the package is read somewhere in the package,
 and the package binds exactly the names the README's Python API lists.
 
 Package __init__ modules are skipped by the import check: their imports are
@@ -78,6 +79,53 @@ def test_detector_flags_an_unread_private_name():
 
 def test_no_unread_private_names():
     assert unread_private_names([p.read_text() for p in PACKAGE]) == []
+
+
+# argparse calls _Parser.error; nothing in the package names it
+CALLED_FROM_OUTSIDE = {"_Parser.error"}
+
+
+def unread_functions(sources: list) -> list:
+    """Module-level functions of the sources that none of the sources reads
+    by name, as an attribute or in an import, and methods and properties,
+    dunders aside, that none of them reads as an attribute, as "f" and
+    "Class.m"."""
+    functions = []
+    methods = []
+    names = set()
+    attrs = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                functions.append(node.name)
+            elif isinstance(node, ast.ClassDef):
+                methods += [(node.name, f.name) for f in node.body
+                            if isinstance(f, ast.FunctionDef)
+                            and not f.name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                names |= {alias.name for alias in node.names}
+    names |= attrs
+    return sorted([f for f in functions if f not in names]
+                  + ["%s.%s" % m for m in methods if m[1] not in attrs])
+
+
+def test_detector_flags_an_unread_function():
+    sources = ["def a(): pass\ndef b(): pass\ndef c(): pass\nb()\n"
+               "class K:\n def m(self): pass\n def n(self): pass\n"
+               " def __len__(self): pass\n def b(self): pass\n",
+               "from x import c\nK().n\n"]
+    assert unread_functions(sources) == ["K.b", "K.m", "a"]
+
+
+def test_every_function_is_read_in_the_package():
+    unread = unread_functions([p.read_text() for p in PACKAGE])
+    assert unread == sorted(CALLED_FROM_OUTSIDE)
 
 
 def test_package_binds_the_readme_python_api():

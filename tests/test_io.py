@@ -86,6 +86,17 @@ def test_nonfinite_coordinate_rejected(tmp_path):
         read_config(path)
 
 
+@pytest.mark.parametrize("centers", [
+    [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.25, 0.25, 0.75, 0.75],
+    [[[0.1, 0.2]], [[0.3, 0.4]]]], ids=["triples", "flat", "nested"])
+def test_centers_that_are_not_pairs_rejected(tmp_path, centers):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"schema": "jampack-config/1", "box": "plane",
+                                "radius": 0.01, "centers": centers}))
+    with pytest.raises(SchemaError, match="centers"):
+        read_config(path)
+
+
 def test_malformed_file_rejected(tmp_path):
     path = tmp_path / "c.json"
     path.write_text("not json{")
