@@ -11,9 +11,10 @@ import numpy as np
 class Configuration:
     """Equal discs at `centers` with common `radius` in an axis-aligned box.
 
-    box is (width, height) with walls at x=0, x=width, y=0, y=height, or
-    None for planar (unbounded) configurations.  metadata carries
-    construction parameters for reproducibility.
+    centers is an (n, 2) array, or [] for none.  box is (width, height)
+    with walls at x=0, x=width, y=0, y=height, or None for planar
+    (unbounded) configurations.  metadata carries construction parameters
+    for reproducibility.
     """
 
     radius: float
@@ -22,7 +23,10 @@ class Configuration:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        self.centers = np.asarray(self.centers, dtype=float).reshape(-1, 2)
+        c = np.asarray(self.centers, dtype=float)
+        if c.shape[1:] != (2,) and c.shape != (0,):
+            raise ValueError("centers of shape %s are not (n, 2)" % (c.shape,))
+        self.centers = c.reshape(len(c), 2)
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         if not np.all(np.isfinite(self.centers)):

@@ -13,7 +13,7 @@ import numpy as np
 
 from .configuration import Configuration
 from .geometry import (SOLVER_ABS, TANGENCY_REL, chord_step,
-                       circle_circle_intersections, near_pairs)
+                       circle_circle_intersections)
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -262,17 +262,6 @@ def _check_tuned(chain: BridgeChain):
             "chain is not tuned: closure residual %.3g" % res)
 
 
-def _dedup_guard(points: list):
-    """Fail if any two centers nearly coincide: shared discs are never
-    emitted twice, so no pair may come closer than 2*SOLVER_ABS."""
-    cutoff = 2.0 * SOLVER_ABS
-    _, _, d = near_pairs(points, cutoff)
-    close = int(np.count_nonzero(d < cutoff))
-    if close:
-        raise ConstructionError(
-            "unexpected coincident centers: %d pairs" % close)
-
-
 def _half_rows(chain: BridgeChain) -> list:
     """The chain's discs a_1..a_N, b_1..b_N, c_1..c_(N-1), in that order."""
     N = chain.N
@@ -288,7 +277,8 @@ def _with_l_mirror(points: list, xl: float) -> list:
 
 def complete_symmetric_bridge(chain: BridgeChain) -> Configuration:
     """Mirror a tuned chain across the x-axis and across the vertical line l
-    through b_N, producing the planar symmetric bridge of 10N - 4 unit discs.
+    through b_N, producing the planar symmetric bridge of 10N - 4 unit discs;
+    check_valid refuses a bridge whose discs overlap.
     """
     _check_tuned(chain)
     N = chain.N
@@ -297,13 +287,15 @@ def complete_symmetric_bridge(chain: BridgeChain) -> Configuration:
     # x-axis mirror duplicates a and b rows; c sits on the axis
     full = half + [(p[0], -p[1]) for p in half if p[1] > 0.0]
     pts = _with_l_mirror(full, xl)
-    _dedup_guard(pts)
     if len(pts) != 10 * N - 4:
         raise ConstructionError(
             "bridge disc count %d, expected %d" % (len(pts), 10 * N - 4))
     meta = {"construction": "symmetric-bridge", "N": N,
             "epsilon": chain.epsilon_used, "mirror_x": xl}
-    return Configuration(1.0, np.array(pts), None, meta)
+    config = Configuration(1.0, np.array(pts), None, meta)
+    from .verifier import check_valid, overlap_audit
+    check_valid(config, overlap_audit(config))
+    return config
 
 
 # Corner piece in the frame where the container walls are x=-1 and y=-1.
@@ -385,7 +377,6 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
     if len(pts) != n_expected:
         raise AssemblyError(
             "assembled %d discs, expected %d" % (len(pts), n_expected))
-    _dedup_guard(pts)
 
     # corner frame (walls at -1 .. side-1) -> box frame (0 .. side),
     # then scale the side to 1
@@ -471,8 +462,6 @@ def density(config: Configuration, region: tuple[float, float, float, float]
     area = (xmax - xmin) * (ymax - ymin)
     if area <= 0:
         raise ConstructionError("region must have positive area")
-    if config.n == 0:
-        return 0.0
     c = config.centers
     inside = np.sum((c[:, 0] >= xmin) & (c[:, 0] <= xmax) &
                     (c[:, 1] >= ymin) & (c[:, 1] <= ymax))

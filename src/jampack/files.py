@@ -47,7 +47,8 @@ def _number(value, name: str) -> float:
 
 def read_config(path) -> Configuration:
     """Read a configuration file; unknown or missing fields, version
-    mismatches, wrong types and non-finite coordinates are refused by name."""
+    mismatches and wrong JSON types are refused by name, and so is what
+    Configuration refuses, as a SchemaError."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -73,19 +74,17 @@ def read_config(path) -> Configuration:
     radius = _number(doc["radius"], "radius")
     try:
         centers = np.array(doc["centers"])
-        if centers.shape == (0,):
-            centers = centers.reshape(0, 2)
-        if centers.dtype.kind not in "iuf" or centers.shape[1:] != (2,):
+        if centers.dtype.kind not in "iuf":
             raise ValueError
-        centers = centers.astype(float)
     except ValueError:
         raise SchemaError("centers must be a list of [x, y] number pairs")
-    if not np.all(np.isfinite(centers)) or not math.isfinite(radius):
-        raise SchemaError("non-finite coordinate in configuration file")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")
-    return Configuration(radius, centers, box, metadata)
+    try:
+        return Configuration(radius, centers, box, metadata)
+    except ValueError as e:
+        raise SchemaError(str(e)) from None
 
 
 def _to_jsonable(obj):

@@ -191,7 +191,7 @@ _HALF_SHELL = tuple(dx * _KEY_STRIDE + dy
 
 def near_pairs(centers, cutoff: float
                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair of points within distance cutoff, found by a cell list.
+    """Every pair of (n, 2) centers within distance cutoff, by a cell list.
 
     Returns arrays (i, j, d) holding each pair with i < j and d <= cutoff,
     sorted by (i, j), where d = sqrt(dx*dx + dy*dy) and (dx, dy) =
@@ -202,7 +202,9 @@ def near_pairs(centers, cutoff: float
     """
     if not cutoff > 0:
         raise GeometryError("cutoff must be positive")
-    c = np.asarray(centers, dtype=float).reshape(-1, 2)
+    c = np.asarray(centers, dtype=float)
+    if c.shape[1:] != (2,):
+        raise GeometryError("centers of shape %s are not (n, 2)" % (c.shape,))
     if len(c) < 2:
         return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
     h = c * 0.5

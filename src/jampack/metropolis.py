@@ -33,10 +33,13 @@ class ChainParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be at least 1")
+        # type, not isinstance: a bool is an int, but True is not a count
+        if type(self.steps) is not int or self.steps < 1:
+            raise ValueError("steps must be an int of at least 1")
         if not 0 < self.step_radius < math.inf:
             raise ValueError("step_radius must be positive and finite")
+        if type(self.seed) is not int or self.seed < 0:
+            raise ValueError("seed must be a non-negative int")
 
 
 @dataclass

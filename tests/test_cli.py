@@ -350,6 +350,15 @@ def test_configuration_without_discs_refused(tmp_path, capsys):
         assert err.startswith("error:") and "at least one disc" in err
 
 
+def test_negative_seed_refused(tmp_path, capsys):
+    path = tmp_path / "five.json"
+    write_config(five_disc_config(), path)
+    assert dispatch(["simulate", str(path), "--steps", "10",
+                     "--seed", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed" in err
+
+
 @pytest.mark.parametrize("build", [["five-disc"], ["tiling", "--window", "3"]],
                          ids=["five", "tiling"])
 def test_infinite_step_radius_refused(tmp_path, capsys, build):

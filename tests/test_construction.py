@@ -16,7 +16,7 @@ from jampack.construction import (AssemblyError, BridgeChain,
                                   tiling_3_12_12, tune_epsilon)
 from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
                               circle_circle_intersections)
-from jampack.verifier import verify_stable
+from jampack.verifier import OverlapError, verify_stable
 
 from _oracles import (PROBES, curve_eval, plain_chord_step,
                       plain_tune_epsilon, scaled, tiling_loop)
@@ -691,13 +691,23 @@ def test_assemble_square_names_discs_outside_the_box(monkeypatch):
         assemble_square(4)
 
 
-def test_dedup_guard_counts_coincident_pairs():
-    pts = [(-50.0, 3.0), (-50.0 + 1e-12, 3.0), (-50.0, 3.0 - 1e-12),
-           (40.0, 40.0)]
-    with pytest.raises(ConstructionError,
-                       match="unexpected coincident centers: 3 pairs"):
-        construction._dedup_guard(pts)
-    construction._dedup_guard([(-50.0, 3.0), (-50.0, 3.0 + 2.1e-12)])
+def test_assemble_square_refuses_coincident_centers(monkeypatch):
+    # a wall clamp moved onto a junction disc: its four copies coincide
+    # with the four copies of that disc, and the certification refuses them
+    clamps = [construction._JUNCTION[3]] + construction._CLAMPS[1:]
+    monkeypatch.setattr(construction, "_CLAMPS", clamps)
+    with pytest.raises(AssemblyError,
+                       match=r"assembly has 4 overlapping pairs, "
+                             r"worst penetration 0\.0692"):
+        assemble_square(4)
+
+
+def test_complete_symmetric_bridge_refuses_overlapping_discs():
+    chain = tune_epsilon(CurveFamily(), 4)[1]
+    x, y = chain.b[1]
+    chain.b = chain.b[:1] + [(x, y - 0.1)] + chain.b[2:]
+    with pytest.raises(OverlapError, match="overlap"):
+        complete_symmetric_bridge(chain)
 
 
 def test_five_disc_geometry():

@@ -265,7 +265,7 @@ def test_near_pairs_small_inputs():
 
 
 def test_near_pairs_tiny_cutoff_on_wide_extent():
-    # the dedup guard's cutoff, 2e-12, against a side of about 100
+    # a cutoff of 2 * SOLVER_ABS against a side of about 100
     rng = np.random.default_rng(44)
     base = rng.uniform(-100.0, 100.0, (300, 2))
     cutoff = 1e-14 * 200.0
@@ -286,3 +286,7 @@ def test_near_pairs_extreme_coordinates():
 def test_near_pairs_rejects_nonpositive_cutoff():
     with pytest.raises(GeometryError):
         near_pairs(np.zeros((3, 2)), 0.0)
+    for c in ([[0, 0, 1], [0, 1, 0]], [0.0, 1.0, 2.0, 3.0], np.zeros((0, 3)),
+              np.zeros((2, 1, 2)), []):
+        with pytest.raises(GeometryError, match=r"centers .*shape"):
+            near_pairs(c, 1.5)

@@ -1,7 +1,8 @@
 """Every name a module imports is read somewhere in that module, every
 module-level private name of the package is read somewhere in the package,
 every function and method of the package is read somewhere in the package,
-and the package binds exactly the names the README's Python API lists.
+the package binds exactly the names the README's Python API lists, and
+only verifier.check_valid constructs OverlapError.
 
 Package __init__ modules are skipped by the import check: their imports are
 their exports.
@@ -139,3 +140,32 @@ def test_package_binds_the_readme_python_api():
     readme = (ROOT / "README.md").read_text()
     section = readme.split("## Python API\n", 1)[1].split("\n#", 1)[0]
     assert bound - {"__version__"} == set(re.findall(r"`(\w+)`", section))
+
+
+def overlap_error_makers(sources: dict) -> list:
+    """"module.owner" for each top-level def or class of the sources, keyed
+    by module name, that calls OverlapError by name or as an attribute;
+    other top-level code is owned by "<module>"."""
+    makers = set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", "<module>")
+            for call in ast.walk(node):
+                if isinstance(call, ast.Call) and "OverlapError" in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                    makers.add("%s.%s" % (module, owner))
+    return sorted(makers)
+
+
+def test_detector_flags_an_overlap_error_maker():
+    sources = {"a": "def f():\n    raise OverlapError('x', None)\n"
+                    "def g():\n    try: f()\n    except OverlapError: pass\n",
+               "b": "class K:\n def m(self): raise v.OverlapError(1, 2)\n"
+                    "e = OverlapError('y', None)\n"}
+    assert overlap_error_makers(sources) == ["a.f", "b.<module>", "b.K"]
+
+
+def test_only_check_valid_constructs_overlap_error():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert overlap_error_makers(sources) == ["verifier.check_valid"]

@@ -86,14 +86,36 @@ def test_nonfinite_coordinate_rejected(tmp_path):
         read_config(path)
 
 
-@pytest.mark.parametrize("centers", [
-    [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]], [0.25, 0.25, 0.75, 0.75],
-    [[[0.1, 0.2]], [[0.3, 0.4]]]], ids=["triples", "flat", "nested"])
+NOT_PAIRS = {"triples": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+             "flat": [0.25, 0.25, 0.75, 0.75],
+             "nested": [[[0.1, 0.2]], [[0.3, 0.4]]]}
+
+
+@pytest.mark.parametrize("centers", NOT_PAIRS.values(), ids=NOT_PAIRS)
 def test_centers_that_are_not_pairs_rejected(tmp_path, centers):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"schema": "jampack-config/1", "box": "plane",
                                 "radius": 0.01, "centers": centers}))
     with pytest.raises(SchemaError, match="centers"):
+        read_config(path)
+
+
+@pytest.mark.parametrize("centers", [*NOT_PAIRS.values(), np.empty((0, 3))],
+                         ids=[*NOT_PAIRS, "zero-by-three"])
+def test_configuration_refuses_centers_that_are_not_pairs(centers):
+    with pytest.raises(ValueError, match="centers") as e:
+        Configuration(0.01, centers)
+    assert str(np.shape(centers)) in str(e.value)
+    assert Configuration(0.01, []).centers.shape == (0, 2)
+    assert Configuration(0.01, np.empty((0, 2))).n == 0
+
+
+@pytest.mark.parametrize("radius", ["0", "-1.0", "Infinity"])
+def test_radius_that_is_not_positive_and_finite_rejected(tmp_path, radius):
+    path = tmp_path / "c.json"
+    path.write_text('{"schema": "jampack-config/1", "box": "plane", '
+                    '"radius": %s, "centers": [[0.0, 0.0]]}' % radius)
+    with pytest.raises(SchemaError, match="radius"):
         read_config(path)
 
 

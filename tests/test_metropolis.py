@@ -22,6 +22,12 @@ def test_params_validation():
         ChainParams(steps=0, step_radius=0.1)
     with pytest.raises(ValueError):
         ChainParams(steps=10, step_radius=0.0)
+    for steps in (1.5, True, "10"):
+        with pytest.raises(ValueError, match="steps"):
+            ChainParams(steps, 0.1)
+    for seed in (-1, 1.5, False, None):
+        with pytest.raises(ValueError, match="seed"):
+            ChainParams(10, 0.1, seed)
 
 
 def test_single_free_disc_always_accepts():
