@@ -11,7 +11,8 @@ import numpy as np
 class Configuration:
     """Equal discs at `centers` with common `radius` in an axis-aligned box.
 
-    centers is an (n, 2) array, or [] for none.  box is (width, height)
+    centers is an (n, 2) array of ints or floats, or [] for none; bools,
+    strings, None and ragged rows are refused.  box is (width, height)
     with walls at x=0, x=width, y=0, y=height, or None for planar
     (unbounded) configurations.  metadata carries construction parameters
     for reproducibility.
@@ -23,10 +24,15 @@ class Configuration:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        c = np.asarray(self.centers, dtype=float)
-        if c.shape[1:] != (2,) and c.shape != (0,):
-            raise ValueError("centers of shape %s are not (n, 2)" % (c.shape,))
-        self.centers = c.reshape(len(c), 2)
+        try:
+            c = np.asarray(self.centers)
+        except ValueError:
+            raise ValueError("ragged centers are not (n, 2) numbers") from None
+        if (c.dtype.kind not in "iuf"
+                or c.shape[1:] != (2,) and c.shape != (0,)):
+            raise ValueError("centers of shape %s and dtype %s are not (n, 2) "
+                             "numbers" % (c.shape, c.dtype))
+        self.centers = np.asarray(c, dtype=float).reshape(len(c), 2)
         if not (self.radius > 0 and math.isfinite(self.radius)):
             raise ValueError("radius must be positive and finite")
         if not np.all(np.isfinite(self.centers)):

@@ -4,8 +4,6 @@ import dataclasses
 import json
 import math
 
-import numpy as np
-
 from .configuration import Configuration
 
 SCHEMA = "jampack-config/1"
@@ -72,17 +70,11 @@ def read_config(path) -> Configuration:
     else:
         raise SchemaError("box must be [width, height] or \"plane\"")
     radius = _number(doc["radius"], "radius")
-    try:
-        centers = np.array(doc["centers"])
-        if centers.dtype.kind not in "iuf":
-            raise ValueError
-    except ValueError:
-        raise SchemaError("centers must be a list of [x, y] number pairs")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")
     try:
-        return Configuration(radius, centers, box, metadata)
+        return Configuration(radius, doc["centers"], box, metadata)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 

@@ -22,7 +22,7 @@ _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
 # time, which bounds its temporaries to about 1 MB for any table width.
 _FILTER_ENTRIES = 1 << 14
 
-# Proposals per trace entry and validity check; run_chain reads it per call.
+# Proposals per draw, trace entry and audit; run_chain reads it per call.
 RECORD_INTERVAL = 10000
 
 
@@ -36,8 +36,10 @@ class ChainParams:
         # type, not isinstance: a bool is an int, but True is not a count
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError("steps must be an int of at least 1")
-        if not 0 < self.step_radius < math.inf:
-            raise ValueError("step_radius must be positive and finite")
+        if (isinstance(self.step_radius, bool)
+                or not isinstance(self.step_radius, (int, float))
+                or not 0 < self.step_radius < math.inf):
+            raise ValueError("step_radius must be a positive finite number")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a non-negative int")
 
@@ -211,38 +213,31 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    The walk goes in blocks that end at every RECORD_INTERVAL boundary,
-    where the trace entry is made.  check_valid refuses invalid input by
-    its overlap_audit, and the audit is repeated at a boundary, or at the
-    end, only if a disc moved since the last one: unmoved centres stay
-    valid.  Each block is one _Grid.walk.  From the first proposal on,
-    _Grid.shut rejects in bulk what it is sure of, the walk decides the
-    rest, and the block stops at the first acceptance; only the chunk
-    proposals after an acceptance are all walked, without a mask.
+    check_valid refuses invalid input by its overlap_audit.  The chain
+    then goes one RECORD_INTERVAL of proposals at a time, the last maybe
+    partial: it draws their deviates, walks them in blocks, makes the
+    trace entry if the interval is full and, only if a disc moved in it,
+    audits the new state the same way.  A block is one _Grid.walk of the
+    proposals _Grid.shut leaves open, up to the first acceptance, or of
+    all of the chunk proposals after an acceptance.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
     check_valid(config, overlap_audit(config))
     rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
-    initial = config.centers.copy()
-    r = config.radius
-    every = RECORD_INTERVAL
     accepted = 0
     first = None
     trace = []
-    interval_accepted = 0
-    done = 0
-    batch = 65536
     chunk = 1024  # proposals walked unmasked after each acceptance
     last = -chunk  # index of the last acceptance; the chain starts quiet
-
-    while done < params.steps:
-        u = rng.random((min(batch, params.steps - done), 3))
-        k = 0
+    for start in range(0, params.steps, RECORD_INTERVAL):
+        u = rng.random((min(RECORD_INTERVAL, params.steps - start), 3))
+        before = accepted
+        k = 0  # proposals of this interval walked so far
         while k < len(u):
-            b = u[k:k + every - done % every]
-            quiet = done - last >= chunk
+            b = u[k:]
+            quiet = start + k - last >= chunk
             if quiet:
                 shut = grid.shut(b)
                 size = len(shut)
@@ -253,30 +248,23 @@ def run_chain(config: Configuration, params: ChainParams
                 rows, b = range(size), b[:size]
             hits = grid.walk(rows, grid.offsets(b), quiet) if rows else ()
             if hits:
-                last = done + hits[-1][0]
+                last = start + k + hits[-1][0]
                 if first is None:
-                    first = (done + hits[0][0], hits[0][1])
+                    first = (start + k + hits[0][0], hits[0][1])
                 accepted += len(hits)
-                interval_accepted += len(hits)
                 if quiet:
-                    size = last - done + 1
+                    size = hits[0][0] + 1
             k += size
-            done += size
-            if done % every == 0:
-                trace.append(interval_accepted / every)
-                if interval_accepted:
-                    now = Configuration(r, grid.centers(), config.box)
-                    check_valid(now, overlap_audit(now))
-                interval_accepted = 0
-    centers = grid.centers()
-    final = Configuration(r, centers, config.box, dict(config.metadata))
-    if interval_accepted:
-        check_valid(final, overlap_audit(final))
-    disp = float(np.max(np.hypot(centers[:, 0] - initial[:, 0],
-                                 centers[:, 1] - initial[:, 1])))
-    stats = ChainStats(params.steps, accepted, accepted / params.steps,
-                       disp, trace, first)
-    return final, stats
+        if len(u) == RECORD_INTERVAL:
+            trace.append((accepted - before) / RECORD_INTERVAL)
+        if accepted > before:
+            now = Configuration(config.radius, grid.centers(), config.box)
+            check_valid(now, overlap_audit(now))
+    final = Configuration(config.radius, grid.centers(), config.box,
+                          dict(config.metadata))
+    disp = float(np.max(np.hypot(*(final.centers - config.centers).T)))
+    return final, ChainStats(params.steps, accepted, accepted / params.steps,
+                             disp, trace, first)
 
 
 def shrink_radius(config: Configuration, factor: float) -> Configuration:

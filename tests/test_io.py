@@ -89,9 +89,14 @@ def test_nonfinite_coordinate_rejected(tmp_path):
 NOT_PAIRS = {"triples": [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
              "flat": [0.25, 0.25, 0.75, 0.75],
              "nested": [[[0.1, 0.2]], [[0.3, 0.4]]]}
+# (n, 2) lists whose entries are not numbers
+NOT_NUMBERS = {"strings": [["0.5", "0.5"], [True, False]],
+               "bool-array": [[True, False]],
+               "none": [[None, 1.0]]}
+FILE_CASES = {**NOT_PAIRS, **NOT_NUMBERS, "ragged": [[0.1, 0.2], [0.3]]}
 
 
-@pytest.mark.parametrize("centers", NOT_PAIRS.values(), ids=NOT_PAIRS)
+@pytest.mark.parametrize("centers", FILE_CASES.values(), ids=FILE_CASES)
 def test_centers_that_are_not_pairs_rejected(tmp_path, centers):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"schema": "jampack-config/1", "box": "plane",
@@ -100,8 +105,9 @@ def test_centers_that_are_not_pairs_rejected(tmp_path, centers):
         read_config(path)
 
 
-@pytest.mark.parametrize("centers", [*NOT_PAIRS.values(), np.empty((0, 3))],
-                         ids=[*NOT_PAIRS, "zero-by-three"])
+@pytest.mark.parametrize(
+    "centers", [*NOT_PAIRS.values(), np.empty((0, 3)), *NOT_NUMBERS.values()],
+    ids=[*NOT_PAIRS, "zero-by-three", *NOT_NUMBERS])
 def test_configuration_refuses_centers_that_are_not_pairs(centers):
     with pytest.raises(ValueError, match="centers") as e:
         Configuration(0.01, centers)

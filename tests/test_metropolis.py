@@ -20,8 +20,9 @@ def _free_disc():
 def test_params_validation():
     with pytest.raises(ValueError):
         ChainParams(steps=0, step_radius=0.1)
-    with pytest.raises(ValueError):
-        ChainParams(steps=10, step_radius=0.0)
+    for step_radius in (0.0, math.nan, True, "0.1", None):
+        with pytest.raises(ValueError, match="step_radius"):
+            ChainParams(10, step_radius)
     for steps in (1.5, True, "10"):
         with pytest.raises(ValueError, match="steps"):
             ChainParams(steps, 0.1)
@@ -40,8 +41,10 @@ def test_single_free_disc_always_accepts():
 
 def _full_scan_chain(config, params):
     """Reference chain: every proposal is tested against all n centres with
-    numpy, drawing the deviates exactly as run_chain does.  Returns the
-    final centres, the accepted count, the acceptance trace and the first
+    numpy.  It draws the same deviate stream as run_chain, but in draws of
+    65,536 rows, not one per RECORD_INTERVAL, so it also shows that how
+    the stream is split into draws does not matter.  Returns the final
+    centres, the accepted count, the acceptance trace and the first
     accepted (proposal index, disc), or None."""
     rng = np.random.default_rng(params.seed)
     c = config.centers.copy()
@@ -205,9 +208,9 @@ def test_quiet_filter_matches_full_scan_reference(case, accepts):
 
 @pytest.mark.parametrize("case", ["square-N4", "five-0.99", "five-0.975"])
 def test_trace_boundaries_match_full_scan_reference(monkeypatch, case):
-    # 997 divides none of the chunk, the mask block or the batch, so blocks
-    # end at trace boundaries at every offset, in both walking modes; at
-    # 0.975 a masked block often holds more than one free proposal
+    # 997 divides neither the chunk nor the mask block, so trace boundaries
+    # cut blocks at every offset, in both walking modes; at 0.975 a masked
+    # block often holds more than one free proposal
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
     if case == "square-N4":
         config, _ = assemble_square(4)
@@ -301,11 +304,11 @@ def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
 
 @pytest.mark.parametrize("case", ["frozen", "fluid"])
 def test_every_record_interval_is_checked(monkeypatch, case):
-    # 997 does not divide the chunk, the filter block or the batch, so
-    # bulk-committed runs cross interval boundaries at every offset.  The
-    # input is always checked; a boundary, and the end, only after a move,
-    # so the frozen chain is checked once and the fluid one, which accepts
-    # in every interval, at every boundary and at the end
+    # 997 divides neither the chunk nor the mask block, so interval ends
+    # cut blocks at every offset, and 70,000 leaves a partial last
+    # interval.  The input is always checked, and an interval only if a
+    # disc moved in it, so the frozen chain is checked once and the fluid
+    # one, which accepts in every interval, once more per interval
     if case == "frozen":
         config = five_disc_config()
     else:
@@ -320,20 +323,18 @@ def test_every_record_interval_is_checked(monkeypatch, case):
     assert len(calls) == (1 if case == "frozen" else params.steps // 997 + 2)
 
 
-def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
-    # a grid that wrongly accepts one overlapping proposal early in a
-    # frozen chain is refused at the first interval boundary after the
-    # move, not at the end of the chain.  The first mask is all open, so
-    # the early proposals reach the walk
-    config = five_disc_config()
-    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+def _pass_one_overlap(monkeypatch, config, open_mask):
+    """Patch the chain so that shut call number open_mask opens every row
+    and the walk lets one overlapping proposal through.  Returns the lists
+    the patches fill: the proposals walked at the bad move, and (proposals
+    walked, shut calls) at each check_valid."""
     real_walk = metropolis._Grid.walk
     real_shut = metropolis._Grid.shut
     proposals, moves, checks, masks = [], [], [], []
 
     def shut(grid, u):
         masks.append(None)
-        return real_shut(grid, u) & (len(masks) > 1)
+        return real_shut(grid, u) & (len(masks) != open_mask)
 
     def walk(grid, rows, offsets, quiet):
         # the real walk, one proposal at a time; the first long move that
@@ -363,6 +364,17 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
         checks.append((len(proposals), len(masks)))
         return real_check(*args)
     monkeypatch.setattr(metropolis, "check_valid", check)
+    return moves, checks
+
+
+def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
+    # a grid that wrongly accepts one overlapping proposal early in a
+    # frozen chain is refused at the first interval boundary after the
+    # move, not at the end of the chain.  The first mask is all open, so
+    # the early proposals reach the walk
+    config = five_disc_config()
+    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+    moves, checks = _pass_one_overlap(monkeypatch, config, 1)
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(70000, config.radius, seed=1))
     assert moves and moves[0] < 10
@@ -371,6 +383,21 @@ def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     # so the proposals walked are the chain's proposal count: the input,
     # then proposal 997
     assert checks == [(0, 0), (997, 1)]
+
+
+def test_a_move_in_the_last_partial_interval_is_checked(monkeypatch):
+    # as above, but the chain ends 500 proposals after its second
+    # boundary, and only the third mask, the one over that partial last
+    # interval, is open: the move is refused by the end-of-chain audit
+    config = five_disc_config()
+    monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
+    moves, checks = _pass_one_overlap(monkeypatch, config, 3)
+    with pytest.raises(OverlapError, match="overlap"):
+        run_chain(config, ChainParams(2 * 997 + 500, config.radius, seed=1))
+    assert moves and moves[0] < 10
+    # one mask covers each 997-proposal interval of the frozen chain, and
+    # the open one and the unmasked walk after the move take all 500
+    assert checks == [(0, 0), (500, 3)]
 
 
 def _static_free(config, i, dx, dy):
