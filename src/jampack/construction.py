@@ -98,7 +98,7 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        xn = chord_step(f, a[-1][0], 2.0)
+        xn = chord_step(f, *a[-1], 2.0)
         an = (xn, f(xn))
         pts = circle_circle_intersections(an, 2.0, c[-1], 2.0)
         if not pts:

@@ -33,16 +33,6 @@ def write_config(config: Configuration, path):
                  % (head[:-2], centers, meta))
 
 
-def _number(value, name: str) -> float:
-    # bool is an int subclass, but true is not a length
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError("%s must be a number, not %r" % (name, value))
-    try:
-        return float(value)
-    except OverflowError:   # a JSON integer literal beyond float range
-        raise SchemaError("%s is too large for a float" % name) from None
-
-
 def read_config(path) -> Configuration:
     """Read a configuration file; unknown or missing fields, version
     mismatches and wrong JSON types are refused by name, and so is what
@@ -62,19 +52,14 @@ def read_config(path) -> Configuration:
             raise SchemaError("missing field: %s" % name)
     if doc["schema"] != SCHEMA:
         raise SchemaError("unsupported schema version: %r" % doc["schema"])
-    box = doc["box"]
-    if box == "plane":
-        box = None
-    elif (isinstance(box, list) and len(box) == 2):
-        box = (_number(box[0], "box width"), _number(box[1], "box height"))
-    else:
+    box = None if doc["box"] == "plane" else doc["box"]
+    if not (box is None or isinstance(box, list)):
         raise SchemaError("box must be [width, height] or \"plane\"")
-    radius = _number(doc["radius"], "radius")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")
     try:
-        return Configuration(radius, doc["centers"], box, metadata)
+        return Configuration(doc["radius"], doc["centers"], box, metadata)
     except ValueError as e:
         raise SchemaError(str(e)) from None
 

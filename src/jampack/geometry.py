@@ -138,13 +138,15 @@ def _replay_bisection(g, lo, hi, glo, ghi, m):
     return lo, hi
 
 
-def chord_step(curve, x_start: float, chord: float) -> float:
+def chord_step(curve, x_start: float, y_start: float, chord: float
+               ) -> float:
     """Smallest x' > x_start at which the point (x', curve(x')) lies at the
-    given chord distance from (x_start, curve(x_start)).
+    given chord distance from (x_start, y_start), where y_start is the
+    caller's curve(x_start); the curve is not evaluated at x_start.
 
     The curve must be continuous and non-increasing on [x_start, inf), so
-    g(x) = hypot(x - x_start, curve(x) - curve(x_start)) - chord grows with
-    x and the bracket [x_start, x_start + chord] holds its root; where
+    g(x) = hypot(x - x_start, curve(x) - y_start) - chord grows with x and
+    the bracket [x_start, x_start + chord] holds its root; where
     x_start + chord rounds down, g at its top is below 0 by rounding alone
     and the step ends there, as plain bisection does.  The result is the
     last midpoint of plain bisection of g down to SOLVER_ABS, replayed by
@@ -159,20 +161,19 @@ def chord_step(curve, x_start: float, chord: float) -> float:
     """
     if chord <= 0:
         raise GeometryError("chord must be positive")
-    y0 = curve(x_start)
-    if not math.isfinite(y0):
+    if not math.isfinite(y_start):
         raise GeometryError("curve not finite at x_start")
     lo, hi = x_start, x_start + chord
     y_hi = curve(hi)
-    if y_hi > y0 + SOLVER_ABS:
+    if y_hi > y_start + SOLVER_ABS:
         raise GeometryError("curve must be non-increasing on the bracket")
 
     def g(x):
-        return math.hypot(x - x_start, curve(x) - y0) - chord
+        return math.hypot(x - x_start, curve(x) - y_start) - chord
 
     glo = -chord                                # g(lo) = hypot(0, 0) - chord
-    ghi = math.hypot(hi - x_start, y_hi - y0) - chord
-    m = _MARGIN * (abs(x_start) + chord + max(abs(y0), abs(y_hi)))
+    ghi = math.hypot(hi - x_start, y_hi - y_start) - chord
+    m = _MARGIN * (abs(x_start) + chord + max(abs(y_start), abs(y_hi)))
     lo, hi = _replay_bisection(g, lo, hi, glo, ghi, m)
     return 0.5 * (lo + hi)
 

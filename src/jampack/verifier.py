@@ -12,8 +12,8 @@ from .configuration import Configuration
 from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
-# _judge's numpy pass calls a disc jammed only this far (rad) inside the
-# scalar bound: 1000x the 9e-16 np.arctan2 and math.atan2 differ by at most
+# _judge's first pass calls a disc jammed only this far (rad) inside the
+# bound: 1000x the 9e-16 np.arctan2 and math.atan2 differ by at most
 _CLEAR_BAND = 1e-12
 # the left, right, bottom and top walls' normals
 _WALL_NORMALS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
@@ -159,41 +159,6 @@ def contact_graph(config: Configuration) -> ContactGraph:
     return ContactGraph(unit[order], partner[order], gap[order], i, j, ends)
 
 
-def _largest_gap(angles: list) -> tuple[float, float]:
-    """(gap size, gap start angle); ties go to the largest start angle."""
-    m = len(angles)
-    best = (-1.0, 0.0)
-    for k in range(m):
-        start = angles[k]
-        end = angles[(k + 1) % m]
-        gap = (end - start) % TWO_PI
-        if angles[0] == angles[-1]:   # one direction: a half-plane is free
-            gap = TWO_PI
-        if gap > best[0] or (gap == best[0] and start > best[1]):
-            best = (gap, start)
-    return best
-
-
-def is_locally_jammed(normals) -> DiscVerdict:
-    """Verdict for one disc from its contact normals.
-
-    Jammed iff there are at least 3 normals and the largest circular gap
-    between consecutive normal directions is < pi - ANGLE_SLACK; the
-    feasible cone {d : d.n >= 0 for all n} is then {0}.  Otherwise movable
-    with a witness direction in the feasible cone: the antipode of the
-    largest gap's bisector, which bisects the cluster of normals.
-    """
-    if len(normals) == 0:
-        return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
-    angles = sorted(math.atan2(y, x) % TWO_PI for x, y in normals)
-    gap, start = _largest_gap(angles)
-    if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
-        return DiscVerdict(-1, "jammed", None, len(normals))
-    witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI
-    witness = (math.cos(witness_angle), math.sin(witness_angle))
-    return DiscVerdict(-1, "movable", witness, len(normals))
-
-
 def verify_stable(config: Configuration) -> JammingReport:
     """Per-disc jamming verdicts for a whole configuration, walls included.
 
@@ -202,35 +167,62 @@ def verify_stable(config: Configuration) -> JammingReport:
     return _judge(contact_graph(config))
 
 
+def _largest_gaps(a: np.ndarray, counts: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Each disc's largest circular gap G between its normal angles a, in
+    [0, 2pi) and listed disc by disc, counts[k] >= 1 of them for disc k,
+    and the angle G starts at.  The floats are those of a loop over each
+    disc's sorted angles taking (a[k+1] - a[k]) % 2pi, with the larger start
+    angle winning a tie; where every normal points one way, a half-plane is
+    free and G is 2pi."""
+    a = a[np.lexsort((a, np.repeat(np.arange(len(counts)), counts)))]
+    first = np.cumsum(counts) - counts
+    last = first + counts - 1
+    # a within-disc difference lies in [0, 2pi), so it is its own % 2pi
+    gaps = np.append(a[1:] - a[:-1], 0.0)
+    gaps[last] = (a[first] - a[last]) % TWO_PI
+    gaps[np.repeat(a[first] == a[last], counts)] = TWO_PI
+    G = np.maximum.reduceat(gaps, first)
+    # starts ascend within a disc, so the tie goes to its last maximal row
+    top = np.flatnonzero(gaps == np.repeat(G, counts))
+    return G, a[top[np.searchsorted(top, last, "right") - 1]]
+
+
 def _judge(graph: ContactGraph) -> JammingReport:
     """Per-disc verdicts from an already built contact graph.
 
-    One numpy pass finds every disc's largest normal gap G and calls a
-    disc with at least 3 normals jammed where G < pi - ANGLE_SLACK -
-    _CLEAR_BAND; is_locally_jammed decides every other disc.
+    A disc is jammed iff it has at least 3 normals and its largest normal
+    gap G is below pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for
+    all n} is then {0}.  Otherwise it is movable, with the witness the
+    antipode of its largest gap's bisector, or a rattler if it has no
+    normals.  A first pass, on np.arctan2's angles, commits the discs
+    whose G is below that bound by _CLEAR_BAND more; a second, on
+    math.atan2's angles of the other discs, decides them and gives the
+    witnesses.
     """
-    ends = graph.ends.tolist()
-    n = len(ends) - 1
     counts = np.diff(graph.ends)
-    owner = np.repeat(np.arange(n), counts)
-    a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
-    a = a[np.lexsort((a, owner))]
-    gaps = np.append(a[1:] - a[:-1], 0.0)
+    n = len(counts)
     has = counts > 0
-    first, last = graph.ends[:-1][has], graph.ends[1:][has] - 1
-    gaps[last] = a[first] + TWO_PI - a[last]
+    a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
     clear = np.zeros(n, bool)
-    clear[has] = (np.maximum.reduceat(gaps, first)
+    clear[has] = (_largest_gaps(a, counts[has])[0]
                   < math.pi - ANGLE_SLACK - _CLEAR_BAND)
     clear &= counts >= 3
+    m = counts.tolist()
     verdicts = list(map(DiscVerdict, range(n), repeat("jammed"), repeat(None),
-                        counts.tolist()))
-    status = []
-    for i in np.flatnonzero(~clear).tolist():
-        normals = list(map(tuple, graph.unit[ends[i]:ends[i + 1]].tolist()))
-        v = verdicts[i] = is_locally_jammed(normals)
-        v.index = i
-        status.append(v.status)
-    movable, rattlers = status.count("movable"), status.count("rattler")
-    return JammingReport(verdicts, n - movable - rattlers, movable, rattlers,
-                         movable == 0 and rattlers == 0)
+                        m))
+    rest = np.flatnonzero(has & ~clear)
+    x, y = graph.unit[np.repeat(~clear, counts)].T.tolist()
+    a = np.fromiter(map(math.atan2, y, x), float, len(x)) % TWO_PI
+    G, start = _largest_gaps(a, counts[rest])
+    free = (counts[rest] < 3) | (G >= math.pi - ANGLE_SLACK)
+    witness = (start + G / 2.0 + math.pi) % TWO_PI
+    for i, w in zip(rest[free].tolist(), witness[free].tolist()):
+        verdicts[i] = DiscVerdict(i, "movable", (math.cos(w), math.sin(w)),
+                                  m[i])
+    rattlers = np.flatnonzero(~has).tolist()
+    for i in rattlers:
+        verdicts[i] = DiscVerdict(i, "rattler", (1.0, 0.0), 0)
+    movable = int(free.sum())
+    return JammingReport(verdicts, n - movable - len(rattlers), movable,
+                         len(rattlers), movable == 0 and not rattlers)

@@ -1,5 +1,6 @@
-"""Brute-force references that the tests check the package against, and
-the per-disc list views of a contact graph that the tests compare."""
+"""Brute-force references that the tests check the package against, the
+per-disc list views of a contact graph that the tests compare, and
+one-disc contact graphs for the verdict tests."""
 
 import math
 
@@ -8,7 +9,8 @@ import numpy as np
 from jampack.configuration import Configuration
 from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
                                   CurveFamily)
-from jampack.geometry import SOLVER_ABS, GeometryError
+from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError
+from jampack.verifier import ContactGraph, DiscVerdict, _judge
 
 TWO_PI = 2.0 * math.pi
 WALLS = ("left", "right", "bottom", "top")   # wall w has partner -1 - w
@@ -100,10 +102,63 @@ def contact_lists(graph) -> tuple[list, list]:
             [[WALLS[~p] for p in partner[a:b] if p < 0] for a, b in spans])
 
 
+def graph_of(discs) -> ContactGraph:
+    """A ContactGraph whose disc k has the normals discs[k].  Verdicts read
+    only unit and ends, so the pair arrays are empty and partner and gap
+    are zero."""
+    unit = np.array([n for normals in discs for n in normals], float)
+    none = np.zeros(0, np.intp)
+    return ContactGraph(unit.reshape(-1, 2), np.zeros(len(unit), np.intp),
+                        np.zeros(len(unit)), none, none,
+                        np.cumsum([0] + [len(normals) for normals in discs]))
+
+
+def verdict_of(normals) -> DiscVerdict:
+    """The package's verdict on one disc with these normals, from _judge on
+    a one-disc contact graph."""
+    return _judge(graph_of([normals])).verdicts[0]
+
+
+def _largest_gap(angles: list) -> tuple[float, float]:
+    """(gap size, gap start angle); ties go to the largest start angle."""
+    m = len(angles)
+    best = (-1.0, 0.0)
+    for k in range(m):
+        start = angles[k]
+        end = angles[(k + 1) % m]
+        gap = (end - start) % TWO_PI
+        if angles[0] == angles[-1]:   # one direction: a half-plane is free
+            gap = TWO_PI
+        if gap > best[0] or (gap == best[0] and start > best[1]):
+            best = (gap, start)
+    return best
+
+
+def is_locally_jammed(normals) -> DiscVerdict:
+    """Verdict for one disc from its contact normals, by a loop: the scalar
+    rule whose floats the package's verdicts must equal bit for bit.
+
+    Jammed iff there are at least 3 normals and the largest circular gap
+    between consecutive normal directions is < pi - ANGLE_SLACK; the
+    feasible cone {d : d.n >= 0 for all n} is then {0}.  Otherwise movable
+    with a witness direction in the feasible cone: the antipode of the
+    largest gap's bisector, which bisects the cluster of normals.
+    """
+    if len(normals) == 0:
+        return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
+    angles = sorted(math.atan2(y, x) % TWO_PI for x, y in normals)
+    gap, start = _largest_gap(angles)
+    if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
+        return DiscVerdict(-1, "jammed", None, len(normals))
+    witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI
+    witness = (math.cos(witness_angle), math.sin(witness_angle))
+    return DiscVerdict(-1, "movable", witness, len(normals))
+
+
 def direction_oracle(normals, K: int = 720) -> str:
     """Brute-force jamming check: scan K equally spaced directions and call
     the disc movable iff some direction clears every normal.  Test oracle
-    for is_locally_jammed."""
+    for the package's verdicts."""
     if K < 360:
         raise ValueError("K must be at least 360")
     if len(normals) == 0:

@@ -18,9 +18,7 @@ import numpy as np
 import pytest
 
 import jampack as jp
-from jampack.verifier import is_locally_jammed
-
-from _oracles import contact_lists, direction_oracle, scaled
+from _oracles import contact_lists, direction_oracle, scaled, verdict_of
 
 S3 = math.sqrt(3.0)
 NS = (4, 8, 16, 32)
@@ -187,7 +185,7 @@ def test_criterion_7_verifier_oracle_equivalence():
         normals = [(math.cos(math.radians(a)), math.sin(math.radians(a)))
                    for a in angles]
         total += 1
-        fast = is_locally_jammed(normals).status == "jammed"
+        fast = verdict_of(normals).status == "jammed"
         slow = direction_oracle(normals, 720) == "jammed"
         agree += fast == slow
     ok = agree == total

@@ -349,10 +349,10 @@ def test_chord_step_matches_plain_bisection(monkeypatch):
     # the replayed bisection returns plain bisection's float, not a close one
     steps = 0
 
-    def both(curve, x_start, chord):
+    def both(curve, x_start, y_start, chord):
         nonlocal steps
         steps += 1
-        x = chord_step(curve, x_start, chord)
+        x = chord_step(curve, x_start, y_start, chord)
         assert x == plain_chord_step(curve, x_start, chord), x_start
         return x
 
@@ -371,7 +371,7 @@ def test_chord_step_matches_plain_bisection(monkeypatch):
     floats = 0
     for _ in range(2000):
         f, x0, chord = _random_curve(rnd)
-        got = _outcome(chord_step, f, x0, chord)
+        got = _outcome(chord_step, f, x0, f(x0), chord)
         assert got == _outcome(plain_chord_step, f, x0, chord), (x0, chord)
         floats += isinstance(got, float)
     assert floats == 2000
@@ -381,7 +381,7 @@ def test_chord_step_evaluations_per_call(monkeypatch):
     # plain bisection evaluates the curve about 45 times per chord
     calls = evals = 0
 
-    def counted(curve, x_start, chord):
+    def counted(curve, x_start, y_start, chord):
         nonlocal calls
 
         def c(x):
@@ -390,7 +390,7 @@ def test_chord_step_evaluations_per_call(monkeypatch):
             return curve(x)
 
         calls += 1
-        return chord_step(c, x_start, chord)
+        return chord_step(c, x_start, y_start, chord)
 
     monkeypatch.setattr(construction, "chord_step", counted)
     # tuning alone makes about 930 chord steps; the 64 scan-probe chains
@@ -400,6 +400,33 @@ def test_chord_step_evaluations_per_call(monkeypatch):
         build_half_chain(CurveFamily(epsilon=eps), 32)
     assert calls > 2000
     assert evals <= 12 * calls, evals / calls
+
+
+def test_chord_step_never_evaluates_the_curve_at_x_start(monkeypatch):
+    # the caller passes the height it already holds: build_half_chain has
+    # f(a[-1][0]) as a[-1][1]
+    calls = 0
+    at_start = []
+
+    def watched(curve, x_start, *rest):
+        nonlocal calls
+
+        def c(x):
+            if x == x_start:
+                at_start.append(x)
+            return curve(x)
+
+        calls += 1
+        return chord_step(c, x_start, *rest)
+
+    monkeypatch.setattr(construction, "chord_step", watched)
+    tune_epsilon(CurveFamily(), 8)
+    rnd = random.Random(57)
+    for _ in range(300):
+        f, x0, chord = _random_curve(rnd)
+        watched(f, x0, f(x0), chord)
+    assert calls > 300
+    assert at_start == []
 
 
 def test_tune_epsilon_builds_each_chain_once(monkeypatch):

@@ -84,8 +84,10 @@ def test_intersections_residuals_randomized():
 
 
 def test_chord_step_flat_curve():
-    assert chord_step(lambda x: 0.0, 0.0, 2.0) == pytest.approx(2.0, abs=1e-10)
-    assert chord_step(lambda x: 0.0, 3.5, 1.0) == pytest.approx(4.5, abs=1e-10)
+    assert chord_step(lambda x: 0.0, 0.0, 0.0, 2.0) == pytest.approx(
+        2.0, abs=1e-10)
+    assert chord_step(lambda x: 0.0, 3.5, 0.0, 1.0) == pytest.approx(
+        4.5, abs=1e-10)
 
 
 def test_chord_step_accepts_a_flat_curve_whose_bracket_rounds_down():
@@ -93,7 +95,7 @@ def test_chord_step_accepts_a_flat_curve_whose_bracket_rounds_down():
     # rounding alone; the step must still land on the exact sum
     x0, chord = 39.68292743010356, 2.2191650156670955
     assert x0 + chord < Fraction(x0) + Fraction(chord)
-    got = chord_step(lambda x: 1.0, x0, chord)
+    got = chord_step(lambda x: 1.0, x0, 1.0, chord)
     assert abs(Fraction(got) - (Fraction(x0) + Fraction(chord))) <= SOLVER_ABS
 
 
@@ -120,7 +122,7 @@ def test_chord_step_against_grid_oracle():
                 lo = mid
         return 0.5 * (lo + hi)
 
-    got = chord_step(curve, 0.0, 2.0)
+    got = chord_step(curve, 0.0, curve(0.0), 2.0)
     assert got == pytest.approx(oracle(0.0, 2.0), abs=1e-10)
 
 
@@ -136,7 +138,7 @@ def test_chord_step_monotone_in_chord():
 
         prev = x0
         for chord in (0.5, 1.0, 2.0):
-            nxt = chord_step(curve, x0, chord)
+            nxt = chord_step(curve, x0, curve(x0), chord)
             assert nxt > prev
             prev = nxt
 
@@ -156,7 +158,8 @@ def test_chord_step_falls_back_when_the_secant_misses():
             return curve(x)
         return c
 
-    got = chord_step(counted(seen), 0.0, 2.0)
+    c = counted(seen)
+    got = chord_step(c, 0.0, c(0.0), 2.0)
     assert got == plain_chord_step(counted(plain), 0.0, 2.0)
     assert plain <= seen
 
@@ -174,15 +177,16 @@ def test_chord_step_replay_holds_under_rounding_noise():
         def curve(x, top=top, slope=slope, x0=x0, amp=amp):
             return top - slope * (x - x0) + amp * math.sin(1e13 * x)
 
-        assert chord_step(curve, x0, chord) == plain_chord_step(curve, x0,
-                                                                chord)
+        assert chord_step(curve, x0, curve(x0), chord) == \
+            plain_chord_step(curve, x0, chord)
 
 
 def test_chord_step_ends_where_ulp_exceeds_the_solver_tolerance():
     # from x = 8192 on, adjacent floats are more than solver_abs apart, so
     # the bracket can stop shrinking before hi - lo <= solver_abs
     code = ("from jampack.geometry import chord_step; "
-            "print(repr(chord_step(lambda x: 3.0 - 1e-6 * x, 8200.0, 2.0)))")
+            "print(repr(chord_step(lambda x: 3.0 - 1e-6 * x, 8200.0, "
+            "3.0 - 1e-6 * 8200.0, 2.0)))")
     env = dict(os.environ,
                PYTHONPATH=str(Path(jampack.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env,
@@ -193,9 +197,11 @@ def test_chord_step_ends_where_ulp_exceeds_the_solver_tolerance():
 
 def test_chord_step_rejects_bad_input():
     with pytest.raises(GeometryError):
-        chord_step(lambda x: 0.0, 0.0, -1.0)
+        chord_step(lambda x: 0.0, 0.0, 0.0, -1.0)
     with pytest.raises(GeometryError):
-        chord_step(lambda x: x * x, 1.0, 0.5)  # increasing curve
+        chord_step(lambda x: x * x, 1.0, 1.0, 0.5)  # increasing curve
+    with pytest.raises(GeometryError, match="not finite at x_start"):
+        chord_step(lambda x: 0.0, 0.0, math.inf, 1.0)
 
 
 def _brute_pairs(c, cutoff):

@@ -116,6 +116,29 @@ def test_configuration_refuses_centers_that_are_not_pairs(centers):
     assert Configuration(0.01, np.empty((0, 2))).n == 0
 
 
+NOT_SIDES = {"bool-radius": (True, None, "radius"),
+             "string-radius": ("0.1", None, "radius"),
+             "huge-radius": (10 ** 400, None, "radius"),
+             "bool-width": (0.1, (True, 2.0), "box width"),
+             "string-width": (0.1, ("1", 1.0), "box width"),
+             "huge-height": (0.1, (1.0, 10 ** 400), "box height"),
+             "one-side": (0.1, (1.0,), "box"),
+             "three-sides": (0.1, (1.0, 1.0, 1.0), "box"),
+             "number-box": (0.1, 5.0, "box")}
+
+
+@pytest.mark.parametrize("radius, box, name", NOT_SIDES.values(),
+                         ids=NOT_SIDES)
+def test_configuration_refuses_radius_and_box_that_are_not_numbers(
+        radius, box, name):
+    with pytest.raises(ValueError, match="^%s " % name):
+        Configuration(radius, [[0.5, 0.5]], box)
+    config = Configuration(1, [[0.5, 0.5]], [2, 3])
+    assert type(config.radius) is float and config.radius == 1.0
+    assert config.box == (2.0, 3.0)
+    assert list(map(type, config.box)) == [float, float]
+
+
 @pytest.mark.parametrize("radius", ["0", "-1.0", "Infinity"])
 def test_radius_that_is_not_positive_and_finite_rejected(tmp_path, radius):
     path = tmp_path / "c.json"

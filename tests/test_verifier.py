@@ -11,10 +11,11 @@ from jampack.construction import (CurveFamily, assemble_square,
                                   junction_piece, tiling_3_12_12, tune_epsilon)
 from jampack.geometry import ANGLE_SLACK, TANGENCY_REL
 from jampack.render import render_svg
-from jampack.verifier import (ContactGraph, OverlapError, contact_graph,
-                              is_locally_jammed, overlap_audit, verify_stable)
+from jampack.verifier import (OverlapError, contact_graph, overlap_audit,
+                              verify_stable)
 
-from _oracles import contact_lists, direction_oracle, scaled
+from _oracles import (contact_lists, direction_oracle, graph_of,
+                      is_locally_jammed, scaled, verdict_of)
 
 
 def _normals(*degrees):
@@ -75,32 +76,32 @@ def test_junction_contact_edges():
 
 
 def test_jammed_three_normals():
-    v = is_locally_jammed(_normals(0, 120, 240))
+    v = verdict_of(_normals(0, 120, 240))
     assert v.status == "jammed"
     assert v.witness is None
 
 
 def test_two_contacts_never_jam():
-    v = is_locally_jammed(_normals(0, 90))
+    v = verdict_of(_normals(0, 90))
     assert v.status == "movable"
     # witness must lie in the feasible cone {d : d.n >= 0}, here [0, 90]
     assert _angle(v.witness) == pytest.approx(45.0, abs=1e-9)
 
 
 def test_antipodal_pair_slides_perpendicular():
-    v = is_locally_jammed(_normals(0, 180))
+    v = verdict_of(_normals(0, 180))
     assert v.status == "movable"
     assert _angle(v.witness) == pytest.approx(90.0, abs=1e-9)
 
 
 def test_junction_diagonal_disc_cone():
-    v = is_locally_jammed(_normals(120, 330))
+    v = verdict_of(_normals(120, 330))
     assert v.status == "movable"
     assert 30.0 - 1e-9 <= _angle(v.witness) <= 60.0 + 1e-9
 
 
 def test_no_contacts_is_rattler():
-    assert is_locally_jammed([]).status == "rattler"
+    assert verdict_of([]).status == "rattler"
 
 
 def test_witness_invariant_randomized():
@@ -108,7 +109,7 @@ def test_witness_invariant_randomized():
     for _ in range(1000):
         k = rnd.randint(1, 7)
         normals = _normals(*[rnd.uniform(0, 360) for _ in range(k)])
-        v = is_locally_jammed(normals)
+        v = verdict_of(normals)
         if v.status == "jammed":
             assert len(normals) >= 3
         else:
@@ -121,17 +122,17 @@ def test_few_contacts_never_jammed_randomized():
     for _ in range(1000):
         k = rnd.randint(0, 2)
         normals = _normals(*[rnd.uniform(0, 360) for _ in range(k)])
-        assert is_locally_jammed(normals).status != "jammed"
+        assert verdict_of(normals).status != "jammed"
 
 
 def test_adding_normals_preserves_jammed():
     rnd = random.Random(17)
     for _ in range(1000):
         normals = _normals(*[rnd.uniform(0, 360) for _ in range(5)])
-        if is_locally_jammed(normals).status != "jammed":
+        if verdict_of(normals).status != "jammed":
             continue
         more = normals + _normals(rnd.uniform(0, 360))
-        assert is_locally_jammed(more).status == "jammed"
+        assert verdict_of(more).status == "jammed"
 
 
 def test_direction_oracle_examples():
@@ -153,7 +154,7 @@ def test_oracle_agreement_randomized():
             continue
         normals = _normals(*angles)
         total += 1
-        fast = is_locally_jammed(normals).status
+        fast = verdict_of(normals).status
         slow = direction_oracle(normals, 720)
         if (fast == "jammed") == (slow == "jammed"):
             agree += 1
@@ -312,13 +313,34 @@ def test_fast_path_never_builds_the_normal_lists():
 
 
 def _scalar_verdicts(graph):
-    """is_locally_jammed on every disc, with its index set."""
+    """The scalar rule on every disc, with its index set."""
     verdicts = []
     for i, normals in enumerate(contact_lists(graph)[0]):
         v = is_locally_jammed(normals)
         v.index = i
         verdicts.append(v)
     return verdicts
+
+
+def _bits(verdicts):
+    """Each verdict with its witness as float.hex strings, so that two
+    lists compare equal only if every witness is the same bits."""
+    return [(v.index, v.status, v.contact_count,
+             None if v.witness is None else tuple(map(float.hex, v.witness)))
+            for v in verdicts]
+
+
+def _assert_scalar_rule(graph, report):
+    """report holds the scalar rule's verdict on every disc of graph, and
+    its counts; returns the scalar rule's verdicts."""
+    expected = _scalar_verdicts(graph)
+    assert _bits(report.verdicts) == _bits(expected)
+    counts = [sum(v.status == s for v in expected)
+              for s in ("jammed", "movable", "rattler")]
+    assert [report.jammed_count, report.movable_count,
+            report.rattler_count] == counts
+    assert report.stable == (counts[0] == len(expected))
+    return expected
 
 
 def test_verdicts_are_the_scalar_rule_on_constructions():
@@ -330,27 +352,10 @@ def test_verdicts_are_the_scalar_rule_on_constructions():
     configs += [_lattice_config(rnd) for _ in range(20)]
     statuses = set()
     for config in configs:
-        report = verify_stable(config)
-        expected = _scalar_verdicts(contact_graph(config))
-        assert report.verdicts == expected
-        counts = [sum(v.status == s for v in expected)
-                  for s in ("jammed", "movable", "rattler")]
-        assert [report.jammed_count, report.movable_count,
-                report.rattler_count] == counts
-        assert report.stable == (counts[0] == config.n)
+        expected = _assert_scalar_rule(contact_graph(config),
+                                       verify_stable(config))
         statuses |= {v.status for v in expected}
     assert statuses == {"jammed", "movable", "rattler"}
-
-
-def _graph_of(discs):
-    """A ContactGraph whose disc k has the normals discs[k].  Verdicts read
-    only unit and ends, so the pair arrays are empty and partner and gap
-    are zero."""
-    unit = np.array([n for normals in discs for n in normals], float)
-    none = np.zeros(0, np.intp)
-    return ContactGraph(unit.reshape(-1, 2), np.zeros(len(unit), np.intp),
-                        np.zeros(len(unit)), none, none,
-                        np.cumsum([0] + [len(normals) for normals in discs]))
 
 
 def _gap_disc(gap):
@@ -359,26 +364,72 @@ def _gap_disc(gap):
             for a in (0.0, gap, gap + (2.0 * math.pi - gap) / 2.0)]
 
 
-def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
+def _band_discs():
+    """Hand-made discs: largest gaps 1e-13 either side of the jamming bound
+    and 1e-11 inside it, a rattler, one and two normals, three coincident
+    normals, and a tie of two gaps of pi."""
     bound = math.pi - ANGLE_SLACK
-    discs = [_gap_disc(bound - 1e-13), _gap_disc(bound + 1e-13),
-             _gap_disc(bound - 1e-11), [], [(1.0, 0.0)],
-             [(1.0, 0.0), (0.0, 1.0)], [(0.6, 0.8)] * 3,
-             [(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]]
-    graph = _graph_of(discs)
+    return [_gap_disc(bound - 1e-13), _gap_disc(bound + 1e-13),
+            _gap_disc(bound - 1e-11), [], [(1.0, 0.0)],
+            [(1.0, 0.0), (0.0, 1.0)], [(0.6, 0.8)] * 3,
+            [(1.0, 0.0), (1.0, 0.0), (-1.0, 0.0)]]
+
+
+def _random_normals(rnd):
+    """0 to 7 normals, each a uniform direction, an axis, or a repeat or the
+    antipode of one drawn before."""
+    normals = []
+    for _ in range(rnd.randint(0, 7)):
+        pick = rnd.random()
+        if normals and pick < 0.2:
+            normals.append(rnd.choice(normals))
+        elif normals and pick < 0.4:
+            x, y = rnd.choice(normals)
+            normals.append((-x, -y))
+        elif pick < 0.6:
+            normals.append(rnd.choice([(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0),
+                                       (0.0, -1.0)]))
+        else:
+            normals += _normals(rnd.uniform(0, 360))
+    return normals
+
+
+def test_verdicts_are_the_scalar_rule_on_random_and_hand_made_discs():
+    rnd = random.Random(93)
+    for _ in range(300):
+        config = _random_config(rnd, planar=rnd.random() < 0.3)
+        _assert_scalar_rule(contact_graph(config), verify_stable(config))
+    # 4e-16 is about one ulp of pi, so the gaps step across the bound
+    bound = math.pi - ANGLE_SLACK
+    discs = _band_discs() + [_gap_disc(bound + k * 4e-16)
+                             for k in range(-40, 41)]
+    discs += [_random_normals(rnd) for _ in range(1500)]
+    graph = graph_of(discs)
+    expected = _assert_scalar_rule(graph, verifier._judge(graph))
+    statuses = [v.status for v in expected]
+    assert min(map(statuses.count, ("jammed", "movable", "rattler"))) > 100
+
+
+def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
+    discs = _band_discs()
+    graph = graph_of(discs)
     expected = _scalar_verdicts(graph)
-    decided = []
+    passes = []
+    real = verifier._largest_gaps
 
-    def scalar(normals):
-        decided.append(discs.index(normals))
-        return is_locally_jammed(normals)
+    def watch(a, counts):
+        passes.append(a.tolist())
+        return real(a, counts)
 
-    monkeypatch.setattr(verifier, "is_locally_jammed", scalar)
+    monkeypatch.setattr(verifier, "_largest_gaps", watch)
     assert verifier._judge(graph).verdicts == expected
-    # only the disc 1e-11 inside the bound is clearly jammed; the two
-    # within the band, the discs with fewer than 3 normals, the three
-    # coincident normals and the gap tie go to the scalar rule
-    assert decided == [0, 1, 3, 4, 5, 6, 7]
+    # only the disc 1e-11 inside the bound is clearly jammed; the exact
+    # pass reads, in math.atan2's angles, the rows of the two within the
+    # band, the discs with 1 or 2 normals, the three coincident normals and
+    # the gap tie (the rattler has no rows)
+    assert len(passes) == 2
+    assert passes[1] == [math.atan2(y, x) % (2.0 * math.pi)
+                         for k in (0, 1, 4, 5, 6, 7) for x, y in discs[k]]
     status = [v.status for v in expected]
     assert status[:6] == ["jammed", "movable", "jammed", "rattler",
                           "movable", "movable"]
@@ -390,19 +441,28 @@ def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_coincident_normals_leave_a_half_plane_free(m):
     # every normal points one way, so the disc may move along it
-    one = is_locally_jammed([(0.6, 0.8)])
-    v = is_locally_jammed([(0.6, 0.8)] * m)
+    one = verdict_of([(0.6, 0.8)])
+    v = verdict_of([(0.6, 0.8)] * m)
     assert v.status == "movable"
     assert v.witness == one.witness
     assert v.witness == pytest.approx((0.6, 0.8), abs=1e-15)
-    graph = _graph_of([[(0.6, 0.8)] * m])
+    graph = graph_of([[(0.6, 0.8)] * m])
     assert verifier._judge(graph).verdicts == _scalar_verdicts(graph)
 
 
 def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
     square, _ = assemble_square(8)
-    monkeypatch.setattr(verifier, "is_locally_jammed", None)
+    rows = []
+    real = verifier._largest_gaps
+
+    def watch(a, counts):
+        rows.append(len(a))
+        return real(a, counts)
+
+    monkeypatch.setattr(verifier, "_largest_gaps", watch)
     assert verify_stable(square).jammed_count == square.n
+    # the first pass reads every normal, the exact pass none
+    assert rows == [len(contact_graph(square).unit), 0]
 
 
 def test_overlap_audit_matches_matrix_scan_randomized():
