@@ -31,51 +31,42 @@ def _emit(args, payload: dict):
             print("%s: %s" % (k, v))
 
 
-def _write_config(config, args):
+def _built(args, config, **fields):
+    """Write a built configuration to --out, if given, and emit its n, the
+    fields in order and the output path."""
     if args.out:
         files.write_config(config, args.out)
+    _emit(args, {"n": config.n, **fields, "out": args.out})
+    return 0
 
 
 def _cmd_build_bridge(args):
     family = construction.CurveFamily(lam=args.lam)
     eps, chain = construction.tune_epsilon(family, args.N)
-    config = construction.complete_symmetric_bridge(chain)
-    _write_config(config, args)
-    _emit(args, {"n": config.n, "epsilon": eps,
-                 "mirror_x": chain.mirror_x, "out": args.out})
-    return 0
+    return _built(args, construction.complete_symmetric_bridge(chain),
+                  epsilon=eps, mirror_x=chain.mirror_x)
 
 
 def _cmd_build_square(args):
     config, metrics = construction.assemble_square(args.N, args.lam)
-    _write_config(config, args)
-    _emit(args, {"n": metrics.n, "r": metrics.r,
-                 "n_times_r": metrics.n_times_r, "epsilon": metrics.epsilon_used,
-                 "scale": metrics.scale, "out": args.out})
-    return 0
+    return _built(args, config, r=metrics.r, n_times_r=metrics.n_times_r,
+                  epsilon=metrics.epsilon_used, scale=metrics.scale)
 
 
 def _cmd_junction(args):
-    config = construction.junction_piece()
-    _write_config(config, args)
-    _emit(args, {"n": config.n, "out": args.out})
-    return 0
+    return _built(args, construction.junction_piece())
 
 
 def _cmd_five_disc(args):
     config = construction.five_disc_config()
-    _write_config(config, args)
-    _emit(args, {"n": config.n, "radius": config.radius, "out": args.out})
-    return 0
+    return _built(args, config, radius=config.radius)
 
 
 def _cmd_tiling(args):
     config = construction.tiling_3_12_12(args.window)
-    _write_config(config, args)
     W = config.metadata["window"]
-    dens = construction.density(config, (-W, -W, W, W))
-    _emit(args, {"n": config.n, "density": dens, "out": args.out})
-    return 0
+    return _built(args, config,
+                  density=construction.density(config, (-W, -W, W, W)))
 
 
 def _cmd_verify(args):

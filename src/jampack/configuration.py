@@ -2,6 +2,7 @@
 simulation."""
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -14,9 +15,9 @@ class Configuration:
     centers is an (n, 2) array of ints or floats, or [] for none; bools,
     strings, None and ragged rows are refused.  box is (width, height)
     with walls at x=0, x=width, y=0, y=height, or None for planar
-    (unbounded) configurations.  The radius and box sides must be ints or
-    floats, not bools, and are stored as floats.  metadata carries
-    construction parameters for reproducibility.
+    (unbounded) configurations.  The radius and box sides must be real
+    numbers, numpy's included, not bools, and are stored as floats.
+    metadata carries construction parameters for reproducibility.
     """
 
     radius: float
@@ -56,8 +57,9 @@ class Configuration:
 
 
 def _number(value, name: str) -> float:
-    # bool is an int subclass, but true is not a length
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    # any real, numpy's included; bool is an int subclass, but true is not
+    # a length (numpy's bool is not a Real)
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError("%s must be a number, not %r" % (name, value))
     try:
         return float(value)

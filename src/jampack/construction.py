@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .configuration import Configuration
-from .geometry import (SOLVER_ABS, TANGENCY_REL, chord_step,
-                       circle_circle_intersections)
+from .configuration import Configuration, _number
+from .geometry import SOLVER_ABS, TANGENCY_REL, apex, chord_step
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -46,6 +45,8 @@ class CurveFamily:
     epsilon: float = 0.0
 
     def __post_init__(self):
+        self.lam = _number(self.lam, "lam")
+        self.epsilon = _number(self.epsilon, "epsilon")
         if not 0 < self.lam < math.inf:
             raise ConstructionError("shape parameter lam must be positive "
                                     "and finite")
@@ -77,8 +78,8 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     until max_N rows of b exist or the recursion terminates.
 
     Each step advances a by a chord of length 2 along the curve, places
-    b_{i+1} at the larger-x intersection of the radius-2 circles about
-    a_{i+1} and c_i, and drops c_{i+1} onto the axis tangent to b_{i+1}.
+    b_{i+1} at the larger-x point at distance 2 from a_{i+1} and c_i
+    (apex), and drops c_{i+1} onto the axis tangent to b_{i+1}.
     Termination reasons: 'no_b' when a_{i+1} is farther than 4 from c_i,
     'no_c' when b_{i+1} rises above height 2.
     """
@@ -100,11 +101,10 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     for i in range(1, max_N):
         xn = chord_step(f, *a[-1], 2.0)
         an = (xn, f(xn))
-        pts = circle_circle_intersections(an, 2.0, c[-1], 2.0)
-        if not pts:
+        bn = apex(an, c[-1])
+        if bn is None:
             term = ("no_b", i + 1)
             break
-        bn = max(pts, key=lambda p: p[0])
         if bn[1] > 2.0:
             a.append(an)
             b.append(bn)

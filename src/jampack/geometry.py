@@ -1,6 +1,6 @@
-"""Planar primitives: circle-circle intersections, chord stepping along a
-monotone curve, and the cell-list neighbour index that every all-pairs
-question goes through.
+"""Planar primitives: the apex at distance 2 from two points, chord
+stepping along a monotone curve, and the cell-list neighbour index that
+every all-pairs question goes through.
 
 All operations are pure; points are plain (x, y) tuples of floats, except
 that near_pairs takes and returns numpy arrays.
@@ -27,39 +27,26 @@ SOLVER_ABS = 1e-12
 ANGLE_SLACK = 1e-9
 
 
-def _require_finite(*points: Point):
-    for p in points:
-        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
-            raise GeometryError("non-finite coordinate: %r" % (p,))
-
-
-def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
-                                ) -> list[Point]:
-    """Intersection points of two circles.
-
-    Returns 2 points for proper crossing, 1 at (internal or external)
-    tangency within SOLVER_ABS, 0 when disjoint.  Coincident centers
-    are rejected.
-    """
-    _require_finite(c1, c2)
-    if r1 <= 0 or r2 <= 0:
-        raise GeometryError("radii must be positive")
-    d = math.dist(c1, c2)
+def apex(p: Point, q: Point) -> Point | None:
+    """The larger-x point at distance 2 from both p and q, or None when
+    they are more than 4 + SOLVER_ABS apart; within SOLVER_ABS of 4 apart,
+    their midpoint.  A tie in x goes to the point right of p -> q, and
+    coincident p and q are rejected."""
+    d = math.dist(p, q)
     if d <= SOLVER_ABS:
         raise GeometryError("coincident circle centers")
-    outer = r1 + r2
-    inner = abs(r1 - r2)
-    if d > outer + SOLVER_ABS or d < inner - SOLVER_ABS:
-        return []
-    ux = (c2[0] - c1[0]) / d
-    uy = (c2[1] - c1[1]) / d
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    if abs(d - outer) <= SOLVER_ABS or abs(d - inner) <= SOLVER_ABS:
-        return [(c1[0] + a * ux, c1[1] + a * uy)]
-    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
-    mx = c1[0] + a * ux
-    my = c1[1] + a * uy
-    return [(mx + h * uy, my - h * ux), (mx - h * uy, my + h * ux)]
+    if d > 4.0 + SOLVER_ABS:
+        return None
+    ux = (q[0] - p[0]) / d
+    uy = (q[1] - p[1]) / d
+    a = d * d / (2.0 * d)       # the floats of (4 - 4 + d^2) / 2d, not d/2
+    mx = p[0] + a * ux
+    my = p[1] + a * uy
+    if abs(d - 4.0) <= SOLVER_ABS:
+        return mx, my
+    h = math.sqrt(max(4.0 - a * a, 0.0))
+    x1, x2 = mx + h * uy, mx - h * uy
+    return (x2, my + h * ux) if x2 > x1 else (x1, my - h * ux)
 
 
 # Rounding margin of chord_step's bisection replay, as a share of its

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .configuration import Configuration
+from .configuration import Configuration, _number
 from .geometry import near_pairs
 from .verifier import check_valid, overlap_audit
 
@@ -36,9 +36,8 @@ class ChainParams:
         # type, not isinstance: a bool is an int, but True is not a count
         if type(self.steps) is not int or self.steps < 1:
             raise ValueError("steps must be an int of at least 1")
-        if (isinstance(self.step_radius, bool)
-                or not isinstance(self.step_radius, (int, float))
-                or not 0 < self.step_radius < math.inf):
+        self.step_radius = _number(self.step_radius, "step_radius")
+        if not 0 < self.step_radius < math.inf:
             raise ValueError("step_radius must be a positive finite number")
         if type(self.seed) is not int or self.seed < 0:
             raise ValueError("seed must be a non-negative int")

@@ -197,8 +197,8 @@ def _judge(graph: ContactGraph) -> JammingReport:
     antipode of its largest gap's bisector, or a rattler if it has no
     normals.  A first pass, on np.arctan2's angles, commits the discs
     whose G is below that bound by _CLEAR_BAND more; a second, on
-    math.atan2's angles of the other discs, decides them and gives the
-    witnesses.
+    math.atan2's angles of the other discs, if any, decides them and gives
+    the witnesses.
     """
     counts = np.diff(graph.ends)
     n = len(counts)
@@ -212,17 +212,19 @@ def _judge(graph: ContactGraph) -> JammingReport:
     verdicts = list(map(DiscVerdict, range(n), repeat("jammed"), repeat(None),
                         m))
     rest = np.flatnonzero(has & ~clear)
-    x, y = graph.unit[np.repeat(~clear, counts)].T.tolist()
-    a = np.fromiter(map(math.atan2, y, x), float, len(x)) % TWO_PI
-    G, start = _largest_gaps(a, counts[rest])
-    free = (counts[rest] < 3) | (G >= math.pi - ANGLE_SLACK)
-    witness = (start + G / 2.0 + math.pi) % TWO_PI
-    for i, w in zip(rest[free].tolist(), witness[free].tolist()):
-        verdicts[i] = DiscVerdict(i, "movable", (math.cos(w), math.sin(w)),
-                                  m[i])
+    movable = 0
+    if len(rest):                   # else the first pass decided every disc
+        x, y = graph.unit[np.repeat(~clear, counts)].T.tolist()
+        a = np.fromiter(map(math.atan2, y, x), float, len(x)) % TWO_PI
+        G, start = _largest_gaps(a, counts[rest])
+        free = (counts[rest] < 3) | (G >= math.pi - ANGLE_SLACK)
+        witness = (start + G / 2.0 + math.pi) % TWO_PI
+        for i, w in zip(rest[free].tolist(), witness[free].tolist()):
+            verdicts[i] = DiscVerdict(i, "movable",
+                                      (math.cos(w), math.sin(w)), m[i])
+        movable = int(free.sum())
     rattlers = np.flatnonzero(~has).tolist()
     for i in rattlers:
         verdicts[i] = DiscVerdict(i, "rattler", (1.0, 0.0), 0)
-    movable = int(free.sum())
     return JammingReport(verdicts, n - movable - len(rattlers), movable,
                          len(rattlers), movable == 0 and not rattlers)

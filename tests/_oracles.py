@@ -9,7 +9,7 @@ import numpy as np
 from jampack.configuration import Configuration
 from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
                                   CurveFamily)
-from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError
+from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError, Point
 from jampack.verifier import ContactGraph, DiscVerdict, _judge
 
 TWO_PI = 2.0 * math.pi
@@ -24,6 +24,42 @@ def curve_eval(family: CurveFamily, x: float) -> float:
     if x < 0:
         raise ConstructionError("curve is only defined for x >= 0")
     return (1.0 + family.epsilon) * family.base(x) - family.epsilon * family.base(0.0)
+
+
+def _require_finite(*points: Point):
+    for p in points:
+        if not (math.isfinite(p[0]) and math.isfinite(p[1])):
+            raise GeometryError("non-finite coordinate: %r" % (p,))
+
+
+def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
+                                ) -> list[Point]:
+    """Intersection points of two circles: the general solver whose
+    larger-x point at r1 = r2 = 2 the package's apex must return.
+
+    Returns 2 points for proper crossing, 1 at (internal or external)
+    tangency within SOLVER_ABS, 0 when disjoint.  Coincident centers
+    are rejected.
+    """
+    _require_finite(c1, c2)
+    if r1 <= 0 or r2 <= 0:
+        raise GeometryError("radii must be positive")
+    d = math.dist(c1, c2)
+    if d <= SOLVER_ABS:
+        raise GeometryError("coincident circle centers")
+    outer = r1 + r2
+    inner = abs(r1 - r2)
+    if d > outer + SOLVER_ABS or d < inner - SOLVER_ABS:
+        return []
+    ux = (c2[0] - c1[0]) / d
+    uy = (c2[1] - c1[1]) / d
+    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    if abs(d - outer) <= SOLVER_ABS or abs(d - inner) <= SOLVER_ABS:
+        return [(c1[0] + a * ux, c1[1] + a * uy)]
+    h = math.sqrt(max(r1 * r1 - a * a, 0.0))
+    mx = c1[0] + a * ux
+    my = c1[1] + a * uy
+    return [(mx + h * uy, my - h * ux), (mx - h * uy, my + h * ux)]
 
 
 def plain_chord_step(curve, x_start: float, chord: float) -> float:

@@ -14,12 +14,12 @@ from jampack.construction import (AssemblyError, BridgeChain,
                                   complete_symmetric_bridge, density,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import (SOLVER_ABS, GeometryError, chord_step,
-                              circle_circle_intersections)
+from jampack.geometry import SOLVER_ABS, GeometryError, chord_step
 from jampack.verifier import OverlapError, verify_stable
 
-from _oracles import (PROBES, curve_eval, plain_chord_step,
-                      plain_tune_epsilon, scaled, tiling_loop)
+from _oracles import (PROBES, circle_circle_intersections, curve_eval,
+                      plain_chord_step, plain_tune_epsilon, scaled,
+                      tiling_loop)
 
 S3 = math.sqrt(3.0)
 
@@ -43,6 +43,13 @@ def test_curve_limits():
 def test_curve_family_validation():
     with pytest.raises(ConstructionError):
         CurveFamily(lam=-1.0)
+    for field in ("lam", "epsilon"):
+        for value in (True, np.bool_(False), "0.1", None, 10 ** 400):
+            with pytest.raises(ValueError, match="^%s " % field):
+                CurveFamily(**{field: value})
+    fam = CurveFamily(np.float32(0.1), np.int64(2))
+    assert (fam.lam, fam.epsilon) == (float(np.float32(0.1)), 2.0)
+    assert (type(fam.lam), type(fam.epsilon)) == (float, float)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 
 import jampack
+from jampack.construction import CurveFamily, tune_epsilon
 from jampack.geometry import (ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL,
-                              GeometryError, chord_step,
-                              circle_circle_intersections, near_pairs)
+                              GeometryError, apex, chord_step, near_pairs)
 
-from _oracles import plain_chord_step
+from _oracles import circle_circle_intersections, plain_chord_step
 
 
 def test_tolerance_constants():
@@ -28,59 +28,80 @@ def test_tolerance_constants():
 
 
 def test_intersections_symmetric_equal_circles():
-    pts = circle_circle_intersections((0, 0), 2, (2, 0), 2)
-    assert len(pts) == 2
-    got = sorted(pts, key=lambda p: p[1])
-    assert got[0] == pytest.approx((1, -math.sqrt(3)), abs=1e-12)
-    assert got[1] == pytest.approx((1, math.sqrt(3)), abs=1e-12)
+    # the two points share x = 1, so the tie goes to the one right of
+    # (0, 0) -> (2, 0)
+    assert apex((0, 0), (2, 0)) == (1.0, -math.sqrt(3))
+    assert apex((2, 0), (0, 0)) == (1.0, math.sqrt(3))
 
 
 def test_intersections_disjoint():
-    assert circle_circle_intersections((0, 0), 1, (4, 0), 1) == []
+    assert apex((0, 0), (4.5, 0)) is None
+    assert apex((0, 0), (4 + 2 * SOLVER_ABS, 0)) is None
 
 
 def test_intersections_external_tangency():
-    pts = circle_circle_intersections((0, 0), 2, (4, 0), 2)
-    assert len(pts) == 1
-    assert pts[0] == pytest.approx((2, 0), abs=1e-12)
-
-
-def test_intersections_internal_tangency():
-    pts = circle_circle_intersections((0, 0), 3, (1, 0), 2)
-    assert len(pts) == 1
-    assert pts[0] == pytest.approx((3, 0), abs=1e-12)
+    assert apex((0, 0), (4, 0)) == (2.0, 0.0)
+    # within SOLVER_ABS of 4 the apex is the midpoint, not a point a
+    # square root of the excess off the line
+    for d in (4 - 0.5 * SOLVER_ABS, 4 + 0.5 * SOLVER_ABS):
+        assert apex((0, 0), (d, 0)) == (d * d / (2 * d), 0.0)
+        assert apex((1, 1), (1, 1 + d)) == (1.0, 1 + d * d / (2 * d))
 
 
 def test_intersections_coincident_centers_rejected():
     with pytest.raises(GeometryError):
-        circle_circle_intersections((1, 1), 2, (1, 1), 3)
-
-
-def test_intersections_bad_radius_rejected():
-    with pytest.raises(GeometryError):
-        circle_circle_intersections((0, 0), -1, (1, 0), 1)
-
-
-def test_intersections_nonfinite_rejected():
-    with pytest.raises(GeometryError):
-        circle_circle_intersections((math.nan, 0), 1, (1, 0), 1)
+        apex((1, 1), (1, 1))
 
 
 def test_intersections_residuals_randomized():
     rnd = random.Random(12345)
     checked = 0
     for _ in range(2000):
-        c1 = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
-        c2 = (rnd.uniform(-5, 5), rnd.uniform(-5, 5))
-        r1 = rnd.uniform(0.1, 4)
-        r2 = rnd.uniform(0.1, 4)
+        c1 = (rnd.uniform(-2.5, 2.5), rnd.uniform(-2.5, 2.5))
+        c2 = (rnd.uniform(-2.5, 2.5), rnd.uniform(-2.5, 2.5))
         if dist(c1, c2) < 1e-6:
             continue
-        for p in circle_circle_intersections(c1, r1, c2, r2):
-            assert abs(dist(p, c1) - r1) <= 1e-9
-            assert abs(dist(p, c2) - r2) <= 1e-9
+        p = apex(c1, c2)
+        if p is not None:
+            assert abs(dist(p, c1) - 2) <= 1e-9
+            assert abs(dist(p, c2) - 2) <= 1e-9
             checked += 1
     assert checked > 1000
+
+
+def _bits(p):
+    return None if p is None else tuple(map(float.hex, p))
+
+
+def _oracle_apex(p, q):
+    pts = circle_circle_intersections(p, 2.0, q, 2.0)
+    return max(pts, key=lambda t: t[0]) if pts else None
+
+
+def test_apex_is_the_general_solvers_larger_x_point_bit_for_bit():
+    """Every b step of tuned chains, then random pairs: uniform, within
+    1e-12 of distance 4, horizontal (a tie in x) and vertical."""
+    pairs = []
+    for N in (4, 8, 32):
+        _, chain = tune_epsilon(CurveFamily(), N)
+        steps = list(zip(chain.a[1:], chain.c))
+        assert [apex(a, c) for a, c in steps] == chain.b[1:]
+        pairs += steps
+    rnd = random.Random(2024)
+    for k in range(12000):
+        p = (rnd.uniform(-50, 50), rnd.uniform(-5, 5))
+        if k % 4 == 1:
+            d = 4 + rnd.uniform(-1.5, 1.5) * SOLVER_ABS
+        else:
+            d = rnd.uniform(1e-6, 4.5)
+        t = rnd.uniform(0, 2 * math.pi)
+        u = [(math.cos(t), math.sin(t)), (rnd.choice((-1, 1)), 0.0),
+             (0.0, rnd.choice((-1, 1)))][k % 3]
+        pairs.append((p, (p[0] + d * u[0], p[1] + d * u[1])))
+    near = sum(abs(dist(p, q) - 4) <= SOLVER_ABS for p, q in pairs)
+    assert near > 1500
+    for p, q in pairs:
+        assert _bits(apex(p, q)) == _bits(_oracle_apex(p, q)), (p, q)
 
 
 def test_chord_step_flat_curve():

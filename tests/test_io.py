@@ -124,7 +124,9 @@ NOT_SIDES = {"bool-radius": (True, None, "radius"),
              "huge-height": (0.1, (1.0, 10 ** 400), "box height"),
              "one-side": (0.1, (1.0,), "box"),
              "three-sides": (0.1, (1.0, 1.0, 1.0), "box"),
-             "number-box": (0.1, 5.0, "box")}
+             "number-box": (0.1, 5.0, "box"),
+             "numpy-bool-radius": (np.bool_(True), None, "radius"),
+             "numpy-bool-height": (0.1, (1.0, np.bool_(True)), "box height")}
 
 
 @pytest.mark.parametrize("radius, box, name", NOT_SIDES.values(),
@@ -133,10 +135,12 @@ def test_configuration_refuses_radius_and_box_that_are_not_numbers(
         radius, box, name):
     with pytest.raises(ValueError, match="^%s " % name):
         Configuration(radius, [[0.5, 0.5]], box)
-    config = Configuration(1, [[0.5, 0.5]], [2, 3])
-    assert type(config.radius) is float and config.radius == 1.0
-    assert config.box == (2.0, 3.0)
-    assert list(map(type, config.box)) == [float, float]
+    for one, two, three in ((1, 2, 3),
+                            (np.int64(1), np.float32(2.0), np.int32(3))):
+        config = Configuration(one, [[0.5, 0.5]], [two, three])
+        assert type(config.radius) is float and config.radius == 1.0
+        assert config.box == (2.0, 3.0)
+        assert list(map(type, config.box)) == [float, float]
 
 
 @pytest.mark.parametrize("radius", ["0", "-1.0", "Infinity"])

@@ -20,9 +20,14 @@ def _free_disc():
 def test_params_validation():
     with pytest.raises(ValueError):
         ChainParams(steps=0, step_radius=0.1)
-    for step_radius in (0.0, math.nan, True, "0.1", None):
+    for step_radius in (0.0, math.nan, True, "0.1", None, np.bool_(True),
+                        10 ** 400, np.float64(-1.0)):
         with pytest.raises(ValueError, match="step_radius"):
             ChainParams(10, step_radius)
+    for step_radius in (np.float32(0.1), np.int64(1), 1):
+        params = ChainParams(10, step_radius)
+        assert type(params.step_radius) is float
+        assert params.step_radius == float(step_radius)
     for steps in (1.5, True, "10"):
         with pytest.raises(ValueError, match="steps"):
             ChainParams(steps, 0.1)
