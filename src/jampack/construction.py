@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration, _number
-from .geometry import SOLVER_ABS, TANGENCY_REL, apex, chord_step
+from .geometry import SOLVER_ABS, TANGENCY_REL, apex
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -73,46 +73,69 @@ class BridgeChain:
     terminated_at: tuple | None = None
 
 
+def chord_step(one: float, e0: float, lam: float, ax: float, ay: float
+               ) -> tuple[float, float]:
+    """The point (x, f_eps(x)) of the curve at chord 2 beyond a = (ax, ay),
+    where f_eps(x) = one (F_LIMIT + (2 - sqrt 3) exp(-lam x)) - e0: three
+    Newton steps on (x - ax)^2 + (f_eps(x) - ay)^2 = 4 from the point at
+    chord 2 along the tangent at a.
+
+    Its floats are _scan_residuals' step, operation for operation, so the
+    scan's residuals are _closure_residual's bit for bit: np.exp in both
+    (math.exp differs from it in the last bit on a few percent of
+    arguments) and products, not powers.  A chord outside the verifier's
+    contact band, or NaN, is refused.
+    """
+    k = 2.0 - SQRT3
+    slope = -one * k * lam * float(np.exp(-lam * ax))
+    x = ax + 2.0 / math.sqrt(1.0 + slope * slope)
+    for _ in range(3):
+        t = one * k * float(np.exp(-lam * x))
+        u = x - ax
+        dy = one * F_LIMIT + t - e0 - ay
+        h = u * u + dy * dy - 4.0
+        x = x - h / (2.0 * u - 2.0 * dy * lam * t)
+    y = one * (F_LIMIT + k * float(np.exp(-lam * x))) - e0
+    d = math.sqrt((x - ax) * (x - ax) + (y - ay) * (y - ay))
+    if not abs(d - 2.0) <= 2.0 * TANGENCY_REL:
+        raise ConstructionError("chord step from x=%r ends at chord %r, "
+                                "not 2" % (ax, d))
+    return x, y
+
+
 def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     """Grow the chain a_1 = (0, 2+sqrt(3)), b_1 = (0, sqrt(3)), c_1 = (1, 0)
     until max_N rows of b exist or the recursion terminates.
 
-    Each step advances a by a chord of length 2 along the curve, places
-    b_{i+1} at the larger-x point at distance 2 from a_{i+1} and c_i
-    (apex), and drops c_{i+1} onto the axis tangent to b_{i+1}.
-    Termination reasons: 'no_b' when a_{i+1} is farther than 4 from c_i,
-    'no_c' when b_{i+1} rises above height 2.
+    Each step advances a by a chord of length 2 along the curve
+    (chord_step), places b_{i+1} at the larger-x point at distance 2 from
+    a_{i+1} and c_i (apex), and drops c_{i+1} onto the axis tangent to
+    b_{i+1}.  Termination reasons: 'no_b' when a_{i+1} is farther than 4
+    from c_i, 'no_c' when b_{i+1} rises above height 2.
     """
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
     # f_eps(x) = (1+eps) f(x) - eps f(0), with f(0) taken once per chain
-    base = family.base
     one = 1.0 + family.epsilon
-    e0 = family.epsilon * base(0.0)
-
-    def f(x):
-        return one * base(x) - e0
-
-    a = [(0.0, f(0.0))]
+    f0 = family.base(0.0)
+    e0 = family.epsilon * f0
+    a = [(0.0, one * f0 - e0)]
     b = [(0.0, SQRT3)]
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        xn = chord_step(f, *a[-1], 2.0)
-        an = (xn, f(xn))
+        an = chord_step(one, e0, family.lam, *a[-1])
         bn = apex(an, c[-1])
         if bn is None:
             term = ("no_b", i + 1)
             break
-        if bn[1] > 2.0:
-            a.append(an)
-            b.append(bn)
-            term = ("no_c", i + 1)
-            break
         a.append(an)
         b.append(bn)
-        c.append((bn[0] + math.sqrt(4.0 - bn[1] ** 2), 0.0))
+        if bn[1] > 2.0:
+            term = ("no_c", i + 1)
+            break
+        c.append((bn[0] + math.sqrt(4.0 - bn[1] * bn[1]), 0.0))
     return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
 
 
@@ -128,11 +151,9 @@ def _closure_residual(family: CurveFamily, N: int, epsilon: float
 
 def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
                     ) -> np.ndarray:
-    """_closure_residual at every epsilon of eps at once, from chains grown
-    side by side in numpy.  Each chord step is a fixed count of Newton
-    steps from the tangent guess instead of the replayed bisection, so the
-    values drift from the scalar ones by rounding: tune_epsilon reads only
-    their signs, and only where |g| is far above that drift."""
+    """_closure_residual at every epsilon of eps at once, bit for bit, from
+    chains grown side by side in numpy with the float operations of
+    chord_step and apex."""
     lam, k, f0 = family.lam, 2.0 - SQRT3, family.base(0.0)
     one = 1.0 + eps
     e0 = eps * f0
@@ -143,23 +164,28 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
     alive = np.ones(eps.shape, bool)
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(1, N):
-            # the curve point at chord 2 from a: Newton on
-            # (x - ax)^2 + (f(x) - ay)^2 = 4, from the tangent's point
+            # a: chord_step
             slope = -one * k * lam * np.exp(-lam * ax)
             x = ax + 2.0 / np.sqrt(1.0 + slope * slope)
             for _ in range(3):
                 t = one * k * np.exp(-lam * x)
+                u = x - ax
                 dy = one * F_LIMIT + t - e0 - ay
-                h = (x - ax) ** 2 + dy * dy - 4.0
-                x = x - h / (2.0 * (x - ax) - 2.0 * dy * lam * t)
+                h = u * u + dy * dy - 4.0
+                x = x - h / (2.0 * u - 2.0 * dy * lam * t)
             ax, ay = x, one * (F_LIMIT + k * np.exp(-lam * x)) - e0
-            # b: the larger-x intersection of the radius-2 circles about
-            # a and c; chains cut short before depth N score +1
-            ux, uy = cx - ax, -ay
-            d = np.sqrt(ux * ux + uy * uy)
-            half = np.sqrt(4.0 - 0.25 * d * d) / d
-            bx = ax + 0.5 * ux + half * np.abs(uy)
-            by = ay + 0.5 * uy + half * np.where(uy < 0, ux, -ux)
+            # b: apex(a, c); chains cut short before depth N score +1
+            dx, dy = cx - ax, -ay
+            d = np.sqrt(dx * dx + dy * dy)
+            ux, uy = dx / d, dy / d
+            m = d * d / (2.0 * d)
+            mx, my = ax + m * ux, ay + m * uy
+            h = np.sqrt(np.maximum(4.0 - m * m, 0.0))
+            x1, x2 = mx + h * uy, mx - h * uy
+            bx = np.where(x2 > x1, x2, x1)
+            by = np.where(x2 > x1, my + h * ux, my - h * ux)
+            mid = np.abs(d - 4.0) <= SOLVER_ABS
+            bx, by = np.where(mid, mx, bx), np.where(mid, my, by)
             stop = d > 4.0 + SOLVER_ABS                 # no_b
             if i + 1 < N:
                 stop |= by > 2.0                        # no_c
@@ -202,16 +228,9 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for the first sign change of the closure residual g,
-    then closes the bracket by _false_position.  Each chain is built once
-    per call; the one returned is the chain g was read from at epsilon*.
-
-    The scan takes a probe's sign from _scan_residuals where that value
-    exceeds 1e-6 in size, and from g elsewhere; below every scalar
-    bracket for lam in {0.02, 0.05, 0.1} and N <= 160 the two were
-    measured to differ by at most 1e-12.  g must then change sign
-    across the bracket found, or the scan is run again on g alone.  So a
-    spurious sign change from the vector pass is caught; only a missed
-    one rests on the 1e-6 bound.
+    read from _scan_residuals, then closes the bracket by _false_position.
+    Each chain is built once per call; the one returned is the chain g was
+    read from at epsilon*.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
@@ -225,27 +244,16 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
               for k in range(64)]
-
-    def scan(sign):
-        prev = None
-        for e in probes:
-            ge = sign(e)
-            if prev is not None and prev[1] * ge < 0:
-                return prev[0], e
-            prev = (e, ge)
-        return None
-
-    fast = dict(zip(probes, _scan_residuals(family, N, np.array(probes))
-                    .tolist()))
-    bracket = scan(lambda e: fast[e] if abs(fast[e]) > 1e-6 else g(e))
-    if bracket is None or not g(bracket[0]) * g(bracket[1]) < 0:
-        bracket = scan(g)
+    fast = _scan_residuals(family, N, np.array(probes)).tolist()
+    bracket = next(((lo, hi) for lo, hi, glo, ghi
+                    in zip(probes, probes[1:], fast, fast[1:])
+                    if glo * ghi < 0), None)
     if bracket is None:
         raise TuningError(
             "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "
             "residual changes sign nowhere in the scan; the last probe "
             "eps=%.6g has residual %.3g"
-            % (N, family.lam, DEFAULT_EPS_HI, probes[-1], g(probes[-1])))
+            % (N, family.lam, DEFAULT_EPS_HI, probes[-1], fast[-1]))
 
     eps_star = _false_position(g, *bracket, *map(g, bracket))
     if abs(g(eps_star)) > 10.0 * SOLVER_ABS:

@@ -1,6 +1,5 @@
-"""Planar primitives: the apex at distance 2 from two points, chord
-stepping along a monotone curve, and the cell-list neighbour index that
-every all-pairs question goes through.
+"""Planar primitives: the apex at distance 2 from two points and the
+cell-list neighbour index that every all-pairs question goes through.
 
 All operations are pure; points are plain (x, y) tuples of floats, except
 that near_pairs takes and returns numpy arrays.
@@ -20,7 +19,7 @@ class GeometryError(ValueError):
 # Relative tolerance on centre distances for contact detection: a pair is
 # in contact when |d - 2r| <= 2r * TANGENCY_REL.
 TANGENCY_REL = 1e-9
-# Absolute tolerance of the root finders and of coincidence tests.
+# Absolute tolerance of apex's distance tests and of closure tuning.
 SOLVER_ABS = 1e-12
 # Slack (radians) by which a disc's largest normal gap must fall short of pi
 # for the disc to be called jammed.
@@ -32,13 +31,13 @@ def apex(p: Point, q: Point) -> Point | None:
     they are more than 4 + SOLVER_ABS apart; within SOLVER_ABS of 4 apart,
     their midpoint.  A tie in x goes to the point right of p -> q, and
     coincident p and q are rejected."""
-    d = math.dist(p, q)
+    dx, dy = q[0] - p[0], q[1] - p[1]
+    d = math.sqrt(dx * dx + dy * dy)
     if d <= SOLVER_ABS:
         raise GeometryError("coincident circle centers")
     if d > 4.0 + SOLVER_ABS:
         return None
-    ux = (q[0] - p[0]) / d
-    uy = (q[1] - p[1]) / d
+    ux, uy = dx / d, dy / d
     a = d * d / (2.0 * d)       # the floats of (4 - 4 + d^2) / 2d, not d/2
     mx = p[0] + a * ux
     my = p[1] + a * uy
@@ -47,122 +46,6 @@ def apex(p: Point, q: Point) -> Point | None:
     h = math.sqrt(max(4.0 - a * a, 0.0))
     x1, x2 = mx + h * uy, mx - h * uy
     return (x2, my + h * ux) if x2 > x1 else (x1, my - h * ux)
-
-
-# Rounding margin of chord_step's bisection replay, as a share of its
-# coordinate scale: 256 units in the last place.  At 2^-40 the replay's
-# window is wide enough to cost about four more evaluations per call.
-_MARGIN = 2.0 ** -44
-# Half-width of the replay's window, in units of the root estimate's
-# uncertainty (last secant step plus m / slope).
-_WINDOW = 1.5
-# The secant settles in two or three steps on a smooth curve; where it has
-# not settled by the cap, its last step widens the window.
-_SECANT_STEPS = 8
-
-
-def _replay_bisection(g, lo, hi, glo, ghi, m):
-    """The bracket (lo, hi) that plain bisection of the increasing g leaves,
-    for chord_step, its one caller: split it at mid = 0.5 (lo + hi) while
-    hi - lo > SOLVER_ABS, keep the half whose ends' g do not share a sign,
-    and stop once mid is no longer a float strictly inside the bracket.
-    glo and ghi are g(lo) and g(hi).
-
-    That loop reads g only through its sign, so it is replayed with the
-    same midpoints and the same rule while g is evaluated only near the
-    root.  False position from the bracket ends, then secant steps until
-    |g| is within m, estimate the root; a window (a, b) about it, as wide
-    as the last step plus the margin's width in x, times _WINDOW, is
-    confirmed where g(a) < -m unless a <= lo, and g(b) > m unless b >= hi.
-    A midpoint left of it then takes g < 0, one right of it g > 0, and
-    only the midpoints inside are evaluated.  If the check fails, every
-    midpoint is evaluated, as in plain bisection.  The caller vouches that
-    the computed g lies within m/2 of a non-decreasing function on the
-    bracket, so that the sign beyond a window end whose |g| exceeds m is
-    the sign at that end.
-
-    A midpoint equal to lo or hi would leave the bracket as it is on every
-    later split, so the early stop gives plain bisection's bracket wherever
-    that loop ends; it also ends the loop where ulp(x) exceeds SOLVER_ABS
-    (from x = 8192), where plain bisection would not.
-    """
-    x = lo - glo * (hi - lo) / (ghi - glo)
-    xp, gp = hi, ghi
-    slope = (ghi - glo) / (hi - lo)
-    step = 0.0
-    for _ in range(_SECANT_STEPS):
-        if not lo < x < hi:
-            break
-        gx = g(x)
-        if gx == gp:
-            break
-        slope = (gx - gp) / (x - xp)
-        xp, gp, x = x, gx, x - gx / slope
-        step = abs(x - xp)
-        if abs(gx) <= m:
-            break
-    wlo, whi = lo, hi
-    d = _WINDOW * (step + m / slope) if slope > 0 else -1.0
-    if 0.0 <= d < hi - lo:
-        x = min(max(x, lo), hi)
-        a, b = x - d, x + d
-        if (a <= lo or g(a) < -m) and (b >= hi or g(b) > m):
-            wlo, whi = a, b
-    while hi - lo > SOLVER_ABS:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        if mid <= wlo:
-            lo = mid
-        elif mid >= whi:
-            hi = mid
-        else:
-            gm = g(mid)
-            if glo * gm <= 0:
-                hi = mid
-            else:
-                lo, glo = mid, gm
-    return lo, hi
-
-
-def chord_step(curve, x_start: float, y_start: float, chord: float
-               ) -> float:
-    """Smallest x' > x_start at which the point (x', curve(x')) lies at the
-    given chord distance from (x_start, y_start), where y_start is the
-    caller's curve(x_start); the curve is not evaluated at x_start.
-
-    The curve must be continuous and non-increasing on [x_start, inf), so
-    g(x) = hypot(x - x_start, curve(x) - y_start) - chord grows with x and
-    the bracket [x_start, x_start + chord] holds its root; where
-    x_start + chord rounds down, g at its top is below 0 by rounding alone
-    and the step ends there, as plain bisection does.  The result is the
-    last midpoint of plain bisection of g down to SOLVER_ABS, replayed by
-    _replay_bisection: on the bridge curves about 9 curve evaluations
-    replace about 45.
-
-    The margin m is 2^-44 (_MARGIN) of the bracket's coordinate scale,
-    |x_start| + chord + the larger |y| at the bracket's ends.  The replay
-    assumes that the computed curve lies within m/5 of some non-increasing
-    function on the bracket; the computed g is then within m/2, its own
-    rounding included, of a non-decreasing function.
-    """
-    if chord <= 0:
-        raise GeometryError("chord must be positive")
-    if not math.isfinite(y_start):
-        raise GeometryError("curve not finite at x_start")
-    lo, hi = x_start, x_start + chord
-    y_hi = curve(hi)
-    if y_hi > y_start + SOLVER_ABS:
-        raise GeometryError("curve must be non-increasing on the bracket")
-
-    def g(x):
-        return math.hypot(x - x_start, curve(x) - y_start) - chord
-
-    glo = -chord                                # g(lo) = hypot(0, 0) - chord
-    ghi = math.hypot(hi - x_start, y_hi - y_start) - chord
-    m = _MARGIN * (abs(x_start) + chord + max(abs(y_start), abs(y_hi)))
-    lo, hi = _replay_bisection(g, lo, hi, glo, ghi, m)
-    return 0.5 * (lo + hi)
 
 
 # A cell-list axis has at most _MAX_CELLS + 1 cells, so the key

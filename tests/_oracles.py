@@ -44,15 +44,15 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
     _require_finite(c1, c2)
     if r1 <= 0 or r2 <= 0:
         raise GeometryError("radii must be positive")
-    d = math.dist(c1, c2)
+    dx, dy = c2[0] - c1[0], c2[1] - c1[1]
+    d = math.sqrt(dx * dx + dy * dy)
     if d <= SOLVER_ABS:
         raise GeometryError("coincident circle centers")
     outer = r1 + r2
     inner = abs(r1 - r2)
     if d > outer + SOLVER_ABS or d < inner - SOLVER_ABS:
         return []
-    ux = (c2[0] - c1[0]) / d
-    uy = (c2[1] - c1[1]) / d
+    ux, uy = dx / d, dy / d
     a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
     if abs(d - outer) <= SOLVER_ABS or abs(d - inner) <= SOLVER_ABS:
         return [(c1[0] + a * ux, c1[1] + a * uy)]
@@ -63,8 +63,11 @@ def circle_circle_intersections(c1: Point, r1: float, c2: Point, r2: float
 
 
 def plain_chord_step(curve, x_start: float, chord: float) -> float:
-    """chord_step by plain bisection, evaluating g at every midpoint: the
-    reference whose float the package's replay must return."""
+    """The smallest x > x_start at which (x, curve(x)) lies at the given
+    chord from (x_start, curve(x_start)), by plain bisection of the bracket
+    [x_start, x_start + chord] down to SOLVER_ABS, evaluating g at every
+    midpoint: the reference the package's Newton chord step must fall
+    within."""
     if chord <= 0:
         raise GeometryError("chord must be positive")
     y0 = curve(x_start)

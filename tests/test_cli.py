@@ -169,7 +169,7 @@ def test_build_square_verify_render_bytes_are_pinned(tmp_path, capsys):
     digests = [hashlib.sha256(path.read_bytes()).hexdigest()
                for path in (square, report, svg)]
     assert digests == [
-        "c82186285cc09c0e6c189d243df0a0df23c84827e28977d23f9e46838036a26d",
+        "fc1f880af2c33318c384fb95ba363d87af327b65006b1abdf679602f97b693a6",
         "415c1d376d5f2f4ba73c7776dbc8442765274b71bc6608d9d6b2589408ddae47",
         "caf256e292411cfc16a3ee75b113602e8a847ac73d9cd887ad37ea4d88bf602c"]
 

@@ -1,5 +1,4 @@
 import math
-import random
 from math import dist
 
 import numpy as np
@@ -7,14 +6,14 @@ import pytest
 
 from jampack import construction
 from jampack.configuration import Configuration
-from jampack.construction import (AssemblyError, BridgeChain,
+from jampack.construction import (F_LIMIT, AssemblyError, BridgeChain,
                                   ConstructionError, CurveFamily,
                                   TuningError, assemble_square,
                                   build_half_chain,
                                   complete_symmetric_bridge, density,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
-from jampack.geometry import SOLVER_ABS, GeometryError, chord_step
+from jampack.geometry import SOLVER_ABS
 from jampack.verifier import OverlapError, verify_stable
 
 from _oracles import (PROBES, circle_circle_intersections, curve_eval,
@@ -210,12 +209,56 @@ def _parent_closure_residual(family, N, epsilon):
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
 
 
+def _exact_chain(lam, epsilon, N):
+    """build_half_chain at (lam, epsilon) in 50-digit arithmetic, on the
+    curve and seed the package's float constants define: each a by eight
+    Newton steps on the chord equation, by which they have settled to the
+    working precision, each b as the larger-x point at distance 2 from a
+    and the last c.  Returns the rows a, b, c and the
+    termination, as build_half_chain does."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        big, k, lam, eps = mpf(F_LIMIT), mpf(2.0 - S3), mpf(lam), mpf(epsilon)
+        e0 = eps * (big + k)
+
+        def f(x):
+            return (1 + eps) * (big + k * mpmath.exp(-lam * x)) - e0
+
+        def df(x):
+            return -(1 + eps) * k * lam * mpmath.exp(-lam * x)
+
+        a, b, c = [(mpf(0), f(0))], [(mpf(0), mpf(S3))], [(mpf(1), mpf(0))]
+        for i in range(1, N):
+            ax, ay = a[-1]
+            x = ax + 2 / mpmath.sqrt(1 + df(ax) ** 2)
+            for _ in range(8):
+                u, v = x - ax, f(x) - ay
+                x -= (u * u + v * v - 4) / (2 * u + 2 * v * df(x))
+            a_next = (x, f(x))
+            (px, py), (qx, qy) = a_next, c[-1]
+            d = mpmath.sqrt((qx - px) ** 2 + (qy - py) ** 2)
+            if d > 4:
+                return a, b, c, ("no_b", i + 1)
+            h = mpmath.sqrt(4 - d * d / 4) / d
+            mx, my = (px + qx) / 2, (py + qy) / 2
+            b_next = max((mx + h * (qy - py), my - h * (qx - px)),
+                         (mx - h * (qy - py), my + h * (qx - px)))
+            a.append(a_next)
+            b.append(b_next)
+            if b_next[1] > 2:
+                return a, b, c, ("no_c", i + 1)
+            c.append((b_next[0] + mpmath.sqrt(4 - b_next[1] ** 2), mpf(0)))
+        return a, b, c, None
+
+
 def _check_against_bisection(family, N):
-    """tune_epsilon(family, N) against plain scan and bisection of the
-    parent's residual: the same TuningError cases and messages, a closure
-    residual within 2^-50 * 4N, and every chain centre within 2^-44 * 4N
-    of the parent's chain at bisection's epsilon*.  Returns whether
-    tuning failed."""
+    """tune_epsilon(family, N) against the scan of the parent's residual,
+    whose chords are plain bisection's, and its chain against the 50-digit
+    one at the same epsilon: the same TuningError cases and messages as
+    that scan, epsilon* inside its bracket, a closure residual within
+    2^-50 * 4N, and every chain centre within 2^-48 * 4N of the exact
+    chain's.  Returns whether tuning failed."""
     memo = {}
 
     def g(eps):
@@ -223,9 +266,9 @@ def _check_against_bisection(family, N):
             memo[eps] = _parent_closure_residual(family, N, eps)
         return memo[eps]
 
-    try:
-        expected, _ = plain_tune_epsilon(g)
-    except ValueError:
+    bracket = next(((lo, hi) for lo, hi in zip(PROBES, PROBES[1:])
+                    if g(lo) * g(hi) < 0), None)
+    if bracket is None:
         with pytest.raises(TuningError) as e:
             tune_epsilon(family, N)
         assert str(e.value) == (
@@ -234,23 +277,24 @@ def _check_against_bisection(family, N):
             "eps=50 has residual %.3g" % (N, family.lam, g(PROBES[-1])))
         return True
     eps, chain = tune_epsilon(family, N)
+    assert bracket[0] <= eps <= bracket[1], N
     scale = 4.0 * N
     assert abs(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0) <= (
         2.0 ** -50 * scale), N
-    parent = _parent_build_half_chain(CurveFamily(family.lam, expected), N)
-    assert (chain.N, chain.terminated_at) == (parent.N, parent.terminated_at)
-    for row, parent_row in ((chain.a, parent.a), (chain.b, parent.b),
-                            (chain.c, parent.c)):
-        assert len(row) == len(parent_row), N
-        assert np.max(np.abs(np.subtract(row, parent_row))) <= (
-            2.0 ** -44 * scale), N
+    a, b, c, term = _exact_chain(family.lam, eps, N)
+    assert (chain.N, chain.terminated_at) == (len(b), term)
+    for row, exact in ((chain.a, a), (chain.b, b), (chain.c, c)):
+        assert len(row) == len(exact), N
+        error = max(abs(w - v) for p, q in zip(row, exact)
+                    for v, w in zip(p, q))
+        assert error <= 2.0 ** -48 * scale, (N, float(error))
     assert chain.epsilon_used == eps
     return False
 
 
 @pytest.mark.parametrize("lam", [0.02, 0.05, 0.1])
 def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
-    # the same failures, and chains within rounding of bisection's
+    # the same failures, and chains within rounding of the exact chain
     family = CurveFamily(lam=lam)
     outcomes = {_check_against_bisection(family, N)
                 for N in list(range(2, 21)) + [32, 64]}
@@ -267,173 +311,47 @@ def test_tune_epsilon_matches_parent_where_margins_are_thin(lam, N):
     assert failed == ((lam, N) in ((0.05, 160), (0.1, 96)))
 
 
-def test_scan_residuals_trusted_signs_are_the_scalar_signs():
-    # on every scan probe, not only those below the bracket
-    trusted = 0
+def test_scan_residuals_equal_the_scalar_residuals_bit_for_bit():
+    # on every scan probe, past the bracket and where chains end early too
     for lam in (0.02, 0.05, 0.1):
         family = CurveFamily(lam=lam)
-        for N in list(range(2, 21)) + [32, 64]:
+        for N in list(range(2, 21)) + [32, 64, 96, 128, 160]:
             fast = construction._scan_residuals(family, N, np.array(PROBES))
-            for eps, v in zip(PROBES, fast.tolist()):
-                if abs(v) > 1e-6:
-                    g, _ = construction._closure_residual(family, N, eps)
-                    assert (v > 0) == (g > 0), (lam, N, eps, v, g)
-                    trusted += 1
-    assert trusted > 0.99 * 3 * 21 * 64
+            assert fast.tolist() == [
+                construction._closure_residual(family, N, eps)[0]
+                for eps in PROBES], (lam, N)
 
 
-def _flip_once(v):
-    v[10] = -v[10]          # a sign change far below the bracket
-    return v
-
-
-def _flip_bracket_top(v):
-    k = next(k for k in range(1, len(v)) if v[k - 1] * v[k] < 0)
-    v[k] = -v[k]            # the bracket's sign change goes missing
-    return v
-
-
-@pytest.mark.parametrize("fake", [
-    _flip_once, _flip_bracket_top,
-    lambda v: np.full_like(v, np.nan),
-    lambda v: -0.5e-6 * np.sign(v),         # wrong, but under the bound
-    lambda v: np.ones_like(v)],             # no sign change at all
-    ids=["flip-once", "flip-bracket-top", "nan", "below-bound", "no-change"])
-def test_tune_epsilon_falls_back_to_the_scalar_scan(monkeypatch, fake):
-    # whatever the sign pass says, epsilon* is the honest pass's, bit for bit
-    family = CurveFamily()
-    expected, _ = tune_epsilon(family, 8)
-
-    def g(eps):
-        return construction._closure_residual(family, 8, eps)[0]
-
-    top = next(k for k in range(1, 64) if g(PROBES[k - 1]) * g(PROBES[k]) < 0)
-    evaluated = set()
-    scalar = construction._closure_residual
-    fast = construction._scan_residuals
-
-    def counted(family, N, eps):
-        evaluated.add(eps)
-        return scalar(family, N, eps)
-
-    monkeypatch.setattr(construction, "_closure_residual", counted)
-    monkeypatch.setattr(construction, "_scan_residuals",
-                        lambda family, N, eps: fake(fast(family, N, eps)))
-    eps_star, _ = tune_epsilon(family, 8)
-    assert eps_star == expected
-    assert set(PROBES[:top + 1]) <= evaluated
-
-
-def _random_curve(rnd):
-    """A non-increasing curve of one of four kinds, with values up to about
-    1e3, a start point up to 4000 and a chord up to 10."""
-    kind = rnd.choice(("exp", "linear", "flat", "steep"))
-    x0 = rnd.choice((0.0, rnd.uniform(0.0, 50.0), rnd.uniform(0.0, 4000.0)))
-    top = rnd.uniform(-1e3, 1e3)
-    if kind == "exp":
-        scale, rate = rnd.uniform(1e-3, 1e3), rnd.uniform(1e-3, 5.0)
-        f = lambda x: top + scale * math.exp(-rate * (x - x0))
-    elif kind == "linear":
-        slope = rnd.uniform(1e-6, 2.0)
-        c = top + slope * x0
-        f = lambda x: c - slope * x
-    elif kind == "flat":
-        f = lambda x: top
-    else:
-        slope = rnd.uniform(10.0, 1e3)
-        f = lambda x: top - slope * (x - x0)
-    return f, x0, rnd.uniform(0.1, 10.0)
-
-
-def _outcome(step, *args):
-    try:
-        return step(*args)
-    except GeometryError as e:
-        return str(e)
-
-
-def test_chord_step_matches_plain_bisection(monkeypatch):
-    # the replayed bisection returns plain bisection's float, not a close one
+def test_chord_step_matches_plain_bisection():
+    # every a of tuned chains, and of chains at half and twice epsilon*,
+    # lies within plain bisection's 1e-12 bracket of the chord's root
     steps = 0
-
-    def both(curve, x_start, y_start, chord):
-        nonlocal steps
-        steps += 1
-        x = chord_step(curve, x_start, y_start, chord)
-        assert x == plain_chord_step(curve, x_start, chord), x_start
-        return x
-
-    family = CurveFamily()
     for N in (8, 32, 128):
-        eps_star, _ = tune_epsilon(family, N)
-        monkeypatch.setattr(construction, "chord_step", both)
+        eps_star, _ = tune_epsilon(CurveFamily(), N)
         for eps in (0.5 * eps_star, eps_star, 2.0 * eps_star):
-            build_half_chain(CurveFamily(family.lam, eps), N)
-        monkeypatch.undo()
+            family = CurveFamily(epsilon=eps)
+            chain = build_half_chain(family, N)
+            for p, q in zip(chain.a, chain.a[1:]):
+                x = plain_chord_step(lambda x: curve_eval(family, x), p[0],
+                                     2.0)
+                assert abs(q[0] - x) <= SOLVER_ABS, (N, eps, p)
+                steps += 1
     assert steps > 3 * (8 + 32 + 128) // 2
 
-    # random non-increasing curves, flat ones among them: both return the
-    # same float on every one, also where x0 + chord rounds down
-    rnd = random.Random(2024)
-    floats = 0
-    for _ in range(2000):
-        f, x0, chord = _random_curve(rnd)
-        got = _outcome(chord_step, f, x0, f(x0), chord)
-        assert got == _outcome(plain_chord_step, f, x0, chord), (x0, chord)
-        floats += isinstance(got, float)
-    assert floats == 2000
 
-
-def test_chord_step_evaluations_per_call(monkeypatch):
-    # plain bisection evaluates the curve about 45 times per chord
-    calls = evals = 0
-
-    def counted(curve, x_start, y_start, chord):
-        nonlocal calls
-
-        def c(x):
-            nonlocal evals
-            evals += 1
-            return curve(x)
-
-        calls += 1
-        return chord_step(c, x_start, y_start, chord)
-
-    monkeypatch.setattr(construction, "chord_step", counted)
-    # tuning alone makes about 930 chord steps; the 64 scan-probe chains
-    # add steps over the whole range of epsilon
-    tune_epsilon(CurveFamily(), 32)
-    for eps in PROBES:
-        build_half_chain(CurveFamily(epsilon=eps), 32)
-    assert calls > 2000
-    assert evals <= 12 * calls, evals / calls
-
-
-def test_chord_step_never_evaluates_the_curve_at_x_start(monkeypatch):
-    # the caller passes the height it already holds: build_half_chain has
-    # f(a[-1][0]) as a[-1][1]
-    calls = 0
-    at_start = []
-
-    def watched(curve, x_start, *rest):
-        nonlocal calls
-
-        def c(x):
-            if x == x_start:
-                at_start.append(x)
-            return curve(x)
-
-        calls += 1
-        return chord_step(c, x_start, *rest)
-
-    monkeypatch.setattr(construction, "chord_step", watched)
-    tune_epsilon(CurveFamily(), 8)
-    rnd = random.Random(57)
-    for _ in range(300):
-        f, x0, chord = _random_curve(rnd)
-        watched(f, x0, f(x0), chord)
-    assert calls > 300
-    assert at_start == []
+def test_chord_step_refuses_a_chord_outside_the_contact_band():
+    # a NaN start height leaves Newton nowhere; the step names its start
+    with pytest.raises(ConstructionError,
+                       match=r"chord step from x=3\.5 ends at chord nan"):
+        construction.chord_step(1.0, 0.0, 0.05, 3.5, math.nan)
+    # a start far above the curve: no curve point lies at chord 2
+    with pytest.raises(ConstructionError, match=r"from x=3\.5 ends at"):
+        construction.chord_step(1.0, 0.0, 0.05, 3.5, 100.0)
+    # on the curve the chord is 2 within the band
+    one, e0 = 1.5, 0.5 * (F_LIMIT + 2.0 - S3)
+    a = (3.5, curve_eval(CurveFamily(epsilon=0.5), 3.5))
+    assert abs(dist(a, construction.chord_step(one, e0, 0.05, *a)) - 2.0) \
+        <= 1e-15
 
 
 def test_tune_epsilon_builds_each_chain_once(monkeypatch):
@@ -473,8 +391,9 @@ def test_tune_epsilon_closes_in_few_builds(monkeypatch):
 
 
 def _tune_on(monkeypatch, residual):
-    """tune_epsilon(CurveFamily(), 8) with the closure residual replaced by
-    residual(eps); returns epsilon* and every epsilon evaluated."""
+    """tune_epsilon(CurveFamily(), 8) with the closure residual and the
+    scan both replaced by residual(eps); returns epsilon* and every epsilon
+    at which _closure_residual was called."""
     evaluated = []
 
     def g(family, N, eps):
@@ -482,10 +401,9 @@ def _tune_on(monkeypatch, residual):
         return residual(eps), None
 
     monkeypatch.setattr(construction, "_closure_residual", g)
-    # the sign pass grows real chains and knows nothing of residual; with
-    # NaN none of its signs is trusted, so residual decides every probe
     monkeypatch.setattr(construction, "_scan_residuals",
-                        lambda family, N, eps: np.full_like(eps, np.nan))
+                        lambda family, N, eps: np.array(
+                            [residual(e) for e in eps.tolist()]))
     eps_star, _ = tune_epsilon(CurveFamily(), 8)
     monkeypatch.undo()
     return eps_star, set(evaluated)

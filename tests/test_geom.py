@@ -1,21 +1,15 @@
 import math
-import os
 import random
-import subprocess
-import sys
-from fractions import Fraction
 from math import dist
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import jampack
 from jampack.construction import CurveFamily, tune_epsilon
 from jampack.geometry import (ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL,
-                              GeometryError, apex, chord_step, near_pairs)
+                              GeometryError, apex, near_pairs)
 
-from _oracles import circle_circle_intersections, plain_chord_step
+from _oracles import circle_circle_intersections
 
 
 def test_tolerance_constants():
@@ -102,127 +96,6 @@ def test_apex_is_the_general_solvers_larger_x_point_bit_for_bit():
     assert near > 1500
     for p, q in pairs:
         assert _bits(apex(p, q)) == _bits(_oracle_apex(p, q)), (p, q)
-
-
-def test_chord_step_flat_curve():
-    assert chord_step(lambda x: 0.0, 0.0, 0.0, 2.0) == pytest.approx(
-        2.0, abs=1e-10)
-    assert chord_step(lambda x: 0.0, 3.5, 0.0, 1.0) == pytest.approx(
-        4.5, abs=1e-10)
-
-
-def test_chord_step_accepts_a_flat_curve_whose_bracket_rounds_down():
-    # x0 + chord rounds below the exact sum, so g(x0 + chord) < 0 by
-    # rounding alone; the step must still land on the exact sum
-    x0, chord = 39.68292743010356, 2.2191650156670955
-    assert x0 + chord < Fraction(x0) + Fraction(chord)
-    got = chord_step(lambda x: 1.0, x0, 1.0, chord)
-    assert abs(Fraction(got) - (Fraction(x0) + Fraction(chord))) <= SOLVER_ABS
-
-
-def test_chord_step_against_grid_oracle():
-    # independent oracle: scan for the sign change on a fine grid, then bisect
-    def curve(x):
-        return 2.0 * math.sqrt(3.0) + (2.0 - math.sqrt(3.0)) * math.exp(-0.05 * x)
-
-    def oracle(x0, chord):
-        y0 = curve(x0)
-
-        def g(x):
-            return math.hypot(x - x0, curve(x) - y0) - chord
-
-        x = x0
-        while g(x + 1e-4) < 0:
-            x += 1e-4
-        lo, hi = x, x + 1e-4
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if g(lo) * g(mid) <= 0:
-                hi = mid
-            else:
-                lo = mid
-        return 0.5 * (lo + hi)
-
-    got = chord_step(curve, 0.0, curve(0.0), 2.0)
-    assert got == pytest.approx(oracle(0.0, 2.0), abs=1e-10)
-
-
-def test_chord_step_monotone_in_chord():
-    rnd = random.Random(99)
-    for _ in range(200):
-        scale = rnd.uniform(0.1, 3.0)
-        rate = rnd.uniform(0.05, 1.0)
-        x0 = rnd.uniform(0, 5)
-
-        def curve(x, s=scale, k=rate):
-            return s * math.exp(-k * x)
-
-        prev = x0
-        for chord in (0.5, 1.0, 2.0):
-            nxt = chord_step(curve, x0, curve(x0), chord)
-            assert nxt > prev
-            prev = nxt
-
-
-def test_chord_step_falls_back_when_the_secant_misses():
-    # the curve drops by the whole chord within about 1e-3 of x = 0.3, so
-    # the secant steps do not settle and the window check fails: every
-    # midpoint plain bisection visits must then be evaluated
-    def curve(x):
-        return 1.0 - math.tanh(1e3 * (x - 0.3))
-
-    seen, plain = set(), set()
-
-    def counted(points):
-        def c(x):
-            points.add(x)
-            return curve(x)
-        return c
-
-    c = counted(seen)
-    got = chord_step(c, 0.0, c(0.0), 2.0)
-    assert got == plain_chord_step(counted(plain), 0.0, 2.0)
-    assert plain <= seen
-
-
-def test_chord_step_replay_holds_under_rounding_noise():
-    # curves that are non-increasing only up to a jitter of m/8, where m =
-    # 2^-44 (|x| + |y|) of the bracket is the margin chord_step documents:
-    # outside its window the replay must still take bisection's signs
-    rnd = random.Random(11)
-    for _ in range(300):
-        x0, chord = rnd.uniform(0.0, 100.0), rnd.uniform(0.5, 4.0)
-        top, slope = rnd.uniform(1.0, 10.0), rnd.uniform(0.01, 2.0)
-        amp = 2.0 ** -44 * (x0 + chord + top) / 8.0
-
-        def curve(x, top=top, slope=slope, x0=x0, amp=amp):
-            return top - slope * (x - x0) + amp * math.sin(1e13 * x)
-
-        assert chord_step(curve, x0, curve(x0), chord) == \
-            plain_chord_step(curve, x0, chord)
-
-
-def test_chord_step_ends_where_ulp_exceeds_the_solver_tolerance():
-    # from x = 8192 on, adjacent floats are more than solver_abs apart, so
-    # the bracket can stop shrinking before hi - lo <= solver_abs
-    code = ("from jampack.geometry import chord_step; "
-            "print(repr(chord_step(lambda x: 3.0 - 1e-6 * x, 8200.0, "
-            "3.0 - 1e-6 * 8200.0, 2.0)))")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(jampack.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, timeout=30)
-    assert run.returncode == 0, run.stderr
-    assert abs(float(run.stdout) - 8202.0) < 1e-11
-
-
-def test_chord_step_rejects_bad_input():
-    with pytest.raises(GeometryError):
-        chord_step(lambda x: 0.0, 0.0, 0.0, -1.0)
-    with pytest.raises(GeometryError):
-        chord_step(lambda x: x * x, 1.0, 1.0, 0.5)  # increasing curve
-    with pytest.raises(GeometryError, match="not finite at x_start"):
-        chord_step(lambda x: 0.0, 0.0, math.inf, 1.0)
 
 
 def _brute_pairs(c, cutoff):
