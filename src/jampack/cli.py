@@ -25,7 +25,7 @@ def _emit(args, payload: dict):
     payload["parameters"] = {k: v for k, v in vars(args).items()
                              if k not in ("func",) and v is not None}
     if args.format == "json":
-        print(json.dumps(files._to_jsonable(payload), indent=1))
+        print(json.dumps(payload, indent=1))
     else:
         for k, v in payload.items():
             print("%s: %s" % (k, v))

@@ -142,8 +142,16 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
 def _closure_residual(family: CurveFamily, N: int, epsilon: float
                       ) -> tuple[float, BridgeChain]:
     """g(eps) = x(b_N) - x(a_N) - 1 and the chain it was read from; chains
-    that terminate before N take the sign of the large-epsilon side."""
-    chain = build_half_chain(CurveFamily(family.lam, epsilon), N)
+    that terminate before N take the sign of the large-epsilon side.  A
+    chain with a chord step that does not reach chord 2 is a TuningError
+    naming N, lam and eps."""
+    curve = CurveFamily(family.lam, epsilon)
+    try:
+        chain = build_half_chain(curve, N)
+    except ConstructionError as e:
+        raise TuningError("closure tuning at N=%d, lam=%g reached eps=%.17g, "
+                          "where the chain's chord step does not converge: "
+                          "%s" % (N, family.lam, epsilon, e)) from None
     if chain.terminated_at is not None and chain.N < N:
         return 1.0, chain
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0, chain
@@ -228,9 +236,10 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for the first sign change of the closure residual g,
-    read from _scan_residuals, then closes the bracket by _false_position.
-    Each chain is built once per call; the one returned is the chain g was
-    read from at epsilon*.
+    read from _scan_residuals, then closes the bracket by _false_position,
+    which starts from the scan's residuals at the bracket ends.  Each chain
+    is built once per call; the one returned is the chain g was read from
+    at epsilon*.
     """
     if N < 2:
         raise ConstructionError("N must be at least 2")
@@ -245,7 +254,7 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
               for k in range(64)]
     fast = _scan_residuals(family, N, np.array(probes)).tolist()
-    bracket = next(((lo, hi) for lo, hi, glo, ghi
+    bracket = next(((lo, hi, glo, ghi) for lo, hi, glo, ghi
                     in zip(probes, probes[1:], fast, fast[1:])
                     if glo * ghi < 0), None)
     if bracket is None:
@@ -255,7 +264,7 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
             "eps=%.6g has residual %.3g"
             % (N, family.lam, DEFAULT_EPS_HI, probes[-1], fast[-1]))
 
-    eps_star = _false_position(g, *bracket, *map(g, bracket))
+    eps_star = _false_position(g, *bracket)
     if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "

@@ -1,8 +1,6 @@
 """Lossless persistence of configurations and JSON reports."""
 
-import dataclasses
 import json
-import math
 
 from .configuration import Configuration
 
@@ -52,29 +50,17 @@ def read_config(path) -> Configuration:
             raise SchemaError("missing field: %s" % name)
     if doc["schema"] != SCHEMA:
         raise SchemaError("unsupported schema version: %r" % doc["schema"])
-    box = None if doc["box"] == "plane" else doc["box"]
-    if not (box is None or isinstance(box, list)):
+    box = doc["box"]
+    if not (box == "plane" or isinstance(box, list)):
         raise SchemaError("box must be [width, height] or \"plane\"")
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be a JSON object")
     try:
-        return Configuration(doc["radius"], doc["centers"], box, metadata)
+        return Configuration(doc["radius"], doc["centers"],
+                             None if box == "plane" else box, metadata)
     except ValueError as e:
         raise SchemaError(str(e)) from None
-
-
-def _to_jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _to_jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
-    return obj
 
 
 def write_report(report, path):
@@ -82,7 +68,7 @@ def write_report(report, path):
     machine-readable JSON with stable field ordering."""
     try:
         with open(path, "w") as fh:
-            json.dump(_to_jsonable(report), fh, indent=1)
+            json.dump(report, fh, indent=1, default=vars)
             fh.write("\n")
     except OSError as e:
         raise OSError("failed to write report to %s: %s" % (path, e))

@@ -12,9 +12,6 @@ from .configuration import Configuration
 from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
-# _judge's first pass calls a disc jammed only this far (rad) inside the
-# bound: 1000x the 9e-16 np.arctan2 and math.atan2 differ by at most
-_CLEAR_BAND = 1e-12
 # the left, right, bottom and top walls' normals
 _WALL_NORMALS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
@@ -195,36 +192,26 @@ def _judge(graph: ContactGraph) -> JammingReport:
     gap G is below pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for
     all n} is then {0}.  Otherwise it is movable, with the witness the
     antipode of its largest gap's bisector, or a rattler if it has no
-    normals.  A first pass, on np.arctan2's angles, commits the discs
-    whose G is below that bound by _CLEAR_BAND more; a second, on
-    math.atan2's angles of the other discs, if any, decides them and gives
-    the witnesses.
+    normals.  One _largest_gaps pass over every normal's np.arctan2 angle
+    gives each disc's G, and so both its verdict and its witness.
     """
     counts = np.diff(graph.ends)
     n = len(counts)
     has = counts > 0
     a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
-    clear = np.zeros(n, bool)
-    clear[has] = (_largest_gaps(a, counts[has])[0]
-                  < math.pi - ANGLE_SLACK - _CLEAR_BAND)
-    clear &= counts >= 3
+    G, start = _largest_gaps(a, counts[has])
+    free = (counts[has] < 3) | (G >= math.pi - ANGLE_SLACK)
+    witness = (start[free] + G[free] / 2.0 + math.pi) % TWO_PI
     m = counts.tolist()
     verdicts = list(map(DiscVerdict, range(n), repeat("jammed"), repeat(None),
                         m))
-    rest = np.flatnonzero(has & ~clear)
-    movable = 0
-    if len(rest):                   # else the first pass decided every disc
-        x, y = graph.unit[np.repeat(~clear, counts)].T.tolist()
-        a = np.fromiter(map(math.atan2, y, x), float, len(x)) % TWO_PI
-        G, start = _largest_gaps(a, counts[rest])
-        free = (counts[rest] < 3) | (G >= math.pi - ANGLE_SLACK)
-        witness = (start + G / 2.0 + math.pi) % TWO_PI
-        for i, w in zip(rest[free].tolist(), witness[free].tolist()):
-            verdicts[i] = DiscVerdict(i, "movable",
-                                      (math.cos(w), math.sin(w)), m[i])
-        movable = int(free.sum())
+    movable = np.flatnonzero(has)[free].tolist()
+    for i, w in zip(movable, witness.tolist()):
+        verdicts[i] = DiscVerdict(i, "movable", (math.cos(w), math.sin(w)),
+                                  m[i])
     rattlers = np.flatnonzero(~has).tolist()
     for i in rattlers:
         verdicts[i] = DiscVerdict(i, "rattler", (1.0, 0.0), 0)
-    return JammingReport(verdicts, n - movable - len(rattlers), movable,
-                         len(rattlers), movable == 0 and not rattlers)
+    return JammingReport(verdicts, n - len(movable) - len(rattlers),
+                         len(movable), len(rattlers),
+                         not movable and not rattlers)

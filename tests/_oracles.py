@@ -173,20 +173,33 @@ def _largest_gap(angles: list) -> tuple[float, float]:
     return best
 
 
-def is_locally_jammed(normals) -> DiscVerdict:
+def arctan2_angles(normals) -> list:
+    """The normals' angles in [0, 2pi) by np.arctan2, the package's angle
+    primitive; a normal's bits do not depend on its place in the array."""
+    u = np.array(normals, float)
+    return (np.arctan2(u[:, 1], u[:, 0]) % TWO_PI).tolist()
+
+
+def math_atan2_angles(normals) -> list:
+    """The normals' angles in [0, 2pi) by math.atan2: a second, independent
+    angle primitive, for checking statuses only."""
+    return [math.atan2(y, x) % TWO_PI for x, y in normals]
+
+
+def is_locally_jammed(normals, angles=arctan2_angles) -> DiscVerdict:
     """Verdict for one disc from its contact normals, by a loop: the scalar
     rule whose floats the package's verdicts must equal bit for bit.
 
     Jammed iff there are at least 3 normals and the largest circular gap
-    between consecutive normal directions is < pi - ANGLE_SLACK; the
-    feasible cone {d : d.n >= 0 for all n} is then {0}.  Otherwise movable
-    with a witness direction in the feasible cone: the antipode of the
-    largest gap's bisector, which bisects the cluster of normals.
+    between consecutive normal directions, read from angles(normals), is
+    < pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for all n} is then
+    {0}.  Otherwise movable with a witness direction in the feasible cone:
+    the antipode of the largest gap's bisector, which bisects the cluster
+    of normals.
     """
     if len(normals) == 0:
         return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
-    angles = sorted(math.atan2(y, x) % TWO_PI for x, y in normals)
-    gap, start = _largest_gap(angles)
+    gap, start = _largest_gap(sorted(angles(normals)))
     if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
         return DiscVerdict(-1, "jammed", None, len(normals))
     witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI

@@ -104,10 +104,12 @@ def test_criterion_3_square_assembly(squares):
 def _hop_floor(config):
     """Smallest 4r*cos(G/2) over the discs, G the largest gap between a
     disc's contact normals.  No shorter proposal can be accepted when every
-    contact is exactly tangent; the float file's contact gaps, up to about
-    6e-13 r and half of them positive, leave thin strips that this bound
-    does not cover (the N=1024 square accepts 9 of 10^6 proposals at half
-    its floor), though not at the N <= 32 squares run here.
+    contact is exactly tangent; the float file's contact gaps, about half
+    of them positive and up to 4.0e-15 r at N=4, 2.9e-14 r at N=32 and
+    1.2e-12 r at N=1024, leave thin strips that this bound does not cover.
+    Nothing bounds the chance of landing in one, though the N <= 32
+    squares run here accept nothing at half their floor, and nor does the
+    N=1024 square at seeds 7 and 8.
     """
     floor = math.inf
     for normals in contact_lists(jp.contact_graph(config))[0]:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ import jampack
 from jampack import cli
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
-from jampack.construction import five_disc_config
+from jampack.construction import density, five_disc_config
 from jampack.files import read_config, write_config
 from jampack.metropolis import (ChainParams, escape_experiment, run_chain,
                                 shrink_radius)
@@ -70,6 +71,20 @@ def test_simulate_reports_first_accepted_and_trace(tmp_path, capsys):
     assert doc["first_accepted"] == list(stats.first_accepted)
     assert doc["trace"] == stats.trace
     assert len(doc["trace"]) == 3
+
+
+def test_simulate_out_is_the_chains_final_configuration(tmp_path, capsys):
+    config = shrink_radius(five_disc_config(), 0.99)
+    path, out = tmp_path / "five99.json", tmp_path / "final.json"
+    write_config(config, path)
+    assert dispatch(["simulate", str(path), "--steps", "30000", "--seed",
+                     "5", "--out", str(out)]) == 0
+    final, stats = run_chain(config, ChainParams(30000, config.radius, 5))
+    assert stats.accepted > 0
+    back = read_config(out)
+    assert back.centers.tolist() == final.centers.tolist()
+    assert (back.radius, back.box, back.metadata) == (
+        final.radius, final.box, final.metadata)
 
 
 def test_escape_reports_acceptance(tmp_path, capsys):
@@ -156,6 +171,23 @@ def test_density_of_planar_file_without_window_needs_a_region(
     assert "%d disc(s)" % len(centers) in err
 
 
+def test_density_regions_of_a_boxed_and_a_planar_file(tmp_path, capsys):
+    # a boxed file's region is its box; a planar file without a window
+    # takes its centres' bounding box
+    boxed, planar = tmp_path / "five.json", tmp_path / "plane.json"
+    write_config(five_disc_config(), boxed)
+    write_config(Configuration(0.5, [[1.0, 2.0], [3.0, 2.0], [2.0, 4.0]]),
+                 planar)
+    for path, region in ((boxed, [0.0, 0.0, 1.0, 1.0]),
+                         (planar, [1.0, 2.0, 3.0, 4.0])):
+        assert dispatch(["density", str(path), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["region"] == region
+        config = read_config(path)
+        assert doc["density"] == density(config, tuple(region))
+    assert doc["density"] == 3 * math.pi * 0.25 / 4.0
+
+
 def test_build_square_verify_render_bytes_are_pinned(tmp_path, capsys):
     # sha256 of the N=4 square, its report and its drawing: tuning, the
     # contact graph and the writers must keep every byte
@@ -236,6 +268,17 @@ def test_unread_output_flag_is_a_usage_error(tmp_path, capsys, argv):
 def test_build_square_small_n_exit_1(capsys):
     assert dispatch(["build-square", "--N", "2"]) == 1
     assert "N >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N, eps", [(3, "0.36825133718021619"),
+                                    (8, "11.558665942496299")])
+def test_build_square_names_a_chord_step_that_does_not_converge(capsys, N,
+                                                                eps):
+    assert dispatch(["build-square", "--N", str(N), "--lambda", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: closure tuning at N=%d, lam=2 reached "
+                          "eps=%s, where the chain's chord step does not "
+                          "converge: chord step from x=" % (N, eps)), err
 
 
 @pytest.mark.parametrize("lam", ["nan", "inf"])

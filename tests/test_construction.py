@@ -4,7 +4,7 @@ from math import dist
 import numpy as np
 import pytest
 
-from jampack import construction
+from jampack import construction, verifier
 from jampack.configuration import Configuration
 from jampack.construction import (F_LIMIT, AssemblyError, BridgeChain,
                                   ConstructionError, CurveFamily,
@@ -14,7 +14,7 @@ from jampack.construction import (F_LIMIT, AssemblyError, BridgeChain,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
 from jampack.geometry import SOLVER_ABS
-from jampack.verifier import OverlapError, verify_stable
+from jampack.verifier import DiscVerdict, OverlapError, verify_stable
 
 from _oracles import (PROBES, circle_circle_intersections, curve_eval,
                       plain_chord_step, plain_tune_epsilon, scaled,
@@ -354,6 +354,57 @@ def test_chord_step_refuses_a_chord_outside_the_contact_band():
         <= 1e-15
 
 
+@pytest.mark.parametrize("N, eps, x", [
+    (3, "0.36825133718021619", "0.0"), (8, "11.558665942496299",
+                                        "0.4339634367350055")])
+def test_tuning_names_a_chord_step_that_does_not_converge(N, eps, x):
+    # at lam=2 the scan's sign change lies on chains whose chord steps do
+    # not converge; the scalar chain refuses the first point false position
+    # tries, naming lam, N, that eps and the step
+    with pytest.raises(TuningError) as e:
+        assemble_square(N, 2.0)
+    assert str(e.value).startswith(
+        "closure tuning at N=%d, lam=2 reached eps=%s, where the chain's "
+        "chord step does not converge: chord step from x=%s ends at chord "
+        "2.0000000" % (N, eps, x)), str(e.value)
+
+
+def test_tune_epsilon_takes_the_bracket_ends_from_the_scan(monkeypatch):
+    # the scan's residuals are the chains' bit for bit, so false position
+    # starts from them and no probe's chain is built; epsilon* is as before
+    for N, builds, eps_star in ((8, 6, 1.1031909565244968),
+                                (32, 4, 0.049787344303112865),
+                                (128, 3, 3.211724694516605e-06)):
+        built = []
+        build = construction.build_half_chain
+
+        def counted(family, max_N):
+            built.append(family.epsilon)
+            return build(family, max_N)
+
+        monkeypatch.setattr(construction, "build_half_chain", counted)
+        assert tune_epsilon(CurveFamily(), N)[0] == eps_star
+        monkeypatch.undo()
+        assert len(built) == builds
+        assert not set(built) & set(PROBES)
+
+
+def test_tune_epsilon_refuses_depth_below_2():
+    with pytest.raises(ConstructionError, match="N must be at least 2"):
+        tune_epsilon(CurveFamily(), 1)
+
+
+def test_chain_stops_where_b_rises_above_height_2(monkeypatch):
+    # no b rises above 2 on the bridge curves; a raised apex stands in
+    apex = construction.apex
+    monkeypatch.setattr(construction, "apex",
+                        lambda a, c: (apex(a, c)[0], 2.5))
+    chain = build_half_chain(CurveFamily(), 5)
+    assert chain.terminated_at == ("no_c", 2)
+    assert (chain.N, len(chain.a), len(chain.c)) == (2, 2, 1)
+    assert chain.b[1][1] == 2.5 and chain.mirror_x == chain.b[1][0]
+
+
 def test_tune_epsilon_builds_each_chain_once(monkeypatch):
     built = []
     build = construction.build_half_chain
@@ -652,6 +703,35 @@ def test_assemble_square_refuses_coincident_centers(monkeypatch):
                        match=r"assembly has 4 overlapping pairs, "
                              r"worst penetration 0\.0692"):
         assemble_square(4)
+
+
+def test_assemble_square_that_is_not_stable_is_an_assembly_error(
+        monkeypatch):
+    # every square is certified stable, so one verdict is made movable
+    certify = verifier.verify_stable
+
+    def one_movable(config):
+        report = certify(config)
+        report.verdicts[5] = DiscVerdict(5, "movable", (0.0, 1.0), 3)
+        report.jammed_count -= 1
+        report.movable_count += 1
+        return report
+
+    monkeypatch.setattr(verifier, "verify_stable", one_movable)
+    with pytest.raises(AssemblyError,
+                       match=r"^assembly is not stable; movable discs "
+                             r"\(index, escape direction\): "
+                             r"\[\(5, \(0\.0, 1\.0\)\)\]$"):
+        assemble_square(4)
+
+
+def test_complete_symmetric_bridge_refuses_an_untuned_chain():
+    # a chain at twice epsilon* does not close at depth 4
+    eps = tune_epsilon(CurveFamily(), 4)[0]
+    chain = build_half_chain(CurveFamily(epsilon=2.0 * eps), 4)
+    with pytest.raises(ConstructionError,
+                       match="chain is not tuned: closure residual"):
+        complete_symmetric_bridge(chain)
 
 
 def test_complete_symmetric_bridge_refuses_overlapping_discs():

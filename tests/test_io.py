@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import random
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +161,23 @@ def test_malformed_file_rejected(tmp_path):
         read_config(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('[]', "must be a JSON object"),
+    ('{"schema": "jampack-config/1", "box": null, "radius": 1.0, '
+     '"centers": []}', "box must be"),
+    ('{"schema": "jampack-config/1", "box": 10.0, "radius": 1.0, '
+     '"centers": []}', "box must be"),
+    ('{"schema": "jampack-config/1", "box": "square", "radius": 1.0, '
+     '"centers": []}', "box must be")],
+    ids=["array-document", "null-box", "number-box", "word-box"])
+def test_documents_outside_the_schema_rejected(tmp_path, text, message):
+    # a planar box is written "plane"; null is not a second spelling of it
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    with pytest.raises(SchemaError, match=message):
+        read_config(path)
+
+
 def test_overlapping_file_loads_but_verify_refuses(tmp_path):
     path = tmp_path / "c.json"
     write_config(Configuration(1.0, [[0.0, 0.0], [1.5, 0.0]]), path)
@@ -176,6 +195,23 @@ def test_report_serialization(tmp_path):
     assert doc["movable_count"] == 0
     assert doc["stable"] is True
     assert doc["jammed_count"] == 5
+
+
+def test_report_bytes_are_the_dataclass_fields(tmp_path):
+    # movable discs carry witness tuples, written as JSON arrays
+    report = verify_stable(junction_piece())
+    assert report.movable_count > 0
+    path = tmp_path / "r.json"
+    write_report(report, path)
+    assert path.read_text() == json.dumps(dataclasses.asdict(report),
+                                          indent=1) + "\n"
+
+
+def test_report_to_a_missing_directory_is_an_os_error(tmp_path):
+    path = tmp_path / "missing" / "r.json"
+    with pytest.raises(OSError, match="failed to write report to %s"
+                       % re.escape(str(path))):
+        write_report(verify_stable(five_disc_config()), path)
 
 
 def test_svg_circle_count():

@@ -14,8 +14,9 @@ from jampack.render import render_svg
 from jampack.verifier import (OverlapError, contact_graph, overlap_audit,
                               verify_stable)
 
-from _oracles import (contact_lists, direction_oracle, graph_of,
-                      is_locally_jammed, scaled, verdict_of)
+from _oracles import (arctan2_angles, contact_lists, direction_oracle,
+                      graph_of, is_locally_jammed, math_atan2_angles, scaled,
+                      verdict_of)
 
 
 def _normals(*degrees):
@@ -410,6 +411,28 @@ def test_verdicts_are_the_scalar_rule_on_random_and_hand_made_discs():
     assert min(map(statuses.count, ("jammed", "movable", "rattler"))) > 100
 
 
+@pytest.mark.parametrize("case, graphs", [
+    (test_verdicts_are_the_scalar_rule_on_constructions, 28),
+    (test_verdicts_are_the_scalar_rule_on_random_and_hand_made_discs, 301)],
+    ids=["constructions", "random_and_hand_made_discs"])
+def test_verdict_statuses_are_the_math_atan2_rule(case, graphs, monkeypatch):
+    # the case runs as it is, and every graph it checks also meets the
+    # scalar rule on math.atan2's angles: no status rests on np.arctan2
+    checked = []
+    scalar_rule = _assert_scalar_rule
+
+    def also_math_atan2(graph, report):
+        normals = contact_lists(graph)[0]
+        assert [v.status for v in report.verdicts] == [
+            is_locally_jammed(n, math_atan2_angles).status for n in normals]
+        checked.append(len(normals))
+        return scalar_rule(graph, report)
+
+    monkeypatch.setitem(globals(), "_assert_scalar_rule", also_math_atan2)
+    case()
+    assert len(checked) == graphs
+
+
 def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
     discs = _band_discs()
     graph = graph_of(discs)
@@ -423,13 +446,10 @@ def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
 
     monkeypatch.setattr(verifier, "_largest_gaps", watch)
     assert verifier._judge(graph).verdicts == expected
-    # only the disc 1e-11 inside the bound is clearly jammed; the exact
-    # pass reads, in math.atan2's angles, the rows of the two within the
-    # band, the discs with 1 or 2 normals, the three coincident normals and
-    # the gap tie (the rattler has no rows)
-    assert len(passes) == 2
-    assert passes[1] == [math.atan2(y, x) % (2.0 * math.pi)
-                         for k in (0, 1, 4, 5, 6, 7) for x, y in discs[k]]
+    # one pass decides every disc, the two 1e-13 either side of the bound
+    # included, from every row's np.arctan2 angle (the rattler has no rows)
+    assert passes == [arctan2_angles([n for normals in discs
+                                      for n in normals])]
     status = [v.status for v in expected]
     assert status[:6] == ["jammed", "movable", "jammed", "rattler",
                           "movable", "movable"]
@@ -461,7 +481,7 @@ def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
 
     monkeypatch.setattr(verifier, "_largest_gaps", watch)
     assert verify_stable(square).jammed_count == square.n
-    # the first pass reads every normal, and the exact pass does not run
+    # the one pass reads every normal once
     assert rows == [len(contact_graph(square).unit)]
 
 
