@@ -161,7 +161,7 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
                     ) -> np.ndarray:
     """_closure_residual at every epsilon of eps at once, bit for bit, from
     chains grown side by side in numpy with the float operations of
-    chord_step and apex."""
+    chord_step and apex, or NaN where it raises for a chord that misses 2."""
     lam, k, f0 = family.lam, 2.0 - SQRT3, family.base(0.0)
     one = 1.0 + eps
     e0 = eps * f0
@@ -170,6 +170,7 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
     cx = np.ones_like(eps)
     res = np.ones_like(eps)
     alive = np.ones(eps.shape, bool)
+    steps = [(ax, ay, alive)]  # each a, and the chains alive to reach it
     with np.errstate(invalid="ignore", over="ignore"):
         for i in range(1, N):
             # a: chord_step
@@ -182,6 +183,7 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
                 h = u * u + dy * dy - 4.0
                 x = x - h / (2.0 * u - 2.0 * dy * lam * t)
             ax, ay = x, one * (F_LIMIT + k * np.exp(-lam * x)) - e0
+            steps.append((ax, ay, alive))
             # b: apex(a, c); chains cut short before depth N score +1
             dx, dy = cx - ax, -ay
             d = np.sqrt(dx * dx + dy * dy)
@@ -197,9 +199,13 @@ def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
             stop = d > 4.0 + SOLVER_ABS                 # no_b
             if i + 1 < N:
                 stop |= by > 2.0                        # no_c
-            alive &= ~stop
+            alive = alive & ~stop
             cx = bx + np.sqrt(4.0 - by * by)
     res[alive] = (bx - ax - 1.0)[alive]
+    px, py, live = map(np.array, zip(*steps))
+    dx, dy = px[1:] - px[:-1], py[1:] - py[:-1]
+    miss = ~(np.abs(np.sqrt(dx * dx + dy * dy) - 2.0) <= 2.0 * TANGENCY_REL)
+    res[(live[1:] & miss).any(axis=0)] = math.nan
     return res
 
 
@@ -257,6 +263,9 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
     bracket = next(((lo, hi, glo, ghi) for lo, hi, glo, ghi
                     in zip(probes, probes[1:], fast, fast[1:])
                     if glo * ghi < 0), None)
+    missed = [p for p, f in zip(probes, fast) if f != f]
+    if missed and (bracket is None or missed[0] <= bracket[1]):
+        g(missed[0])  # raises the chord step's TuningError
     if bracket is None:
         raise TuningError(
             "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "

@@ -22,6 +22,9 @@ _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
 # time, which bounds its temporaries to about 1 MB for any table width.
 _FILTER_ENTRIES = 1 << 14
 
+# Proposals in a block walked without a mask.
+_UNMASKED = 1024
+
 # Proposals per draw, trace entry and audit; run_chain reads it per call.
 RECORD_INTERVAL = 10000
 
@@ -68,24 +71,23 @@ class _Grid:
     float operations as a scan of the full centre array, and its verdict
     does not depend on the order of the neighbours, so trajectories do not
     depend on the cell layout.
-
-    shut rejects runs of proposals in bulk against a table of each disc's
-    neighbours within 2r + step_radius.  The table is built on the first
-    shut after an accepted move, which drops it.
     """
 
     def __init__(self, config: Configuration, step_radius: float):
         self.radius = r = config.radius
         self.step_radius = step_radius
-        self.xs = config.centers[:, 0].tolist()
-        self.ys = config.centers[:, 1].tolist()
+        self.xs, self.ys = config.centers.T.tolist()
+        # numpy copies of xs and ys, then disc n at infinity to pad the table
+        c = np.append(config.centers, [[math.inf, math.inf]], axis=0)
+        self.cx, self.cy = c.T.copy()
+        self.scale = float(np.abs(config.centers).max())  # of every centre
         self.side = 2.0 * r * (1.0 + 1e-6)
         self.limit = 4.0 * r * r
         # a target is inside when lo <= x <= hx and lo <= y <= hy
         w, h = (math.inf, math.inf) if config.box is None else config.box
         self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
         self.blocks = None
-        self.table = None
+        self.stale = len(self.xs)  # acceptances since near was built
 
     def _index(self):
         floor, side = math.floor, self.side
@@ -104,107 +106,140 @@ class _Grid:
         return (np.minimum((u[:, 0] * n).astype(np.intp), n - 1),
                 2.0 * math.pi * u[:, 1], self.step_radius * np.sqrt(u[:, 2]))
 
-    def offsets(self, u: np.ndarray):
-        """(disc, dx, dy) for each row of u.  The float operations are the
-        scalar rule's, with libm's cos and sin, so disc i's target is
-        exactly xs[i] + dx, ys[i] + dy."""
-        i, ang, rad = self._polar(u)
-        ang = ang.tolist()
-        dx = rad * np.fromiter(map(math.cos, ang), float, len(ang))
-        dy = rad * np.fromiter(map(math.sin, ang), float, len(ang))
-        return zip(i.tolist(), dx.tolist(), dy.tolist())
+    def walk(self, u: np.ndarray, masked: bool) -> tuple[list, int]:
+        """Walk a block of the first rows of u: the rows shut covers if
+        masked, else _UNMASKED rows.  Returns the (row, disc) of each
+        proposal, in order, that keeps the discs valid, and the block's
+        length: the scalar rule's target xs[i] + rad * cos(ang), with
+        libm's cos and sin, is inside the box with no other centre within
+        2r.  Each acceptance moves its disc.
 
-    def walk(self, rows, moves, quiet: bool) -> list:
-        """(row, disc) of each proposal, in order, that keeps the discs
-        valid: moves gives (disc, dx, dy) per row, as offsets does, and the
-        target is inside the box with no other centre within 2r.  Each
-        acceptance moves its disc; a quiet walk stops at the first."""
+        Up to the first acceptance only rows without a witness (see
+        _witness) are tested.  After it every row is, but one whose disc and
+        witness have not moved in this walk is rejected as it stands: its
+        target and its witness are the floats shut judged.  Any other row
+        with a witness still within 2r of its target is rejected by that.
+        """
+        shut = self.shut(u) if masked else None
+        u = u[:len(shut[2]) if masked else _UNMASKED]
+        rows = (np.flatnonzero(~(shut[0].any(axis=0) | shut[2])).tolist()
+                if masked else range(len(u)))
+        if not rows:
+            return [], len(u)
         if self.blocks is None:
             self._index()
+        disc, ang, rad = (a.tolist() for a in self._polar(u))
+        wit = [-1] * len(u)  # the rows tested before any move have none
         xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
         (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
-        floor = math.floor
+        floor, cos, sin = math.floor, math.cos, math.sin
+        moved = set()
         hits = []
-        for row, (i, dx, dy) in zip(rows, moves):
-            x = xs[i] + dx
-            y = ys[i] + dy
-            if x < lo or x > hx or y < lo or y > hy:
-                continue
-            key = floor(x // side) * _STRIDE + floor(y // side)
-            for j in blocks.get(key, ()):
-                if j != i:
-                    ex = xs[j] - x
-                    ey = ys[j] - y
+        while True:
+            for row in rows:
+                i = disc[row]
+                w = wit[row]
+                if w != -1 and i not in moved and w not in moved:
+                    continue
+                x = xs[i] + rad[row] * cos(ang[row])
+                y = ys[i] + rad[row] * sin(ang[row])
+                if x < lo or x > hx or y < lo or y > hy:
+                    continue
+                if w >= 0:
+                    ex = xs[w] - x
+                    ey = ys[w] - y
                     if ex * ex + ey * ey < limit:
+                        continue
+                key = floor(x // side) * _STRIDE + floor(y // side)
+                for j in blocks.get(key, ()):
+                    if j != i:
+                        ex = xs[j] - x
+                        ey = ys[j] - y
+                        if ex * ex + ey * ey < limit:
+                            break
+                else:
+                    old = keys[i]
+                    if key != old:
+                        for off in _BLOCK:
+                            blocks[old + off].remove(i)
+                            blocks.setdefault(key + off, []).append(i)
+                        keys[i] = key
+                    xs[i] = x
+                    ys[i] = y
+                    moved.add(i)
+                    hits.append((row, i))
+                    if len(hits) == 1:
                         break
             else:
-                old = keys[i]
-                if key != old:
-                    for off in _BLOCK:
-                        blocks[old + off].remove(i)
-                        blocks.setdefault(key + off, []).append(i)
-                    keys[i] = key
-                xs[i] = x
-                ys[i] = y
-                self.table = None
-                hits.append((row, i))
-                if quiet:
-                    break
-        return hits
+                break
+            rows = range(row + 1, len(u))
+            if masked:  # only now, so that a block with no move skips it
+                wit = _witness(*shut).tolist()
+        m = list(moved)
+        self.cx[m], self.cy[m] = [xs[j] for j in m], [ys[j] for j in m]
+        self.scale = np.abs((self.cx[m], self.cy[m])).max(initial=self.scale)
+        self.stale += len(hits)
+        return hits, len(u)
 
-    def shut(self, u: np.ndarray) -> np.ndarray:
-        """Mask over the first rows of u, about _FILTER_ENTRIES (proposal,
-        neighbour) entries but at least one row: true where walk surely
-        rejects the proposal.
+    def shut(self, u: np.ndarray) -> tuple:
+        """Tests of the first rows of u, about _FILTER_ENTRIES (proposal,
+        neighbour) entries but at least one row: (hit, near, out).  Column
+        k of near lists the neighbours of row k's disc, hit marks those
+        within 2r of its target and out marks a target off the box.  The
+        neighbours come from a table of each disc's within 2r + step_radius
+        that is rebuilt after n acceptances and holds indices only: shut
+        reads the centres from their numpy copies cx and cy, so a stale
+        table can miss a witness but never gives a wrong one.
 
-        The targets come from numpy's cos and sin, and a proposal is shut
-        only when its target leaves the box, or comes within 2r of a
-        neighbour, by more than a slack of 1e-9 r plus 2^-40 of the
-        coordinate scale, far above any rounding difference from libm's.
-        The mask never accepts: an open row is for walk to decide.
+        The targets come from numpy's cos and sin, and each test holds by
+        more than a slack of 1e-9 r plus 2^-40 of the coordinate scale, far
+        above any rounding difference from libm's, so walk's target fails
+        the same test while neither disc moves.
         """
-        if self.table is None:
+        if self.stale >= len(self.xs):
             self._tabulate()
-        near, xs, ys, limit, (lo, hx, hy) = self.table
-        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // (len(near) or 1) or 1])
-        x = xs[i] + rad * np.cos(ang)
-        y = ys[i] + rad * np.sin(ang)
-        near = near.take(i, axis=1)
-        dx = xs.take(near)
+        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // len(self.near) or 1])
+        x = self.cx[i] + rad * np.cos(ang)
+        y = self.cy[i] + rad * np.sin(ang)
+        r = self.radius
+        slack = 1e-9 * r + 2.0 ** -40 * (self.scale + self.step_radius)
+        near = self.near.take(i, axis=1)
+        dx = self.cx.take(near)
         dx -= x
         dx *= dx
-        dy = ys.take(near)
+        dy = self.cy.take(near)
         dy -= y
         dy *= dy
         dx += dy
-        return (np.any(dx < limit, axis=0)
-                | (x < lo) | (x > hx) | (y < lo) | (y > hy))
+        lo, hx, hy = self.bounds
+        return (dx < max(2.0 * r - slack, 0.0) ** 2, near,
+                (x < lo - slack) | (x > hx + slack)
+                | (y < lo - slack) | (y > hy + slack))
 
     def _tabulate(self):
-        c = self.centers()
-        n = len(c)
-        r = self.radius
-        step = self.step_radius
-        slack = 1e-9 * r + 2.0 ** -40 * (float(np.abs(c).max()) + step)
-        lo, hx, hy = self.bounds
-        # any disc a proposal can hit lies within 2r + step of the mover
-        i, j, _ = near_pairs(c, (2.0 * r + step) * (1.0 + 1e-6))
-        a = np.concatenate((i, j))
-        b = np.concatenate((j, i))
+        n = len(self.xs)
+        cut = (2.0 * self.radius + self.step_radius) * (1.0 + 1e-6)
+        i, j, _ = near_pairs(self.centers(), cut)
+        a, b = np.concatenate((i, j)), np.concatenate((j, i))
         deg = np.bincount(a, minlength=n)
         order = np.argsort(a, kind="stable")
         a, b = a[order], b[order]
         slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
-        # column i: i's neighbours, padded with n, a disc at infinity
-        near = np.full((int(deg.max(initial=0)), n), n, np.intp)
-        near[slot, a] = b
-        self.table = (near, np.append(c[:, 0], math.inf),
-                      np.append(c[:, 1], math.inf),
-                      max(2.0 * r - slack, 0.0) ** 2,
-                      (lo - slack, hx + slack, hy + slack))
+        # column i: i's neighbours, padded with n; one row even if none
+        self.near = np.full((max(int(deg.max(initial=0)), 1), n), n, np.intp)
+        self.near[slot, a] = b
+        self.stale = 0
 
     def centers(self) -> np.ndarray:
-        return np.column_stack((self.xs, self.ys))
+        return np.column_stack((self.cx[:-1], self.cy[:-1]))
+
+
+def _witness(hit, near, out) -> np.ndarray:
+    """Witness of each row of a _Grid.shut: -2, the wall, where out marks
+    it, else the neighbour of highest index that hit marks, else -1."""
+    wit = ((near + 1) * hit).max(axis=0) - 1
+    wit[out] = -2
+    return wit
 
 
 def run_chain(config: Configuration, params: ChainParams
@@ -216,9 +251,9 @@ def run_chain(config: Configuration, params: ChainParams
     then goes one RECORD_INTERVAL of proposals at a time, the last maybe
     partial: it draws their deviates, walks them in blocks, makes the
     trace entry if the interval is full and, only if a disc moved in it,
-    audits the new state the same way.  A block is one _Grid.walk of the
-    proposals _Grid.shut leaves open, up to the first acceptance, or of
-    all of the chunk proposals after an acceptance.
+    audits the new state the same way.  A block is masked unless the one
+    before it accepted more than half its proposals, which leaves few
+    witnesses standing.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
@@ -228,31 +263,17 @@ def run_chain(config: Configuration, params: ChainParams
     accepted = 0
     first = None
     trace = []
-    chunk = 1024  # proposals walked unmasked after each acceptance
-    last = -chunk  # index of the last acceptance; the chain starts quiet
+    masked = True
     for start in range(0, params.steps, RECORD_INTERVAL):
         u = rng.random((min(RECORD_INTERVAL, params.steps - start), 3))
         before = accepted
         k = 0  # proposals of this interval walked so far
         while k < len(u):
-            b = u[k:]
-            quiet = start + k - last >= chunk
-            if quiet:
-                shut = grid.shut(b)
-                size = len(shut)
-                rows = np.flatnonzero(~shut)
-                rows, b = rows.tolist(), b[rows]
-            else:
-                size = min(len(b), chunk)
-                rows, b = range(size), b[:size]
-            hits = grid.walk(rows, grid.offsets(b), quiet) if rows else ()
-            if hits:
-                last = start + k + hits[-1][0]
-                if first is None:
-                    first = (start + k + hits[0][0], hits[0][1])
-                accepted += len(hits)
-                if quiet:
-                    size = hits[0][0] + 1
+            hits, size = grid.walk(u[k:], masked)
+            masked = 2 * len(hits) <= size
+            if hits and first is None:
+                first = (start + k + hits[0][0], hits[0][1])
+            accepted += len(hits)
             k += size
         if len(u) == RECORD_INTERVAL:
             trace.append((accepted - before) / RECORD_INTERVAL)

@@ -270,8 +270,8 @@ def test_build_square_small_n_exit_1(capsys):
     assert "N >= 3" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("N, eps", [(3, "0.36825133718021619"),
-                                    (8, "11.558665942496299")])
+@pytest.mark.parametrize("N, eps", [(3, "0.1077217345015941"),
+                                    (8, "0.1077217345015941")])
 def test_build_square_names_a_chord_step_that_does_not_converge(capsys, N,
                                                                 eps):
     assert dispatch(["build-square", "--N", str(N), "--lambda", "2"]) == 1

@@ -322,6 +322,23 @@ def test_scan_residuals_equal_the_scalar_residuals_bit_for_bit():
                 for eps in PROBES], (lam, N)
 
 
+@pytest.mark.parametrize("N", [3, 8])
+def test_scan_marks_the_probes_whose_chord_step_misses(N):
+    # at lam=2 the chord steps of the larger probes miss chord 2: the scan
+    # marks with NaN exactly the probes whose scalar chain is refused, the
+    # first being probe 42, and its other residuals are the scalar ones
+    # bit for bit
+    family = CurveFamily(lam=2.0)
+    fast = construction._scan_residuals(family, N, np.array(PROBES))
+    for eps, res in zip(PROBES, fast.tolist()):
+        if math.isnan(res):
+            with pytest.raises(TuningError, match="does not converge"):
+                construction._closure_residual(family, N, eps)
+        else:
+            assert res == construction._closure_residual(family, N, eps)[0]
+    assert np.flatnonzero(np.isnan(fast))[0] == 42
+
+
 def test_chord_step_matches_plain_bisection():
     # every a of tuned chains, and of chains at half and twice epsilon*,
     # lies within plain bisection's 1e-12 bracket of the chord's root
@@ -355,12 +372,12 @@ def test_chord_step_refuses_a_chord_outside_the_contact_band():
 
 
 @pytest.mark.parametrize("N, eps, x", [
-    (3, "0.36825133718021619", "0.0"), (8, "11.558665942496299",
-                                        "0.4339634367350055")])
+    (3, "0.1077217345015941", "0.0"), (8, "0.1077217345015941", "0.0")])
 def test_tuning_names_a_chord_step_that_does_not_converge(N, eps, x):
-    # at lam=2 the scan's sign change lies on chains whose chord steps do
-    # not converge; the scalar chain refuses the first point false position
-    # tries, naming lam, N, that eps and the step
+    # at lam=2 the scan marks the probes whose chord steps do not converge,
+    # the first at eps = 0.1077 (probe 42), below its sign change; tuning
+    # refuses that probe by building its chain, naming lam, N, that eps and
+    # the step
     with pytest.raises(TuningError) as e:
         assemble_square(N, 2.0)
     assert str(e.value).startswith(

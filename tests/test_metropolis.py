@@ -115,20 +115,34 @@ def test_run_chain_matches_full_scan_reference(case):
     assert stats.first_accepted == first
 
 
+def _targets(config, step, u):
+    """(disc, dx, dy) of each row of deviates u by the formula of
+    _full_scan_chain: disc i's target is its centre plus (dx, dy)."""
+    n = config.n
+    moves = []
+    for u0, u1, u2 in u.tolist():
+        ang = 2.0 * math.pi * u1
+        rad = step * math.sqrt(u2)
+        moves.append((min(int(u0 * n), n - 1), rad * math.cos(ang),
+                      rad * math.sin(ang)))
+    return moves
+
+
 def test_offsets_match_the_scalar_formula():
+    # the walk forms each target as centre + rad * cos(ang) with libm's cos
+    # and sin, from _polar's disc, angle and length, which must be the
+    # scalar formula's floats
     config, _ = assemble_square(4)
     grid = metropolis._Grid(config, config.radius)
     n = config.n
     edges = list(itertools.product([0.0, 1.0 - 2.0 ** -53], repeat=3))
     u = np.vstack((np.random.default_rng(5).random((10 ** 5, 3)), edges))
-    expected = []
-    for u0, u1, u2 in u.tolist():
-        ang = 2.0 * math.pi * u1
-        rad = config.radius * math.sqrt(u2)
-        expected.append((min(int(u0 * n), n - 1),
-                         (rad * math.cos(ang)).hex(),
-                         (rad * math.sin(ang)).hex()))
-    got = [(i, dx.hex(), dy.hex()) for i, dx, dy in grid.offsets(u)]
+    expected = [(min(int(u0 * n), n - 1), (2.0 * math.pi * u1).hex(),
+                 (config.radius * math.sqrt(u2)).hex())
+                for u0, u1, u2 in u.tolist()]
+    i, ang, rad = grid._polar(u)
+    got = [(i, a.hex(), r.hex())
+           for i, a, r in zip(i.tolist(), ang.tolist(), rad.tolist())]
     assert got == expected
     assert got[-1][0] == n - 1
 
@@ -246,27 +260,45 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def _count_walked(monkeypatch):
-    """Sizes of the row lists handed to _Grid.walk, one entry per call."""
-    sizes = []
+    """(masked, rows handed in, block length) of each _Grid.walk call."""
+    calls = []
     real = metropolis._Grid.walk
 
-    def counted(grid, rows, moves, quiet):
-        sizes.append(len(rows))
-        return real(grid, rows, moves, quiet)
+    def counted(grid, u, masked):
+        hits, size = real(grid, u, masked)
+        calls.append((masked, len(u), size))
+        return hits, size
     monkeypatch.setattr(metropolis._Grid, "walk", counted)
-    return sizes
+    return calls
+
+
+def _count_targets(monkeypatch):
+    """A list that gets one entry per target the scalar rule computes: the
+    walk takes libm's cosine once per target."""
+    calls = []
+    real = math.cos
+
+    def counted(a):
+        calls.append(None)
+        return real(a)
+    monkeypatch.setattr(math, "cos", counted)
+    return calls
 
 
 def test_frozen_chain_rejects_in_bulk(monkeypatch):
-    # the mask runs from the first proposal and shuts every one, so the
-    # grid walks nothing and is never built
+    # the mask runs from the first proposal and witnesses every one, so no
+    # target is computed and the grid is never built
     config = five_disc_config()
     walked = _count_walked(monkeypatch)
     grids = _keep_grids(monkeypatch)
     params = ChainParams(10 ** 5, config.radius, seed=3)
+    targets = _count_targets(monkeypatch)
     _, stats = run_chain(config, params)
+    monkeypatch.undo()
     assert stats.accepted == 0
-    assert sum(walked) == 0
+    assert len(targets) == 0
+    assert all(masked for masked, _, _ in walked)
+    assert sum(size for _, _, size in walked) == params.steps
     grid, = grids
     assert grid.blocks is None
 
@@ -301,10 +333,11 @@ def test_proposals_inside_the_margin_go_to_the_grid(monkeypatch, case):
     # them (the pair tests the wall margin, the five-disc centre disc the
     # neighbour margin)
     config, params = _quiet_case(case)
-    walked = _count_walked(monkeypatch)
+    targets = _count_targets(monkeypatch)
     _, stats = run_chain(config, params)
+    monkeypatch.undo()
     assert stats.accepted == 0
-    assert sum(walked) == params.steps
+    assert len(targets) == params.steps
 
 
 @pytest.mark.parametrize("case", ["frozen", "fluid"])
@@ -328,45 +361,39 @@ def test_every_record_interval_is_checked(monkeypatch, case):
     assert len(calls) == (1 if case == "frozen" else params.steps // 997 + 2)
 
 
-def _pass_one_overlap(monkeypatch, config, open_mask):
-    """Patch the chain so that shut call number open_mask opens every row
-    and the walk lets one overlapping proposal through.  Returns the lists
-    the patches fill: the proposals walked at the bad move, and (proposals
-    walked, shut calls) at each check_valid."""
+def _pass_one_overlap(monkeypatch, config, after):
+    """Patch the chain so that the walk lets one overlapping proposal
+    through: the first move longer than r/2 that stays in the box, at or
+    after proposal after.  Every disc's hop floor is about 1.53r, so such a
+    move overlaps a disc.  Returns the lists the patches fill: the index
+    of the bad move, and the proposals walked at each check_valid."""
     real_walk = metropolis._Grid.walk
-    real_shut = metropolis._Grid.shut
-    proposals, moves, checks, masks = [], [], [], []
+    walked, moves, checks = [0], [], []
 
-    def shut(grid, u):
-        masks.append(None)
-        return real_shut(grid, u) & (len(masks) != open_mask)
-
-    def walk(grid, rows, offsets, quiet):
-        # the real walk, one proposal at a time; the first long move that
-        # stays in the box is walked with the disc test switched off.
-        # Every disc's hop floor is about 1.53r, so a move of r/2 that
-        # stays in the box overlaps a disc
-        hits = []
-        for row, (i, dx, dy) in zip(rows, offsets):
-            proposals.append(row)
-            lo, hx, hy = grid.bounds
-            x, y = grid.xs[i] + dx, grid.ys[i] + dy
-            limit = grid.limit
-            if not moves and lo <= x <= hx and lo <= y <= hy and math.hypot(
-                    dx, dy) > 0.5 * config.radius:
-                moves.append(len(proposals))
-                grid.limit = 0.0
-            hits += real_walk(grid, [row], [(i, dx, dy)], quiet)
+    def walk(grid, u, masked):
+        lo, hx, hy = grid.bounds
+        bad = [row for row, (i, dx, dy) in enumerate(
+                   _targets(config, grid.step_radius, u))
+               if lo <= grid.xs[i] + dx <= hx and lo <= grid.ys[i] + dy <= hy
+               and math.hypot(dx, dy) > 0.5 * config.radius]
+        if moves or walked[0] < after or not bad:
+            hits, size = real_walk(grid, u, masked)
+        elif bad[0] > 0:
+            # the real walk up to the bad move
+            hits, size = real_walk(grid, u[:bad[0]], masked)
+        else:
+            # the bad move alone, with the disc test switched off
+            limit, grid.limit = grid.limit, 0.0
+            hits, size = real_walk(grid, u[:1], False)
             grid.limit = limit
-            if quiet and hits:
-                break
-        return hits
+            moves.append(walked[0])
+        walked[0] += size
+        return hits, size
     monkeypatch.setattr(metropolis._Grid, "walk", walk)
-    monkeypatch.setattr(metropolis._Grid, "shut", shut)
     real_check = metropolis.check_valid
 
     def check(*args):
-        checks.append((len(proposals), len(masks)))
+        checks.append(walked[0])
         return real_check(*args)
     monkeypatch.setattr(metropolis, "check_valid", check)
     return moves, checks
@@ -375,34 +402,29 @@ def _pass_one_overlap(monkeypatch, config, open_mask):
 def test_a_move_is_checked_at_the_next_boundary(monkeypatch):
     # a grid that wrongly accepts one overlapping proposal early in a
     # frozen chain is refused at the first interval boundary after the
-    # move, not at the end of the chain.  The first mask is all open, so
-    # the early proposals reach the walk
+    # move, not at the end of the chain
     config = five_disc_config()
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
-    moves, checks = _pass_one_overlap(monkeypatch, config, 1)
+    moves, checks = _pass_one_overlap(monkeypatch, config, 0)
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(70000, config.radius, seed=1))
     assert moves and moves[0] < 10
-    # checks hold (proposals walked, shut calls) at each check.  The one
-    # open mask and the unmasked walk after the move take every proposal,
-    # so the proposals walked are the chain's proposal count: the input,
-    # then proposal 997
-    assert checks == [(0, 0), (997, 1)]
+    # checks hold the proposals walked at each check: the input, then
+    # proposal 997
+    assert checks == [0, 997]
 
 
 def test_a_move_in_the_last_partial_interval_is_checked(monkeypatch):
     # as above, but the chain ends 500 proposals after its second
-    # boundary, and only the third mask, the one over that partial last
-    # interval, is open: the move is refused by the end-of-chain audit
+    # boundary, and the bad move comes early in that partial last
+    # interval: it is refused by the end-of-chain audit
     config = five_disc_config()
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
-    moves, checks = _pass_one_overlap(monkeypatch, config, 3)
+    moves, checks = _pass_one_overlap(monkeypatch, config, 2 * 997)
     with pytest.raises(OverlapError, match="overlap"):
         run_chain(config, ChainParams(2 * 997 + 500, config.radius, seed=1))
-    assert moves and moves[0] < 10
-    # one mask covers each 997-proposal interval of the frozen chain, and
-    # the open one and the unmasked walk after the move take all 500
-    assert checks == [(0, 0), (500, 3)]
+    assert moves and moves[0] < 2 * 997 + 10
+    assert checks == [0, 2 * 997 + 500]
 
 
 def _static_free(config, i, dx, dy):
@@ -421,6 +443,38 @@ def _static_free(config, i, dx, dy):
     return not np.min(d2) < 4.0 * r * r
 
 
+def _witnesses(grid, u):
+    """_Grid.shut's witness of every row of u, block after block."""
+    blocks = []
+    while sum(map(len, blocks)) < len(u):
+        blocks.append(metropolis._witness(
+            *grid.shut(u[sum(map(len, blocks)):])))
+    return np.concatenate(blocks)
+
+
+def _assert_witnesses_reject(grid, box, u):
+    """Every row of u with a witness is rejected by _static_free on the
+    grid's current centres in box, and the witness itself rejects it: a
+    wall witness by the box, a disc by lying within 2r of the target.
+    Returns the count of witnessed rows."""
+    r = grid.radius
+    now = Configuration(r, grid.centers(), box)
+    c = now.centers
+    wit = _witnesses(grid, u).tolist()
+    for w, (i, dx, dy) in zip(wit, _targets(now, grid.step_radius, u)):
+        if w == -1:
+            continue
+        assert not _static_free(now, i, dx, dy)
+        x, y = c[i, 0] + dx, c[i, 1] + dy
+        if w == -2:
+            wd, ht = now.box
+            assert x < r or x > wd - r or y < r or y > ht - r
+        else:
+            assert w != i
+            assert (c[w, 0] - x) ** 2 + (c[w, 1] - y) ** 2 < 4.0 * r * r
+    return sum(w != -1 for w in wit)
+
+
 @pytest.mark.parametrize("case", ["five", "square-N8", "tiling"])
 def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
     # the mask's own soundness, on boxed and planar inputs; planar chains
@@ -437,80 +491,187 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
         step = 0.5 * config.radius
     grid = metropolis._Grid(config, step)
     u = np.random.default_rng(1).random((20000, 3))
-    open_rows = set()
-    k = 0
-    while k < len(u):
-        shut = grid.shut(u[k:])
-        open_rows.update((k + np.flatnonzero(~shut)).tolist())
-        k += len(shut)
-    accepted = {row for row, (i, dx, dy) in enumerate(grid.offsets(u))
+    witnessed = set(np.flatnonzero(_witnesses(grid, u) != -1).tolist())
+    accepted = {row for row, (i, dx, dy) in enumerate(_targets(config, step, u))
                 if _static_free(config, i, dx, dy)}
     assert accepted
-    assert accepted <= open_rows
-    assert len(open_rows) < len(u)
+    assert not accepted & witnessed
+    assert witnessed
+    assert _assert_witnesses_reject(grid, config.box, u) == len(witnessed)
+
+
+def _moved_grid(config, step, moves):
+    """A _Grid whose table was built before its discs made moves
+    acceptances, one proposal at a time from seed 3, without a rebuild."""
+    grid = metropolis._Grid(config, step)
+    u = np.random.default_rng(3).random((10 ** 5, 3))
+    grid.shut(u)
+    table = grid.near
+    k = 0
+    while grid.stale < moves:
+        k += grid.walk(u[k:k + 1], False)[1]
+    assert grid.near is table and grid.stale < config.n
+    return grid
+
+
+@pytest.mark.parametrize("case", ["five-0.99", "square-N8", "tiling"])
+def test_witnesses_outlive_the_table(case):
+    # the table holds indices only and shut reads the live centres, so a
+    # table that predates n - 1 moves may miss a witness but never gives
+    # one that does not reject
+    if case == "five-0.99":
+        config = shrink_radius(five_disc_config(), 0.99)
+        step = config.radius
+    elif case == "square-N8":
+        config, _ = assemble_square(8)
+        step = config.radius
+    else:
+        config = shrink_radius(tiling_3_12_12(6), 0.999)
+        step = 0.5 * config.radius
+    grid = _moved_grid(config, step, config.n - 1)
+    assert not np.array_equal(grid.centers(), config.centers)
+    u = np.random.default_rng(4).random((20000, 3))
+    assert _assert_witnesses_reject(grid, config.box, u) > 1000
 
 
 def test_mask_follows_the_moves():
-    # a table left from before a move would shut proposals that are free
+    # after a move, the stale table's witnesses are sound in the moved
+    # configuration and are a subset of a fresh table's, and they changed
     config = shrink_radius(five_disc_config(), 0.9)
     grid = metropolis._Grid(config, config.radius)
     u = np.random.default_rng(2).random((4000, 3))
-    before = grid.shut(u)
-    i, dx, dy = max(((i, dx, dy) for i, dx, dy in grid.offsets(u)
-                     if _static_free(config, i, dx, dy)),
-                    key=lambda m: math.hypot(m[1], m[2]))
-    assert grid.walk([0], [(i, dx, dy)], True) == [(0, i)]
-    after = grid.shut(u)
+    before = _witnesses(grid, u)
+    table = grid.near
+    row = max((row for row, (i, dx, dy)
+               in enumerate(_targets(config, config.radius, u))
+               if _static_free(config, i, dx, dy)),
+              key=lambda row: u[row, 2])
+    i = min(int(u[row, 0] * config.n), config.n - 1)
+    assert grid.walk(u[row:row + 1], False) == ([(0, i)], 1)
+    after = _witnesses(grid, u)
+    assert grid.near is table
     moved = Configuration(config.radius, grid.centers(), config.box)
-    fresh = metropolis._Grid(moved, config.radius).shut(u)
-    assert np.array_equal(after, fresh)
+    fresh = _witnesses(metropolis._Grid(moved, config.radius), u)
+    assert _assert_witnesses_reject(grid, config.box, u) == np.sum(
+        after != -1)
+    assert np.all((fresh != -1) | (after == -1))
     assert not np.array_equal(after, before)
 
 
+def test_mask_stays_sound_as_coordinates_grow():
+    # a planar row of six discs near the origin is carried about 1,400
+    # times its coordinate scale after the table is built: five of them
+    # make the same long move, fewer than n moves, so the table stays.
+    # The slack's scale follows the centres, and the mask stays sound
+    r = 0.01
+    config = Configuration(r, [[2.02 * r * k, 0.0] for k in range(6)])
+    step = 200.0
+    grid = metropolis._Grid(config, step)
+    grid.shut(np.random.default_rng(1).random((10, 3)))
+    table = grid.near
+    for k in range(5):
+        # disc k, angle pi/4, the longest step
+        u = np.array([[(k + 0.5) / config.n, 0.125, 1.0 - 2.0 ** -53]])
+        assert grid.walk(u, False) == ([(0, k)], 1)
+    assert grid.near is table
+    c = grid.centers()
+    assert np.abs(c).max() > 1000 * np.abs(config.centers).max()
+    assert grid.scale >= np.abs(c).max()
+    # proposals of at most 3r, so that many targets come within 2r of a
+    # neighbour
+    u = np.random.default_rng(2).random((20000, 3))
+    u[:, 2] = (u[:, 2] * 3.0 * r / step) ** 2
+    assert _assert_witnesses_reject(grid, None, u) > 1000
+
+
+def test_fluid_chain_computes_few_targets(monkeypatch):
+    # on the chain-fluid N=32 chain most proposals are rejected on a
+    # witness that has not moved, with no arithmetic: at most a fifth of
+    # them reach the scalar rule (about 16 % at seed 1)
+    config, _ = assemble_square(32)
+    params = ChainParams(20000, config.radius, seed=1)
+    targets = _count_targets(monkeypatch)
+    _, stats = run_chain(config, params)
+    monkeypatch.undo()
+    assert stats.accepted > 0
+    assert len(targets) <= 0.2 * params.steps
+
+
+@pytest.mark.parametrize("box", [(1.0, 1.0), None])
+def test_a_disc_without_neighbours_is_masked(box):
+    # a single disc has no neighbours; its table still has one row, of
+    # padding, so the mask runs, and in a box it witnesses the walls
+    config = Configuration(0.1, [[0.5, 0.5]], box)
+    params = ChainParams(20000, 0.6, seed=1)
+    grid = metropolis._Grid(config, params.step_radius)
+    wit = _witnesses(grid, np.random.default_rng(1).random((1000, 3)))
+    assert grid.near.shape == (1, 1)
+    assert set(wit.tolist()) == ({-1, -2} if box else {-1})
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert stats.accepted == accepted > 0
+    assert np.array_equal(final.centers, centers)
+    assert stats.trace == trace
+    assert stats.first_accepted == first
+
+
+def _scalar_walk(config, step, u):
+    """(row, disc) of each row of u, in order, that the rule of
+    _full_scan_chain accepts, each acceptance moving its disc."""
+    c = config.centers.copy()
+    hits = []
+    for row, (i, dx, dy) in enumerate(_targets(config, step, u)):
+        if _static_free(Configuration(config.radius, c, config.box), i, dx,
+                        dy):
+            c[i] = c[i, 0] + dx, c[i, 1] + dy
+            hits.append((row, i))
+    return hits
+
+
 def test_quiet_walk_stops_at_its_first_acceptance():
+    # a masked walk is quiet, testing only the rows without a witness, up
+    # to its first acceptance; after it the walk tests every row, so it
+    # accepts what the scalar rule accepts, in order, as an unmasked walk
+    # does
     config = shrink_radius(five_disc_config(), 0.9)
     u = np.random.default_rng(2).random((400, 3))
-    grid = metropolis._Grid(config, config.radius)
-    free = [(row, i) for row, (i, dx, dy) in enumerate(grid.offsets(u))
-            if _static_free(config, i, dx, dy)]
-    assert len(free) > 1
-    assert grid.walk(range(len(u)), grid.offsets(u), True) == free[:1]
-    loud = metropolis._Grid(config, config.radius)
-    assert len(loud.walk(range(len(u)), loud.offsets(u), False)) > 1
+    expected = _scalar_walk(config, config.radius, u)
+    assert len(expected) > 1
+    for masked in (True, False):
+        grid = metropolis._Grid(config, config.radius)
+        assert grid.walk(u, masked) == (expected, len(u))
 
 
-def test_offsets_never_gets_an_empty_block(monkeypatch):
-    sizes = []
-    real = metropolis._Grid.offsets
-
-    def recorded(grid, u):
-        sizes.append(len(u))
-        return real(grid, u)
-    monkeypatch.setattr(metropolis._Grid, "offsets", recorded)
-    # the two frozen chains shut every proposal and never reach offsets;
-    # five-0.99 starts quiet, so its first offsets call is a masked block
+def test_walk_never_gets_an_empty_block(monkeypatch):
+    # the two frozen chains witness every proposal and compute no target;
+    # five-0.99 starts masked and computes targets
     five = five_disc_config()
     square, _ = assemble_square(32)
+    walked = _count_walked(monkeypatch)
+    targets = _count_targets(monkeypatch)
     for config, params, accepts in [
             (five, ChainParams(30000, five.radius, seed=1), 0),
             (square, ChainParams(20000, 1e-5 * square.radius, seed=1), 0),
             (*_quiet_case("five-0.99"), 24)]:
-        sizes.clear()
+        walked.clear()
+        targets.clear()
         _, stats = run_chain(config, params)
         assert stats.accepted == accepts
-        assert bool(sizes) == bool(accepts)
-        assert 0 not in sizes
+        assert bool(targets) == bool(accepts)
+        assert min(min(rows, size) for _, rows, size in walked) >= 1
+        assert sum(size for _, _, size in walked) == params.steps
 
 
 def test_mask_covers_a_row_however_wide_the_table(monkeypatch):
     # with fewer filter entries than the table is wide, the mask still
-    # covers a row, so a quiet chain keeps advancing
+    # covers a row, so a masked chain keeps advancing
     monkeypatch.setattr(metropolis, "_FILTER_ENTRIES", 3)
     config = five_disc_config()
     grid = metropolis._Grid(config, config.radius)
     u = np.random.default_rng(1).random((100, 3))
-    assert len(grid.shut(u)) >= 1
-    assert len(grid.table[0]) > metropolis._FILTER_ENTRIES
+    hit, near, out = grid.shut(u)
+    assert len(out) >= 1
+    assert len(grid.near) > metropolis._FILTER_ENTRIES
     params = ChainParams(3000, config.radius, seed=1)
     final, stats = run_chain(config, params)
     centers, accepted, trace, first = _full_scan_chain(config, params)
