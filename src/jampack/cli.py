@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import construction, files, metropolis, render
-from .verifier import verify_stable
+from .verifier import _escapes, verify_stable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +72,11 @@ def _cmd_tiling(args):
 def _cmd_verify(args):
     config = files.read_config(args.config)
     report = verify_stable(config)
-    movable = [(v.index, v.witness) for v in report.verdicts
-               if v.status != "jammed"]
     _emit(args, {"n": config.n, "stable": report.stable,
                  "jammed": report.jammed_count,
                  "movable": report.movable_count,
                  "rattlers": report.rattler_count,
-                 "movable_discs": movable})
+                 "movable_discs": _escapes(report)})
     if args.out:
         files.write_report(report, args.out)
     return 0 if report.stable else 2

@@ -412,20 +412,20 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
             "epsilon": eps, "lam": lam, "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
-    from .verifier import OverlapError, verify_stable
+    from .verifier import (OverlapError, _decide, _escapes, _judge,
+                           contact_graph)
     try:
-        report = verify_stable(config)
+        graph = contact_graph(config)
     except OverlapError as e:
         rep = e.report
         raise AssemblyError(
             "assembly has %d overlapping pairs, worst penetration %.3g; "
             "discs outside the box: %r"
             % (len(rep.pairs), rep.max_penetration, rep.outside)) from e
-    if report.movable_count or report.rattler_count:
-        bad = [(v.index, v.witness) for v in report.verdicts
-               if v.status != "jammed"]
+    if _decide(graph)[0].any():   # a disc that is not jammed
         raise AssemblyError("assembly is not stable; movable discs "
-                            "(index, escape direction): %r" % bad)
+                            "(index, escape direction): %r"
+                            % _escapes(_judge(graph)))
 
     metrics = AssemblyMetrics(config.n, config.radius,
                               config.n * config.radius, N, eps, scale)

@@ -17,12 +17,13 @@ def write_config(config: Configuration, path):
     (shortest round-trip decimal), so write/read is lossless.
 
     The bytes are json.dump's with indent=1; the centres are formatted
-    directly, since json's indenting encoder runs in pure Python."""
+    directly, all by one % call, since json's indenting encoder runs in
+    pure Python."""
     box = "plane" if config.box is None else [config.box[0], config.box[1]]
     head = json.dumps({"schema": SCHEMA, "box": box,
                        "radius": config.radius}, indent=1)
-    rows = ",\n".join("  [\n   %r,\n   %r\n  ]" % (x, y)
-                      for x, y in config.centers.tolist())
+    rows = (",\n".join(["  [\n   %r,\n   %r\n  ]"] * config.n)
+            % tuple(config.centers.ravel().tolist()))
     centers = "[\n%s\n ]" % rows if rows else "[]"
     # json strings hold no raw newline, so this indents one level deeper
     meta = json.dumps(config.metadata, indent=1).replace("\n", "\n ")

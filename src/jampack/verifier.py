@@ -12,6 +12,9 @@ from .configuration import Configuration
 from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
+# a verdict's status, by its code in _decide's status array
+_STATUSES = ("jammed", "movable", "rattler")
+_JAMMED, _MOVABLE, _RATTLER = range(3)
 # the left, right, bottom and top walls' normals
 _WALL_NORMALS = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
@@ -185,33 +188,53 @@ def _largest_gaps(a: np.ndarray, counts: np.ndarray
     return G, a[top[np.searchsorted(top, last, "right") - 1]]
 
 
-def _judge(graph: ContactGraph) -> JammingReport:
-    """Per-disc verdicts from an already built contact graph.
+def _decide(graph: ContactGraph
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-disc verdicts as arrays, from an already built contact graph:
+    each disc's status (an index into _STATUSES), its contact count, and
+    its witness, an (n, 2) array of escape directions whose jammed rows are
+    NaN.
 
     A disc is jammed iff it has at least 3 normals and its largest normal
     gap G is below pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for
     all n} is then {0}.  Otherwise it is movable, with the witness the
-    antipode of its largest gap's bisector, or a rattler if it has no
-    normals.  One _largest_gaps pass over every normal's np.arctan2 angle
-    gives each disc's G, and so both its verdict and its witness.
+    (math.cos, math.sin) of the antipode of its largest gap's bisector, or
+    a rattler, with the witness (1, 0), if it has no normals.  One
+    _largest_gaps pass over every normal's np.arctan2 angle gives each
+    disc's G, and so both its status and its witness.
     """
     counts = np.diff(graph.ends)
-    n = len(counts)
     has = counts > 0
     a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
     G, start = _largest_gaps(a, counts[has])
     free = (counts[has] < 3) | (G >= math.pi - ANGLE_SLACK)
-    witness = (start[free] + G[free] / 2.0 + math.pi) % TWO_PI
+    w = ((start[free] + G[free] / 2.0 + math.pi) % TWO_PI).tolist()
+    movable = np.flatnonzero(has)[free]
+    status = np.where(has, _JAMMED, _RATTLER)
+    status[movable] = _MOVABLE
+    witness = np.full((len(counts), 2), np.nan)
+    witness[~has] = (1.0, 0.0)
+    witness[movable] = np.column_stack((list(map(math.cos, w)),
+                                        list(map(math.sin, w))))
+    return status, counts, witness
+
+
+def _judge(graph: ContactGraph) -> JammingReport:
+    """Per-disc verdicts from an already built contact graph: _decide's
+    arrays as a JammingReport, one DiscVerdict per disc."""
+    status, counts, witness = _decide(graph)
     m = counts.tolist()
-    verdicts = list(map(DiscVerdict, range(n), repeat("jammed"), repeat(None),
-                        m))
-    movable = np.flatnonzero(has)[free].tolist()
-    for i, w in zip(movable, witness.tolist()):
-        verdicts[i] = DiscVerdict(i, "movable", (math.cos(w), math.sin(w)),
-                                  m[i])
-    rattlers = np.flatnonzero(~has).tolist()
-    for i in rattlers:
-        verdicts[i] = DiscVerdict(i, "rattler", (1.0, 0.0), 0)
-    return JammingReport(verdicts, n - len(movable) - len(rattlers),
-                         len(movable), len(rattlers),
-                         not movable and not rattlers)
+    verdicts = list(map(DiscVerdict, range(len(m)), repeat("jammed"),
+                        repeat(None), m))
+    free = np.flatnonzero(status)
+    for i, s, w in zip(free.tolist(), status[free].tolist(),
+                       witness[free].tolist()):
+        verdicts[i] = DiscVerdict(i, _STATUSES[s], tuple(w), m[i])
+    jammed, movable, rattlers = np.bincount(status, minlength=3).tolist()
+    return JammingReport(verdicts, jammed, movable, rattlers, not len(free))
+
+
+def _escapes(report: JammingReport) -> list:
+    """(index, witness) of every disc of report that is not jammed."""
+    return [(v.index, v.witness) for v in report.verdicts
+            if v.status != "jammed"]

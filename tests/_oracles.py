@@ -10,7 +10,8 @@ from jampack.configuration import Configuration
 from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
                                   CurveFamily)
 from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError, Point
-from jampack.verifier import ContactGraph, DiscVerdict, _judge
+from jampack.render import _COLORS, WIDTH_PX, _bounds
+from jampack.verifier import ContactGraph, DiscVerdict, _judge, contact_graph
 
 TWO_PI = 2.0 * math.pi
 WALLS = ("left", "right", "bottom", "top")   # wall w has partner -1 - w
@@ -253,3 +254,52 @@ def tiling_loop(window_half_width: int) -> Configuration:
     meta = {"construction": "tiling-3.12.12",
             "window_half_width": window_half_width, "window": W}
     return Configuration(1.0, np.array(pts), None, meta)
+
+
+def render_loop(config: Configuration, contacts: bool = False,
+                color_verdicts: bool = False) -> str:
+    """render_svg by a loop that formats every circle and contact line on
+    its own, mapping each centre to pixels with Python floats and coloring
+    from the DiscVerdict list: the reference whose bytes the package's
+    one-format-per-coordinate drawing must equal."""
+    x0, y0, x1, y1 = _bounds(config)
+    span_x = max(x1 - x0, 1e-300)
+    span_y = max(y1 - y0, 1e-300)
+    s = WIDTH_PX / span_x
+    height_px = span_y * s
+
+    def px(x):
+        return (x - x0) * s
+
+    def py(y):
+        return (y1 - y) * s
+
+    lines = ['<svg xmlns="http://www.w3.org/2000/svg" width="%.2f" '
+             'height="%.2f" viewBox="0 0 %.2f %.2f">'
+             % (WIDTH_PX, height_px, WIDTH_PX, height_px)]
+    if config.box is not None:
+        lines.append('<rect x="0" y="0" width="%.2f" height="%.2f" '
+                     'fill="none" stroke="black" stroke-width="1"/>'
+                     % (WIDTH_PX, height_px))
+
+    fills = ["#cccccc"] * config.n
+    graph = None
+    if contacts or color_verdicts:
+        graph = contact_graph(config)
+        if color_verdicts:
+            fills = [_COLORS[v.status] for v in _judge(graph).verdicts]
+
+    pts = config.centers.tolist()
+    for (x, y), fill in zip(pts, fills):
+        lines.append('<circle cx="%.4f" cy="%.4f" r="%.4f" fill="%s" '
+                     'stroke="black" stroke-width="0.5"/>'
+                     % (px(x), py(y), config.radius * s, fill))
+    if contacts and graph is not None:
+        for i, j in graph.pairs:
+            xi, yi = pts[i]
+            xj, yj = pts[j]
+            lines.append('<line x1="%.4f" y1="%.4f" x2="%.4f" y2="%.4f" '
+                         'stroke="#208020" stroke-width="0.8"/>'
+                         % (px(xi), py(yi), px(xj), py(yj)))
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"

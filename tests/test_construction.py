@@ -14,7 +14,7 @@ from jampack.construction import (F_LIMIT, AssemblyError, BridgeChain,
                                   five_disc_config, junction_piece,
                                   tiling_3_12_12, tune_epsilon)
 from jampack.geometry import SOLVER_ABS
-from jampack.verifier import DiscVerdict, OverlapError, verify_stable
+from jampack.verifier import OverlapError, verify_stable
 
 from _oracles import (PROBES, circle_circle_intersections, curve_eval,
                       plain_chord_step, plain_tune_epsilon, scaled,
@@ -724,17 +724,17 @@ def test_assemble_square_refuses_coincident_centers(monkeypatch):
 
 def test_assemble_square_that_is_not_stable_is_an_assembly_error(
         monkeypatch):
-    # every square is certified stable, so one verdict is made movable
-    certify = verifier.verify_stable
+    # every square is certified stable, so one disc of the array decision
+    # is made movable
+    decide = verifier._decide
 
-    def one_movable(config):
-        report = certify(config)
-        report.verdicts[5] = DiscVerdict(5, "movable", (0.0, 1.0), 3)
-        report.jammed_count -= 1
-        report.movable_count += 1
-        return report
+    def one_movable(graph):
+        status, counts, witness = decide(graph)
+        status[5] = verifier._MOVABLE
+        witness[5] = (0.0, 1.0)
+        return status, counts, witness
 
-    monkeypatch.setattr(verifier, "verify_stable", one_movable)
+    monkeypatch.setattr(verifier, "_decide", one_movable)
     with pytest.raises(AssemblyError,
                        match=r"^assembly is not stable; movable discs "
                              r"\(index, escape direction\): "

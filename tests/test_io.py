@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import random
 import re
@@ -7,12 +8,15 @@ import numpy as np
 import pytest
 
 from jampack.configuration import Configuration
-from jampack.construction import (CurveFamily, complete_symmetric_bridge,
-                                  five_disc_config, junction_piece,
-                                  tune_epsilon)
-from jampack.files import SchemaError, read_config, write_config, write_report
+from jampack.construction import (CurveFamily, assemble_square,
+                                  complete_symmetric_bridge, five_disc_config,
+                                  junction_piece, tiling_3_12_12, tune_epsilon)
+from jampack.files import (SCHEMA, SchemaError, read_config, write_config,
+                           write_report)
 from jampack.render import render_svg
 from jampack.verifier import OverlapError, verify_stable
+
+from _oracles import render_loop
 
 
 def test_round_trip_five_disc(tmp_path):
@@ -272,3 +276,54 @@ def test_svg_y_axis_flipped():
     # the higher disc must be drawn with the smaller pixel y
     cy = [float(l.split('cy="')[1].split('"')[0]) for l in circles]
     assert cy[1] < cy[0]
+
+
+@functools.cache
+def _drawn_configs():
+    """Configurations the render tests draw: none and one disc, the
+    five-disc square, the junction, the planar N=4 bridge, two squares, a
+    tiling, and two planar patches near 1e6 whose pixel x and y are
+    differences of large coordinates: a shifted tiling, and discs of radius
+    1e-5 whose centres times the scale are near 4e12, where any other order
+    of the float operations moves the fourth decimal."""
+    tiling = tiling_3_12_12(10)
+    return [Configuration(1.0, np.empty((0, 2))),
+            Configuration(0.25, [[0.5, 0.75]], (1.0, 2.0)),
+            five_disc_config(), junction_piece(),
+            complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)[1]),
+            assemble_square(4)[0], assemble_square(8)[0], tiling,
+            Configuration(1.0, tiling_3_12_12(3).centers + (1e6, -1e6 / 3)),
+            Configuration(1e-5, [[1e6 + 3e-5 * a, -1e6 + 3.1e-5 * b]
+                                 for a in range(7) for b in range(5)])]
+
+
+@pytest.mark.parametrize("contacts", [False, True],
+                         ids=["circles", "contacts"])
+@pytest.mark.parametrize("color", [False, True], ids=["grey", "color"])
+def test_svg_bytes_are_the_per_element_loop(contacts, color):
+    for config in _drawn_configs():
+        assert (render_svg(config, contacts=contacts, color_verdicts=color)
+                == render_loop(config, contacts, color))
+
+
+def _writer_configs():
+    rnd = random.Random(29)
+    # signed zeros and coordinates from 1e-300 to 1e300
+    centers = [[rnd.choice((1.0, -1.0)) * rnd.random()
+                * 10.0 ** rnd.randint(-300, 300) for _ in range(2)]
+               for _ in range(40)] + [[0.0, -0.0], [-0.0, 0.0]]
+    return [Configuration(1.0, np.empty((0, 2))),
+            Configuration(0.5, [[1.0, 2.0]], (3.0, 4.0), {"k": [1, "a"]}),
+            five_disc_config(),
+            Configuration(1e-300, centers, None, {"note": "random"})]
+
+
+@pytest.mark.parametrize("config", _writer_configs(),
+                         ids=["none", "one", "five", "random"])
+def test_config_bytes_are_json_dumps_of_the_document(config, tmp_path):
+    path = tmp_path / "c.json"
+    write_config(config, path)
+    box = "plane" if config.box is None else list(config.box)
+    doc = {"schema": SCHEMA, "box": box, "radius": config.radius,
+           "centers": config.centers.tolist(), "metadata": config.metadata}
+    assert path.read_text() == json.dumps(doc, indent=1) + "\n"

@@ -560,3 +560,45 @@ def _random_config(rnd, planar=False):
             pts[1] = b
     box = None if planar else (10.0, 10.0)
     return Configuration(1.0, np.array(pts), box)
+
+
+def test_array_decision_is_the_report():
+    # status codes, contact counts and witness bits of the arrays are the
+    # DiscVerdict list's; a jammed disc's witness row is NaN
+    configs = [junction_piece(), five_disc_config(),
+               Configuration(0.1, [[0.5, 0.5]], (1.0, 1.0)),
+               assemble_square(4)[0], assemble_square(8)[0],
+               tiling_3_12_12(10)]
+    statuses = set()
+    for config in configs:
+        status, counts, witness = verifier._decide(contact_graph(config))
+        verdicts = verify_stable(config).verdicts
+        assert [verifier._STATUSES[s] for s in status.tolist()] == [
+            v.status for v in verdicts]
+        assert counts.tolist() == [v.contact_count for v in verdicts]
+        rows = [tuple(map(float.hex, w)) for w in witness.tolist()]
+        assert rows == [tuple(map(float.hex, v.witness or (math.nan,) * 2))
+                        for v in verdicts]
+        statuses |= set(status.tolist())
+    assert statuses == {verifier._JAMMED, verifier._MOVABLE,
+                        verifier._RATTLER}
+
+
+def test_render_and_assembly_build_no_disc_verdict(monkeypatch):
+    built = []
+
+    class Counting(verifier.DiscVerdict):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(verifier, "DiscVerdict", Counting)
+    square, _ = assemble_square(4)
+    tiling = tiling_3_12_12(10)
+    for config in (square, tiling):
+        render_svg(config, color_verdicts=True)
+        render_svg(config, contacts=True, color_verdicts=True)
+    assert built == []
+    # the counter sees the verdicts that verify_stable builds
+    assert verify_stable(tiling).movable_count > 0
+    assert set(built) == set(range(tiling.n))
