@@ -8,7 +8,7 @@ import numpy as np
 
 from .configuration import Configuration, _number
 from .geometry import near_pairs
-from .verifier import check_valid, overlap_audit
+from .verifier import _audit, check_valid, overlap_audit
 
 RNG_ALGORITHM = "numpy-pcg64"
 
@@ -186,23 +186,29 @@ class _Grid:
         neighbour) entries but at least one row: (hit, near, out).  Column
         k of near lists the neighbours of row k's disc, hit marks those
         within 2r of its target and out marks a target off the box.  The
-        neighbours come from a table of each disc's within 2r + step_radius
-        that is rebuilt after n acceptances and holds indices only: shut
-        reads the centres from their numpy copies cx and cy, so a stale
-        table can miss a witness but never gives a wrong one.
+        neighbours come from a table of each disc's within 2r +
+        min(step_radius, 2r) that is rebuilt after n acceptances and holds
+        indices only: shut reads the centres from their numpy copies cx and
+        cy, so a stale or short table can miss a witness but never gives a
+        wrong one, and walk tests every row without one.
 
-        The targets come from numpy's cos and sin, and each test holds by
-        more than a slack of 1e-9 r plus 2^-40 of the coordinate scale, far
-        above any rounding difference from libm's, so walk's target fails
-        the same test while neither disc moves.
+        The targets take numpy's float32 cos and sin of the angle rounded
+        to float32, and each test holds by more than a slack of 1e-9 r plus
+        2^-40 of the coordinate scale plus 2^-18 step_radius.  Rounding an
+        angle below 2pi to float32 moves it by at most 2^-22, and the trig
+        adds a few float32 ulps, so the direction is within 2^-20 of libm's
+        (2^-21.7 at most over 10^7 angles); the slack covers that and any
+        float64 rounding, so walk's target fails the same test while
+        neither disc moves.
         """
         if self.stale >= len(self.xs):
             self._tabulate()
         i, ang, rad = self._polar(u[:_FILTER_ENTRIES // len(self.near) or 1])
+        ang = ang.astype(np.float32)
         x = self.cx[i] + rad * np.cos(ang)
         y = self.cy[i] + rad * np.sin(ang)
-        r = self.radius
-        slack = 1e-9 * r + 2.0 ** -40 * (self.scale + self.step_radius)
+        r, s = self.radius, self.step_radius
+        slack = 1e-9 * r + 2.0 ** -40 * (self.scale + s) + 2.0 ** -18 * s
         near = self.near.take(i, axis=1)
         dx = self.cx.take(near)
         dx -= x
@@ -216,10 +222,13 @@ class _Grid:
                 (x < lo - slack) | (x > hx + slack)
                 | (y < lo - slack) | (y > hy + slack))
 
-    def _tabulate(self):
+    def _tabulate(self) -> tuple:
+        """Rebuild the table and return its near_pairs arrays (i, j, d),
+        whose cutoff is at least the verifier's _reach."""
         n = len(self.xs)
-        cut = (2.0 * self.radius + self.step_radius) * (1.0 + 1e-6)
-        i, j, _ = near_pairs(self.centers(), cut)
+        r = self.radius
+        cut = (2.0 * r + min(self.step_radius, 2.0 * r)) * (1.0 + 1e-6)
+        pairs = i, j, _ = near_pairs(self.centers(), cut)
         a, b = np.concatenate((i, j)), np.concatenate((j, i))
         deg = np.bincount(a, minlength=n)
         order = np.argsort(a, kind="stable")
@@ -229,6 +238,7 @@ class _Grid:
         self.near = np.full((max(int(deg.max(initial=0)), 1), n), n, np.intp)
         self.near[slot, a] = b
         self.stale = 0
+        return pairs
 
     def centers(self) -> np.ndarray:
         return np.column_stack((self.cx[:-1], self.cy[:-1]))
@@ -247,19 +257,24 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    check_valid refuses invalid input by its overlap_audit.  The chain
+    check_valid refuses invalid input by its overlap audit.  The chain
     then goes one RECORD_INTERVAL of proposals at a time, the last maybe
     partial: it draws their deviates, walks them in blocks, makes the
     trace entry if the interval is full and, only if a disc moved in it,
     audits the new state the same way.  A block is masked unless the one
     before it accepted more than half its proposals, which leaves few
     witnesses standing.
+
+    The input is audited from the rows of the mask table's near_pairs
+    query, whose cutoff lies above the verifier's contact range (a pair
+    beyond 2r changes no report), and so is an interval end where the
+    table is due and proposals remain; any other calls overlap_audit.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
-    check_valid(config, overlap_audit(config))
-    rng = np.random.default_rng(params.seed)
     grid = _Grid(config, params.step_radius)
+    check_valid(config, _audit(config, *grid._tabulate()))
+    rng = np.random.default_rng(params.seed)
     accepted = 0
     first = None
     trace = []
@@ -279,7 +294,9 @@ def run_chain(config: Configuration, params: ChainParams
             trace.append((accepted - before) / RECORD_INTERVAL)
         if accepted > before:
             now = Configuration(config.radius, grid.centers(), config.box)
-            check_valid(now, overlap_audit(now))
+            due = grid.stale >= config.n and start + len(u) < params.steps
+            check_valid(now, _audit(now, *grid._tabulate()) if due
+                        else overlap_audit(now))
     final = Configuration(config.radius, grid.centers(), config.box,
                           dict(config.metadata))
     disp = float(np.max(np.hypot(*(final.centers - config.centers).T)))

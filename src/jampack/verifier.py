@@ -4,7 +4,6 @@ verdicts from contact normals, and overlap auditing."""
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -95,7 +94,9 @@ def overlap_audit(config: Configuration) -> OverlapReport:
 
 
 def _audit(config: Configuration, i, j, d) -> OverlapReport:
-    """overlap_audit from the near_pairs arrays (i, j, d) at _reach."""
+    """overlap_audit from the near_pairs arrays (i, j, d) at _reach, or at
+    any larger cutoff: a pair beyond 2r neither penetrates nor raises
+    max_penetration above 0."""
     r = config.radius
     outside = []
     if config.box is not None:
@@ -223,13 +224,14 @@ def _judge(graph: ContactGraph) -> JammingReport:
     """Per-disc verdicts from an already built contact graph: _decide's
     arrays as a JammingReport, one DiscVerdict per disc."""
     status, counts, witness = _decide(graph)
-    m = counts.tolist()
-    verdicts = list(map(DiscVerdict, range(len(m)), repeat("jammed"),
-                        repeat(None), m))
+    n = len(counts)
     free = np.flatnonzero(status)
-    for i, s, w in zip(free.tolist(), status[free].tolist(),
-                       witness[free].tolist()):
-        verdicts[i] = DiscVerdict(i, _STATUSES[s], tuple(w), m[i])
+    wit = [None] * n
+    for i, w in zip(free.tolist(), witness[free].tolist()):
+        wit[i] = tuple(w)
+    verdicts = list(map(DiscVerdict, range(n),
+                        map(_STATUSES.__getitem__, status.tolist()), wit,
+                        counts.tolist()))
     jammed, movable, rattlers = np.bincount(status, minlength=3).tolist()
     return JammingReport(verdicts, jammed, movable, rattlers, not len(free))
 

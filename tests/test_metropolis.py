@@ -4,13 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from jampack import metropolis
+from jampack import metropolis, verifier
 from jampack.configuration import Configuration
 from jampack.construction import (assemble_square, five_disc_config,
                                   tiling_3_12_12)
 from jampack.metropolis import (ChainParams, ChainStats, escape_experiment,
                                 run_chain, shrink_radius)
-from jampack.verifier import OverlapError
+from jampack.verifier import OverlapError, overlap_audit
 
 
 def _free_disc():
@@ -689,6 +689,134 @@ def test_cell_keys_stay_exact_far_from_the_origin():
     final, stats = run_chain(config, params)
     centers, accepted, trace, first = _full_scan_chain(config, params)
     assert stats.accepted == accepted == 19920
+    assert stats.first_accepted == first
+    assert np.array_equal(final.centers, centers)
+
+
+def _float32_gap(ang):
+    """The mask's float32 (cos, sin) of each angle minus libm's."""
+    a = ang.tolist()
+    libm = np.array([list(map(math.cos, a)), list(map(math.sin, a))])
+    a32 = ang.astype(np.float32)
+    return np.array([np.cos(a32), np.sin(a32)]) - libm
+
+
+def test_float32_trig_is_within_2_to_the_minus_20_of_libm():
+    # the mask's margin holds 2^-18 of the step for the gap between its
+    # float32 directions and the walk's libm ones: half a float32 ulp of
+    # an angle below 2pi is 2^-22, plus a few ulps of the trig itself
+    rng = np.random.default_rng(11)
+    edges = [k * math.pi / 2.0 for k in range(5)] + [2.0 * math.pi]
+    edges = np.array(edges)[:, None] + np.arange(-4, 5) * 2.0 ** -24
+    ang = np.concatenate((2.0 * math.pi * rng.random(10 ** 6),
+                          edges.ravel(), [2.0 * math.pi * (1.0 - 2.0 ** -53)]))
+    ang = ang[ang >= 0.0]
+    gap = np.hypot(*_float32_gap(ang))
+    assert gap.max() <= 2.0 ** -20
+
+
+def _adversarial_row(step, score):
+    """A deviate row moving disc 0 by about step, at the angle of 4096
+    seeded ones whose gap (the float32 direction minus libm's) and libm
+    direction score highest; returns the row and the walk's offset (libm)
+    and the mask's (float32)."""
+    u = np.random.default_rng(6).random((4096, 3))
+    u[:, 0] = 0.0
+    u[:, 2] = 1.0 - 2.0 ** -53
+    ang = 2.0 * math.pi * u[:, 1]
+    gap = _float32_gap(ang)
+    k = int(np.argmax(score(gap, np.array([np.cos(ang), np.sin(ang)]))))
+    rad = step * math.sqrt(u[k, 2])
+    a32 = np.float32(ang[k])
+    return (u[k:k + 1], (rad * math.cos(ang[k]), rad * math.sin(ang[k])),
+            (rad * float(np.cos(a32)), rad * float(np.sin(a32))))
+
+
+@pytest.mark.parametrize("case", ["disc", "wall"])
+def test_mask_margin_covers_the_float32_directions(case):
+    # a neighbour 2r(1 + 1e-12) from the walk's libm target, placed along
+    # the float32 direction's error, and a wall r(1 + 1e-12) from it: the
+    # mask's float32 target lies 2e-7 r inside the neighbour's 2r (or past
+    # the wall), far beyond a 1e-9 r slack, yet the scalar rule accepts
+    # the move, so the mask must not witness it
+    r = step = 0.1
+    if case == "disc":
+        u, (dx, dy), (fx, fy) = _adversarial_row(step, lambda g, d: np.where(
+            (g * d).sum(axis=0) > 0.0, np.hypot(*g), 0.0))
+        e = np.array([fx - dx, fy - dy]) / math.hypot(fx - dx, fy - dy)
+        far = 2.0 * r * (1.0 + 1e-12)
+        other = (0.5 + dx + far * e[0], 0.5 + dy + far * e[1])
+        config = Configuration(r, [[0.5, 0.5], other])
+        assert math.dist((0.5 + fx, 0.5 + fy), other) < 2.0 * r - 2e-7 * r
+    else:
+        u, (dx, dy), (fx, fy) = _adversarial_row(
+            step, lambda g, d: np.where(d[0] > 0.0, g[0], 0.0))
+        config = Configuration(r, [[0.5, 0.5]],
+                               (0.5 + dx + r * (1.0 + 1e-12), 1.0))
+        assert 0.5 + dx <= config.box[0] - r < 0.5 + fx - 2e-7 * r
+    expected = _scalar_walk(config, step, u)
+    assert expected == [(0, 0)]
+    grid = metropolis._Grid(config, step)
+    assert metropolis._witness(*grid.shut(u)).tolist() == [-1]
+    assert grid.walk(u, True) == (expected, 1)
+
+
+@pytest.mark.parametrize("box", [True, False])
+def test_table_rows_give_the_overlap_audit(box):
+    # the table's near_pairs rows, at any step, give overlap_audit's report
+    # bit for bit, on inputs with tangencies, overlaps and (in a box) discs
+    # outside it
+    square, _ = assemble_square(8)
+    c = square.centers.copy()
+    r = square.radius
+    c[3] = c[4] + (2.0 * r * (1.0 - 1e-3), 0.0)
+    c[7, 0] = 0.5 * r
+    if box:
+        config = Configuration(r, c, square.box)
+    else:
+        tiling = tiling_3_12_12(6)
+        config = Configuration(tiling.radius * (1.0 + 1e-6), tiling.centers)
+    report = overlap_audit(config)
+    assert report.pairs and bool(report.outside) == box
+    for step in (1e-9, 1e-3, 0.5, 1.0, 2.0, 10.0):
+        grid = metropolis._Grid(config, step * config.radius)
+        assert verifier._audit(config, *grid._tabulate()) == report
+    valid = shrink_radius(config, 0.9) if box else square
+    grid = metropolis._Grid(valid, valid.radius)
+    assert verifier._audit(valid, *grid._tabulate()) == overlap_audit(valid)
+
+
+def test_chains_audit_from_the_table(monkeypatch):
+    # the input's audit reads the table's neighbour query, so a frozen
+    # chain runs no overlap_audit; a fluid chain also reads the table's
+    # query at an interval end where the table is due and proposals
+    # remain, and runs overlap_audit at the others, the last among them
+    audits = _count_calls(monkeypatch, metropolis, "overlap_audit")
+    shared = _count_calls(monkeypatch, metropolis, "_audit")
+    config = five_disc_config()
+    _, stats = run_chain(config, ChainParams(30000, config.radius, seed=1))
+    assert stats.accepted == 0
+    assert (len(shared), len(audits)) == (1, 0)
+    shared.clear()
+    config, _ = assemble_square(4)
+    _, stats = run_chain(config, ChainParams(30000, config.radius, seed=7))
+    assert len(stats.trace) == 3 and min(stats.trace) > 0
+    assert len(shared) + len(audits) == 4
+    assert len(shared) >= 2 and len(audits) >= 1
+
+
+def test_long_steps_keep_a_narrow_table():
+    # the table reaches 2r + min(step, 2r): at step 1.0 on the N=32 square
+    # (about 128 r) it stays as narrow as at step 2r, and the walk, which
+    # tests every row without a witness, keeps the scalar trajectory
+    config, _ = assemble_square(32)
+    params = ChainParams(3000, 1.0, seed=1)
+    grid = metropolis._Grid(config, params.step_radius)
+    grid._tabulate()
+    assert len(grid.near) <= 24
+    final, stats = run_chain(config, params)
+    centers, accepted, trace, first = _full_scan_chain(config, params)
+    assert stats.accepted == accepted
     assert stats.first_accepted == first
     assert np.array_equal(final.centers, centers)
 
