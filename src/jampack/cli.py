@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import construction, files, metropolis, render
-from .verifier import _escapes, verify_stable
+from .verifier import _STATUSES, _not_jammed, verify_stable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,13 +72,18 @@ def _cmd_tiling(args):
 def _cmd_verify(args):
     config = files.read_config(args.config)
     report = verify_stable(config)
-    _emit(args, {"n": config.n, "stable": report.stable,
-                 "jammed": report.jammed_count,
-                 "movable": report.movable_count,
-                 "rattlers": report.rattler_count,
-                 "movable_discs": _escapes(report)})
+    doc = {"n": config.n, "stable": report.stable,
+           "jammed": report.jammed_count, "movable": report.movable_count,
+           "rattlers": report.rattler_count,
+           "min_margin": float(report.margin.min()) if config.n else None,
+           "movable_discs": _not_jammed(report)}
+    _emit(args, doc)
     if args.out:
-        files.write_report(report, args.out)
+        # the per-disc columns, in disc order, go to the report file only
+        statuses = list(map(_STATUSES.__getitem__, report.status.tolist()))
+        files.write_report({**doc, "status": statuses,
+                            "contacts": report.contacts.tolist(),
+                            "margin": report.margin.tolist()}, args.out)
     return 0 if report.stable else 2
 
 

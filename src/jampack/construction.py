@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configuration import Configuration, _number
-from .geometry import SOLVER_ABS, TANGENCY_REL, apex
+from .geometry import ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL, apex
 
 SQRT3 = math.sqrt(3.0)
 F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
@@ -412,8 +412,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
             "epsilon": eps, "lam": lam, "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
-    from .verifier import (OverlapError, _decide, _escapes, _judge,
-                           contact_graph)
+    from .verifier import OverlapError, _decide, _not_jammed, contact_graph
     try:
         graph = contact_graph(config)
     except OverlapError as e:
@@ -422,10 +421,14 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
             "assembly has %d overlapping pairs, worst penetration %.3g; "
             "discs outside the box: %r"
             % (len(rep.pairs), rep.max_penetration, rep.outside)) from e
-    if _decide(graph)[0].any():   # a disc that is not jammed
-        raise AssemblyError("assembly is not stable; movable discs "
-                            "(index, escape direction): %r"
-                            % _escapes(_judge(graph)))
+    report = _decide(graph)
+    if not report.stable:
+        raise AssemblyError(
+            "assembly is not stable: %d of %d discs are not jammed; minimum "
+            "margin %.3g rad (jammed needs > ANGLE_SLACK = %g); first "
+            "(index, escape direction): %r"
+            % (config.n - report.jammed_count, config.n, report.margin.min(),
+               ANGLE_SLACK, _not_jammed(report, 5)))
 
     metrics = AssemblyMetrics(config.n, config.radius,
                               config.n * config.radius, N, eps, scale)

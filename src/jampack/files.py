@@ -64,12 +64,12 @@ def read_config(path) -> Configuration:
         raise SchemaError(str(e)) from None
 
 
-def write_report(report, path):
-    """Write a report dataclass (JammingReport, ChainStats, ...) as
-    machine-readable JSON with stable field ordering."""
+def write_report(doc: dict, path):
+    """Write a report, a dict of JSON values such as verify's, as JSON with
+    indent 1 and its keys in insertion order."""
     try:
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=1, default=vars)
+            json.dump(doc, fh, indent=1)
             fh.write("\n")
     except OSError as e:
         raise OSError("failed to write report to %s: %s" % (path, e))

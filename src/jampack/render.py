@@ -67,7 +67,8 @@ def render_svg(config: Configuration, contacts: bool = False,
         graph = contact_graph(config)
         if color_verdicts:
             colors = [_COLORS[name] for name in _STATUSES]
-            fills = list(map(colors.__getitem__, _decide(graph)[0].tolist()))
+            fills = list(map(colors.__getitem__,
+                             _decide(graph).status.tolist()))
 
     c = config.centers
     xs = _fixed((c[:, 0] - x0) * s)

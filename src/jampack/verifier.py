@@ -11,7 +11,7 @@ from .configuration import Configuration
 from .geometry import ANGLE_SLACK, TANGENCY_REL, near_pairs
 
 TWO_PI = 2.0 * math.pi
-# a verdict's status, by its code in _decide's status array
+# a verdict's status, by its code in a JammingReport's status array
 _STATUSES = ("jammed", "movable", "rattler")
 _JAMMED, _MOVABLE, _RATTLER = range(3)
 # the left, right, bottom and top walls' normals
@@ -57,17 +57,18 @@ class ContactGraph:
         return list(zip(self.i.tolist(), self.j.tolist()))
 
 
-@dataclass
-class DiscVerdict:
-    index: int
-    status: str                      # 'jammed' | 'movable' | 'rattler'
-    witness: tuple | None
-    contact_count: int
-
-
-@dataclass
+@dataclass(eq=False)
 class JammingReport:
-    verdicts: list
+    """Per-disc verdicts as arrays in disc order: status (an index into
+    _STATUSES), contacts (the contact count), witness (an (n, 2) array of
+    escape directions whose jammed rows are NaN) and margin (pi - G for
+    the largest normal gap G, with G = 2pi for a rattler), then the status
+    counts and whether every disc is jammed."""
+
+    status: np.ndarray
+    contacts: np.ndarray
+    witness: np.ndarray
+    margin: np.ndarray
     jammed_count: int
     movable_count: int
     rattler_count: int
@@ -165,7 +166,7 @@ def verify_stable(config: Configuration) -> JammingReport:
 
     The configuration is stable iff no disc is movable or a rattler.
     """
-    return _judge(contact_graph(config))
+    return _decide(contact_graph(config))
 
 
 def _largest_gaps(a: np.ndarray, counts: np.ndarray
@@ -189,12 +190,8 @@ def _largest_gaps(a: np.ndarray, counts: np.ndarray
     return G, a[top[np.searchsorted(top, last, "right") - 1]]
 
 
-def _decide(graph: ContactGraph
-            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-disc verdicts as arrays, from an already built contact graph:
-    each disc's status (an index into _STATUSES), its contact count, and
-    its witness, an (n, 2) array of escape directions whose jammed rows are
-    NaN.
+def _decide(graph: ContactGraph) -> JammingReport:
+    """Per-disc verdicts from an already built contact graph.
 
     A disc is jammed iff it has at least 3 normals and its largest normal
     gap G is below pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for
@@ -202,7 +199,7 @@ def _decide(graph: ContactGraph
     (math.cos, math.sin) of the antipode of its largest gap's bisector, or
     a rattler, with the witness (1, 0), if it has no normals.  One
     _largest_gaps pass over every normal's np.arctan2 angle gives each
-    disc's G, and so both its status and its witness.
+    disc's G, and so its status, its witness and its margin pi - G.
     """
     counts = np.diff(graph.ends)
     has = counts > 0
@@ -217,26 +214,15 @@ def _decide(graph: ContactGraph
     witness[~has] = (1.0, 0.0)
     witness[movable] = np.column_stack((list(map(math.cos, w)),
                                         list(map(math.sin, w))))
-    return status, counts, witness
+    margin = np.full(len(counts), -math.pi)
+    margin[has] = math.pi - G
+    tally = np.bincount(status, minlength=3).tolist()
+    return JammingReport(status, counts, witness, margin, *tally,
+                         tally[_JAMMED] == len(counts))
 
 
-def _judge(graph: ContactGraph) -> JammingReport:
-    """Per-disc verdicts from an already built contact graph: _decide's
-    arrays as a JammingReport, one DiscVerdict per disc."""
-    status, counts, witness = _decide(graph)
-    n = len(counts)
-    free = np.flatnonzero(status)
-    wit = [None] * n
-    for i, w in zip(free.tolist(), witness[free].tolist()):
-        wit[i] = tuple(w)
-    verdicts = list(map(DiscVerdict, range(n),
-                        map(_STATUSES.__getitem__, status.tolist()), wit,
-                        counts.tolist()))
-    jammed, movable, rattlers = np.bincount(status, minlength=3).tolist()
-    return JammingReport(verdicts, jammed, movable, rattlers, not len(free))
-
-
-def _escapes(report: JammingReport) -> list:
-    """(index, witness) of every disc of report that is not jammed."""
-    return [(v.index, v.witness) for v in report.verdicts
-            if v.status != "jammed"]
+def _not_jammed(report: JammingReport, limit: int | None = None) -> list:
+    """(index, witness) of each disc of report that is not jammed, in disc
+    order and as tuples, or of the first limit of them."""
+    free = np.flatnonzero(report.status)[:limit]
+    return list(zip(free.tolist(), map(tuple, report.witness[free].tolist())))

@@ -1,8 +1,9 @@
 """Brute-force references that the tests check the package against, the
-per-disc list views of a contact graph that the tests compare, and
-one-disc contact graphs for the verdict tests."""
+per-disc list views of a contact graph and of a jamming report that the
+tests compare, and one-disc contact graphs for the verdict tests."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,7 +12,7 @@ from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
                                   CurveFamily)
 from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError, Point
 from jampack.render import _COLORS, WIDTH_PX, _bounds
-from jampack.verifier import ContactGraph, DiscVerdict, _judge, contact_graph
+from jampack.verifier import _STATUSES, ContactGraph, _decide, contact_graph
 
 TWO_PI = 2.0 * math.pi
 WALLS = ("left", "right", "bottom", "top")   # wall w has partner -1 - w
@@ -153,10 +154,28 @@ def graph_of(discs) -> ContactGraph:
                         np.cumsum([0] + [len(normals) for normals in discs]))
 
 
+@dataclass
+class DiscVerdict:
+    index: int
+    status: str                      # 'jammed' | 'movable' | 'rattler'
+    witness: tuple | None
+    contact_count: int
+
+
+def verdicts_of(report) -> list:
+    """One DiscVerdict per disc of a JammingReport, read from its status,
+    witness and contacts arrays; a jammed disc's witness is None."""
+    status = [_STATUSES[s] for s in report.status.tolist()]
+    witness = [None if s == "jammed" else tuple(w)
+               for s, w in zip(status, report.witness.tolist())]
+    return list(map(DiscVerdict, range(len(status)), status, witness,
+                    report.contacts.tolist()))
+
+
 def verdict_of(normals) -> DiscVerdict:
-    """The package's verdict on one disc with these normals, from _judge on
-    a one-disc contact graph."""
-    return _judge(graph_of([normals])).verdicts[0]
+    """The package's verdict on one disc with these normals, from _decide
+    on a one-disc contact graph."""
+    return verdicts_of(_decide(graph_of([normals])))[0]
 
 
 def _largest_gap(angles: list) -> tuple[float, float]:
@@ -260,8 +279,8 @@ def render_loop(config: Configuration, contacts: bool = False,
                 color_verdicts: bool = False) -> str:
     """render_svg by a loop that formats every circle and contact line on
     its own, mapping each centre to pixels with Python floats and coloring
-    from the DiscVerdict list: the reference whose bytes the package's
-    one-format-per-coordinate drawing must equal."""
+    from the scalar rule on each disc's normals: the reference whose bytes
+    the package's one-format-per-coordinate drawing must equal."""
     x0, y0, x1, y1 = _bounds(config)
     span_x = max(x1 - x0, 1e-300)
     span_y = max(y1 - y0, 1e-300)
@@ -287,7 +306,8 @@ def render_loop(config: Configuration, contacts: bool = False,
     if contacts or color_verdicts:
         graph = contact_graph(config)
         if color_verdicts:
-            fills = [_COLORS[v.status] for v in _judge(graph).verdicts]
+            fills = [_COLORS[is_locally_jammed(normals).status]
+                     for normals in contact_lists(graph)[0]]
 
     pts = config.centers.tolist()
     for (x, y), fill in zip(pts, fills):

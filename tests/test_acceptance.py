@@ -214,8 +214,8 @@ def test_criterion_8_invariance_suite(tmp_path):
     for _ in range(1000):
         config = random_config()
         s = rnd.uniform(0.01, 100.0)
-        v1 = [v.status for v in jp.verify_stable(config).verdicts]
-        v2 = [v.status for v in jp.verify_stable(scaled(config, s)).verdicts]
+        v1 = jp.verify_stable(config).status.tolist()
+        v2 = jp.verify_stable(scaled(config, s)).status.tolist()
         scale_ok += v1 == v2
 
     # rigid-motion invariance (planar)
@@ -227,8 +227,8 @@ def test_criterion_8_invariance_suite(tmp_path):
                         [math.sin(th), math.cos(th)]])
         t = np.array([rnd.uniform(-9, 9), rnd.uniform(-9, 9)])
         moved = jp.Configuration(1.0, config.centers @ rot.T + t)
-        v1 = [v.status for v in jp.verify_stable(config).verdicts]
-        v2 = [v.status for v in jp.verify_stable(moved).verdicts]
+        v1 = jp.verify_stable(config).status.tolist()
+        v2 = jp.verify_stable(moved).status.tolist()
         rigid_ok += v1 == v2
 
     # write/read round trip losslessness

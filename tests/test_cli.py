@@ -202,7 +202,7 @@ def test_build_square_verify_render_bytes_are_pinned(tmp_path, capsys):
                for path in (square, report, svg)]
     assert digests == [
         "fc1f880af2c33318c384fb95ba363d87af327b65006b1abdf679602f97b693a6",
-        "415c1d376d5f2f4ba73c7776dbc8442765274b71bc6608d9d6b2589408ddae47",
+        "475dd2c42f208636036837109f9cee86cb35ae1a5596bb708ad1fef78a7c7e70",
         "caf256e292411cfc16a3ee75b113602e8a847ac73d9cd887ad37ea4d88bf602c"]
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from math import dist
 
@@ -624,8 +625,8 @@ def test_symmetric_bridge_movable_set_is_four_per_end():
     report = verify_stable(config)
     assert report.movable_count == 8
     assert report.rattler_count == 0
-    movable = {tuple(np.round(config.centers[v.index], 6))
-               for v in report.verdicts if v.status == "movable"}
+    movable = {tuple(np.round(config.centers[i], 6))
+               for i in np.flatnonzero(report.status == verifier._MOVABLE)}
     xl = chain.mirror_x
     expected = set()
     for p in [(0.0, 2.0 + S3), (0.0, S3)]:
@@ -675,8 +676,7 @@ def test_assemble_square_scale_invariant_verdicts():
     config, _ = assemble_square(4)
     report = verify_stable(config)
     report2 = verify_stable(scaled(config, 37.5))
-    assert [v.status for v in report.verdicts] == \
-        [v.status for v in report2.verdicts]
+    assert report.status.tolist() == report2.status.tolist()
 
 
 @pytest.mark.parametrize("N", [-1, 0, 1, 2])
@@ -722,24 +722,46 @@ def test_assemble_square_refuses_coincident_centers(monkeypatch):
         assemble_square(4)
 
 
-def test_assemble_square_that_is_not_stable_is_an_assembly_error(
-        monkeypatch):
-    # every square is certified stable, so one disc of the array decision
-    # is made movable
+def _unjam(monkeypatch, discs):
+    """Make _decide report the discs as movable, with margin 0 and escape
+    direction (0, 1): every square is certified stable."""
     decide = verifier._decide
 
-    def one_movable(graph):
-        status, counts, witness = decide(graph)
-        status[5] = verifier._MOVABLE
-        witness[5] = (0.0, 1.0)
-        return status, counts, witness
+    def movable(graph):
+        report = decide(graph)
+        report.status[discs] = verifier._MOVABLE
+        report.witness[discs] = (0.0, 1.0)
+        report.margin[discs] = 0.0
+        tally = np.bincount(report.status, minlength=3).tolist()
+        return dataclasses.replace(report, jammed_count=tally[0],
+                                   movable_count=tally[1], stable=False)
 
-    monkeypatch.setattr(verifier, "_decide", one_movable)
+    monkeypatch.setattr(verifier, "_decide", movable)
+
+
+def test_assemble_square_that_is_not_stable_is_an_assembly_error(
+        monkeypatch):
+    _unjam(monkeypatch, [5])
     with pytest.raises(AssemblyError,
-                       match=r"^assembly is not stable; movable discs "
+                       match=r"^assembly is not stable: 1 of 128 discs are "
+                             r"not jammed; minimum margin 0 rad \(jammed "
+                             r"needs > ANGLE_SLACK = 1e-09\); first "
                              r"\(index, escape direction\): "
                              r"\[\(5, \(0\.0, 1\.0\)\)\]$"):
         assemble_square(4)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_assembly_error_message_does_not_grow_with_n(monkeypatch, N):
+    # every disc made movable: the message counts them and names five
+    _unjam(monkeypatch, slice(None))
+    n = 24 * N + 32
+    with pytest.raises(AssemblyError) as e:
+        assemble_square(N)
+    message = str(e.value)
+    assert ": %d of %d discs are not jammed;" % (n, n) in message
+    assert message.endswith(": %r" % [(k, (0.0, 1.0)) for k in range(5)])
+    assert len(message) < 300
 
 
 def test_complete_symmetric_bridge_refuses_an_untuned_chain():

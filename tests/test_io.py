@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import json
 import random
@@ -7,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from jampack.cli import dispatch
 from jampack.configuration import Configuration
 from jampack.construction import (CurveFamily, assemble_square,
                                   complete_symmetric_bridge, five_disc_config,
@@ -14,7 +14,7 @@ from jampack.construction import (CurveFamily, assemble_square,
 from jampack.files import (SCHEMA, SchemaError, read_config, write_config,
                            write_report)
 from jampack.render import render_svg
-from jampack.verifier import OverlapError, verify_stable
+from jampack.verifier import _STATUSES, OverlapError, verify_stable
 
 from _oracles import render_loop
 
@@ -191,31 +191,46 @@ def test_overlapping_file_loads_but_verify_refuses(tmp_path):
         verify_stable(config)
 
 
-def test_report_serialization(tmp_path):
-    report = verify_stable(five_disc_config())
-    path = tmp_path / "r.json"
-    write_report(report, path)
+def test_report_serialization(tmp_path, capsys):
+    config, path = tmp_path / "five.json", tmp_path / "r.json"
+    write_config(five_disc_config(), config)
+    assert dispatch(["verify", str(config), "--out", str(path)]) == 0
     doc = json.loads(path.read_text())
-    assert doc["movable_count"] == 0
+    assert doc["movable"] == 0
     assert doc["stable"] is True
-    assert doc["jammed_count"] == 5
+    assert doc["jammed"] == 5
+    assert doc["status"] == ["jammed"] * 5
 
 
-def test_report_bytes_are_the_dataclass_fields(tmp_path):
-    # movable discs carry witness tuples, written as JSON arrays
-    report = verify_stable(junction_piece())
-    assert report.movable_count > 0
-    path = tmp_path / "r.json"
-    write_report(report, path)
-    assert path.read_text() == json.dumps(dataclasses.asdict(report),
-                                          indent=1) + "\n"
+@pytest.mark.parametrize("config", [
+    junction_piece(), Configuration(0.1, [[0.5, 0.5]], (1.0, 1.0))],
+    ids=["junction", "one-disc"])
+def test_report_is_the_printed_payload_plus_its_columns(tmp_path, capsys,
+                                                         config):
+    # the --out report is the printed payload, without the resolved
+    # parameters, plus each disc's status, contact count and margin in
+    # disc order; the junction has movable discs, the one disc is a rattler
+    src, path = tmp_path / "c.json", tmp_path / "r.json"
+    write_config(config, src)
+    capsys.readouterr()
+    assert dispatch(["verify", str(src), "--format", "json",
+                     "--out", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    del payload["parameters"]
+    report = verify_stable(config)
+    statuses = [_STATUSES[s] for s in report.status.tolist()]
+    assert payload["movable_discs"] and len(statuses) == config.n
+    assert path.read_text() == json.dumps(
+        {**payload, "status": statuses,
+         "contacts": report.contacts.tolist(),
+         "margin": report.margin.tolist()}, indent=1) + "\n"
 
 
 def test_report_to_a_missing_directory_is_an_os_error(tmp_path):
     path = tmp_path / "missing" / "r.json"
     with pytest.raises(OSError, match="failed to write report to %s"
                        % re.escape(str(path))):
-        write_report(verify_stable(five_disc_config()), path)
+        write_report({"stable": True}, path)
 
 
 def test_svg_circle_count():
@@ -264,7 +279,7 @@ def test_svg_colors_follow_verdicts_from_one_contact_graph(monkeypatch):
     colors = {"jammed": "#4878a8", "movable": "#c04040",
               "rattler": "#d8a030"}
     monkeypatch.setattr(verifier, "contact_graph", real)
-    statuses = [v.status for v in verify_stable(config).verdicts]
+    statuses = [_STATUSES[s] for s in verify_stable(config).status.tolist()]
     assert fills == [colors[s] for s in statuses]
     assert "movable" in statuses
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -14,9 +15,9 @@ from jampack.render import render_svg
 from jampack.verifier import (OverlapError, contact_graph, overlap_audit,
                               verify_stable)
 
-from _oracles import (arctan2_angles, contact_lists, direction_oracle,
-                      graph_of, is_locally_jammed, math_atan2_angles, scaled,
-                      verdict_of)
+from _oracles import (_largest_gap, arctan2_angles, contact_lists,
+                      direction_oracle, graph_of, is_locally_jammed,
+                      math_atan2_angles, scaled, verdict_of, verdicts_of)
 
 
 def _normals(*degrees):
@@ -335,7 +336,7 @@ def _assert_scalar_rule(graph, report):
     """report holds the scalar rule's verdict on every disc of graph, and
     its counts; returns the scalar rule's verdicts."""
     expected = _scalar_verdicts(graph)
-    assert _bits(report.verdicts) == _bits(expected)
+    assert _bits(verdicts_of(report)) == _bits(expected)
     counts = [sum(v.status == s for v in expected)
               for s in ("jammed", "movable", "rattler")]
     assert [report.jammed_count, report.movable_count,
@@ -406,7 +407,7 @@ def test_verdicts_are_the_scalar_rule_on_random_and_hand_made_discs():
                              for k in range(-40, 41)]
     discs += [_random_normals(rnd) for _ in range(1500)]
     graph = graph_of(discs)
-    expected = _assert_scalar_rule(graph, verifier._judge(graph))
+    expected = _assert_scalar_rule(graph, verifier._decide(graph))
     statuses = [v.status for v in expected]
     assert min(map(statuses.count, ("jammed", "movable", "rattler"))) > 100
 
@@ -423,7 +424,7 @@ def test_verdict_statuses_are_the_math_atan2_rule(case, graphs, monkeypatch):
 
     def also_math_atan2(graph, report):
         normals = contact_lists(graph)[0]
-        assert [v.status for v in report.verdicts] == [
+        assert [v.status for v in verdicts_of(report)] == [
             is_locally_jammed(n, math_atan2_angles).status for n in normals]
         checked.append(len(normals))
         return scalar_rule(graph, report)
@@ -445,7 +446,7 @@ def test_verdicts_near_the_band_come_from_the_scalar_rule(monkeypatch):
         return real(a, counts)
 
     monkeypatch.setattr(verifier, "_largest_gaps", watch)
-    assert verifier._judge(graph).verdicts == expected
+    assert verdicts_of(verifier._decide(graph)) == expected
     # one pass decides every disc, the two 1e-13 either side of the bound
     # included, from every row's np.arctan2 angle (the rattler has no rows)
     assert passes == [arctan2_angles([n for normals in discs
@@ -467,7 +468,7 @@ def test_coincident_normals_leave_a_half_plane_free(m):
     assert v.witness == one.witness
     assert v.witness == pytest.approx((0.6, 0.8), abs=1e-15)
     graph = graph_of([[(0.6, 0.8)] * m])
-    assert verifier._judge(graph).verdicts == _scalar_verdicts(graph)
+    assert verdicts_of(verifier._decide(graph)) == _scalar_verdicts(graph)
 
 
 def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
@@ -522,8 +523,7 @@ def test_scale_invariance_randomized():
         s = rnd.uniform(0.01, 100.0)
         r1 = verify_stable(config)
         r2 = verify_stable(scaled(config, s))
-        assert [v.status for v in r1.verdicts] == \
-            [v.status for v in r2.verdicts]
+        assert r1.status.tolist() == r2.status.tolist()
 
 
 def test_rigid_motion_invariance_randomized():
@@ -537,8 +537,7 @@ def test_rigid_motion_invariance_randomized():
         moved = Configuration(config.radius, config.centers @ rot.T + t)
         r1 = verify_stable(config)
         r2 = verify_stable(moved)
-        assert [v.status for v in r1.verdicts] == \
-            [v.status for v in r2.verdicts]
+        assert r1.status.tolist() == r2.status.tolist()
 
 
 def _random_config(rnd, planar=False):
@@ -562,43 +561,63 @@ def _random_config(rnd, planar=False):
     return Configuration(1.0, np.array(pts), box)
 
 
+def _tier1_configs():
+    """The junction, the five-disc square, a one-disc box (a rattler), the
+    N=4 and N=8 squares and a tiling: every status occurs."""
+    return [junction_piece(), five_disc_config(),
+            Configuration(0.1, [[0.5, 0.5]], (1.0, 1.0)),
+            assemble_square(4)[0], assemble_square(8)[0], tiling_3_12_12(10)]
+
+
 def test_array_decision_is_the_report():
-    # status codes, contact counts and witness bits of the arrays are the
-    # DiscVerdict list's; a jammed disc's witness row is NaN
-    configs = [junction_piece(), five_disc_config(),
-               Configuration(0.1, [[0.5, 0.5]], (1.0, 1.0)),
-               assemble_square(4)[0], assemble_square(8)[0],
-               tiling_3_12_12(10)]
+    # verify_stable's record is _decide's on the contact graph, array for
+    # array; its status codes, contact counts and witness bits are the
+    # scalar rule's, and a jammed disc's witness row is NaN
     statuses = set()
-    for config in configs:
-        status, counts, witness = verifier._decide(contact_graph(config))
-        verdicts = verify_stable(config).verdicts
-        assert [verifier._STATUSES[s] for s in status.tolist()] == [
-            v.status for v in verdicts]
-        assert counts.tolist() == [v.contact_count for v in verdicts]
-        rows = [tuple(map(float.hex, w)) for w in witness.tolist()]
-        assert rows == [tuple(map(float.hex, v.witness or (math.nan,) * 2))
-                        for v in verdicts]
-        statuses |= set(status.tolist())
+    for config in _tier1_configs():
+        graph = contact_graph(config)
+        report = verify_stable(config)
+        again = verifier._decide(graph)
+        for name in ("status", "contacts", "witness", "margin"):
+            assert np.array_equal(getattr(report, name), getattr(again, name),
+                                  equal_nan=True)
+        _assert_scalar_rule(graph, report)
+        jammed = report.status == verifier._JAMMED
+        assert np.isnan(report.witness[jammed]).all()
+        assert not np.isnan(report.witness[~jammed]).any()
+        statuses |= set(report.status.tolist())
     assert statuses == {verifier._JAMMED, verifier._MOVABLE,
                         verifier._RATTLER}
 
 
-def test_render_and_assembly_build_no_disc_verdict(monkeypatch):
-    built = []
+def test_report_holds_only_arrays_counts_and_a_bool():
+    # the record is one set of per-disc arrays plus three counts and the
+    # verdict: no per-disc Python object
+    report = verify_stable(tiling_3_12_12(10))
+    assert report.movable_count > 0
+    n = report.status.shape[0]
+    kinds = {f.name: type(getattr(report, f.name))
+             for f in dataclasses.fields(report)}
+    assert kinds == {"status": np.ndarray, "contacts": np.ndarray,
+                     "witness": np.ndarray, "margin": np.ndarray,
+                     "jammed_count": int, "movable_count": int,
+                     "rattler_count": int, "stable": bool}
+    assert report.witness.shape == (n, 2)
+    assert report.contacts.shape == report.margin.shape == (n,)
+    assert (report.jammed_count + report.movable_count
+            + report.rattler_count) == n
 
-    class Counting(verifier.DiscVerdict):
-        def __init__(self, *args):
-            built.append(args[0])
-            super().__init__(*args)
 
-    monkeypatch.setattr(verifier, "DiscVerdict", Counting)
-    square, _ = assemble_square(4)
-    tiling = tiling_3_12_12(10)
-    for config in (square, tiling):
-        render_svg(config, color_verdicts=True)
-        render_svg(config, contacts=True, color_verdicts=True)
-    assert built == []
-    # the counter sees the verdicts that verify_stable builds, one per disc
-    assert verify_stable(tiling).movable_count > 0
-    assert built == list(range(tiling.n))
+def test_jammed_iff_margin_exceeds_the_slack():
+    # margin = pi - G for each disc's largest normal gap G (2pi for a
+    # rattler), bit for bit the scalar loop's gap; a disc is jammed iff its
+    # margin exceeds ANGLE_SLACK
+    for config in _tier1_configs():
+        report = verify_stable(config)
+        jammed = report.status == verifier._JAMMED
+        assert (jammed == (report.margin > ANGLE_SLACK)).all()
+        gaps = [_largest_gap(sorted(arctan2_angles(normals)))[0]
+                if normals else 2.0 * math.pi
+                for normals in contact_lists(contact_graph(config))[0]]
+        assert list(map(float.hex, report.margin.tolist())) == [
+            float.hex(math.pi - g) for g in gaps]
