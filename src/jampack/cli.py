@@ -31,26 +31,27 @@ def _emit(args, payload: dict):
             print("%s: %s" % (k, v))
 
 
-def _built(args, config, **fields):
+def _built(args, config, *keys, **fields):
     """Write a built configuration to --out, if given, and emit its n, the
-    fields in order and the output path."""
+    fields, its metadata under keys, and the output path, in that order."""
     if args.out:
         files.write_config(config, args.out)
-    _emit(args, {"n": config.n, **fields, "out": args.out})
+    _emit(args, {"n": config.n, **fields,
+                 **{k: config.metadata[k] for k in keys}, "out": args.out})
     return 0
 
 
 def _cmd_build_bridge(args):
     family = construction.CurveFamily(lam=args.lam)
-    eps, chain = construction.tune_epsilon(family, args.N)
+    chain = construction.tune_epsilon(family, args.N)
     return _built(args, construction.complete_symmetric_bridge(chain),
-                  epsilon=eps, mirror_x=chain.mirror_x)
+                  "epsilon", "mirror_x")
 
 
 def _cmd_build_square(args):
-    config, metrics = construction.assemble_square(args.N, args.lam)
-    return _built(args, config, r=metrics.r, n_times_r=metrics.n_times_r,
-                  epsilon=metrics.epsilon_used, scale=metrics.scale)
+    config = construction.assemble_square(args.N, args.lam)
+    return _built(args, config, "epsilon", "scale", r=config.radius,
+                  n_times_r=config.n * config.radius)
 
 
 def _cmd_junction(args):
@@ -104,7 +105,7 @@ def _cmd_simulate(args):
                  "first_accepted": stats.first_accepted,
                  "trace": stats.trace,
                  "step_radius": params.step_radius,
-                 "rng": stats.rng_algorithm})
+                 "rng": metropolis.RNG_ALGORITHM})
     return 0
 
 

@@ -60,9 +60,9 @@ class CurveFamily:
 
 @dataclass
 class BridgeChain:
-    """The three rows of the bridge: a on the curve, b intermediate, c on
-    the axis, plus the index N of the last constructed b and the mirror
-    line l at x(b_N)."""
+    """The rows a (on the curve), b and c (on the axis), N = len(b), the
+    curve's epsilon_used, the mirror line l at x(b_N), and terminated_at,
+    the (reason, row) where growth stopped early, or None."""
 
     a: list
     b: list
@@ -237,8 +237,9 @@ def _false_position(g, x0, x1, f0, f1):
     return best[0]
 
 
-def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
-    """Find epsilon* closing the bridge at depth N: x(b_N) - x(a_N) = 1.
+def tune_epsilon(family: CurveFamily, N: int) -> BridgeChain:
+    """The chain closing the bridge at depth N, x(b_N) - x(a_N) = 1, grown
+    at epsilon* = its epsilon_used.
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for the first sign change of the closure residual g,
@@ -278,7 +279,7 @@ def tune_epsilon(family: CurveFamily, N: int) -> tuple[float, BridgeChain]:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
             "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
-    return eps_star, closures[eps_star][1]
+    return closures[eps_star][1]
 
 
 def _check_tuned(chain: BridgeChain):
@@ -349,22 +350,10 @@ def junction_piece() -> Configuration:
     return Configuration(1.0, np.array(pts), (10.0, 10.0), meta)
 
 
-@dataclass
-class AssemblyMetrics:
-    """Size and scaling record of an assembled square configuration."""
-
-    n: int
-    r: float
-    n_times_r: float
-    N: int
-    epsilon_used: float
-    scale: float
-
-
-def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
-                    ) -> tuple[Configuration, AssemblyMetrics]:
-    """Assemble the stable unit-square configuration: four corner clusters
-    (junction plus clamp discs) and four wall bridges, scaled to [0,1]^2.
+def assemble_square(N: int, lam: float = DEFAULT_LAMBDA) -> Configuration:
+    """The stable unit-square configuration: four corner clusters (junction
+    plus clamp discs) and four wall bridges, scaled to [0,1]^2.  Its radius
+    is the scale, and its metadata holds N, epsilon*, lam and the scale.
 
     The result is certified before return: zero overlap violations and
     zero movable discs under the verifier, otherwise AssemblyError.
@@ -375,7 +364,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
             "N=%d is too small: square assembly needs N >= 3, since at N=2 "
             "the bridges leave discs movable" % N)
 
-    eps, chain = tune_epsilon(CurveFamily(lam=lam), N)
+    chain = tune_epsilon(CurveFamily(lam=lam), N)
 
     t = _BRIDGE_OFFSET
     xl = t + chain.mirror_x          # mirror line of the bottom bridge
@@ -409,7 +398,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
     scale = 1.0 / side
     centers = (np.array(pts) + 1.0) * scale
     meta = {"construction": "square", "layout": "wall-bridges", "N": N,
-            "epsilon": eps, "lam": lam, "scale": scale}
+            "epsilon": chain.epsilon_used, "lam": lam, "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
     from .verifier import OverlapError, _decide, _not_jammed, contact_graph
@@ -419,8 +408,9 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
         rep = e.report
         raise AssemblyError(
             "assembly has %d overlapping pairs, worst penetration %.3g; "
-            "discs outside the box: %r"
-            % (len(rep.pairs), rep.max_penetration, rep.outside)) from e
+            "%d discs outside the box: %r"
+            % (len(rep.pairs), rep.max_penetration, len(rep.outside),
+               rep.outside[:5])) from e
     report = _decide(graph)
     if not report.stable:
         raise AssemblyError(
@@ -429,10 +419,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA
             "(index, escape direction): %r"
             % (config.n - report.jammed_count, config.n, report.margin.min(),
                ANGLE_SLACK, _not_jammed(report, 5)))
-
-    metrics = AssemblyMetrics(config.n, config.radius,
-                              config.n * config.radius, N, eps, scale)
-    return config, metrics
+    return config
 
 
 def five_disc_config() -> Configuration:

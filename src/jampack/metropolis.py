@@ -55,7 +55,6 @@ class ChainStats:
     trace: list = field(default_factory=list)
     # (0-based proposal index, disc moved) of the first acceptance, or None
     first_accepted: tuple[int, int] | None = None
-    rng_algorithm: str = RNG_ALGORITHM
 
 
 class _Grid:

@@ -61,7 +61,6 @@ def render_svg(config: Configuration, contacts: bool = False,
                      % (WIDTH_PX, height_px))
 
     fills = ["#cccccc"] * config.n
-    graph = None
     if contacts or color_verdicts:
         from .verifier import _STATUSES, _decide, contact_graph
         graph = contact_graph(config)
@@ -76,7 +75,7 @@ def render_svg(config: Configuration, contacts: bool = False,
     radius = "%.4f" % (config.radius * s)
     lines += _rows('<circle cx="%s" cy="%s" r="' + radius + '" fill="%s" '
                    'stroke="black" stroke-width="0.5"/>', (xs, ys, fills))
-    if contacts and graph is not None:
+    if contacts:
         # x1, y1 of each pair's disc i, then x2, y2 of its disc j
         ends = graph.i.tolist(), graph.j.tolist()
         lines += _rows(_LINE, [list(map(p.__getitem__, k))

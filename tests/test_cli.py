@@ -144,6 +144,28 @@ def test_build_bridge_and_junction(tmp_path, capsys):
     assert read_config(out2).n == 6
 
 
+def test_build_commands_print_what_they_write(tmp_path, capsys):
+    # the json payload's keys in today's order, and its values bit for bit
+    # those read back from the --out file
+    square, bridge = tmp_path / "sq.json", tmp_path / "br.json"
+    docs = []
+    for command, out in (("build-square", square), ("build-bridge", bridge)):
+        assert dispatch([command, "--N", "4", "--format", "json",
+                         "--out", str(out)]) == 0
+        docs.append(json.loads(capsys.readouterr().out))
+    assert [list(doc) for doc in docs] == [
+        ["n", "r", "n_times_r", "epsilon", "scale", "out", "parameters"],
+        ["n", "epsilon", "mirror_x", "out", "parameters"]]
+    config = read_config(square)
+    assert docs[0]["r"] == config.radius
+    assert docs[0]["n_times_r"] == config.n * config.radius
+    assert docs[0]["epsilon"] == config.metadata["epsilon"]
+    assert docs[0]["scale"] == config.metadata["scale"]
+    config = read_config(bridge)
+    assert docs[1]["epsilon"] == config.metadata["epsilon"]
+    assert docs[1]["mirror_x"] == config.metadata["mirror_x"]
+
+
 def test_tiling_and_density(tmp_path, capsys):
     out = tmp_path / "t.json"
     assert dispatch(["tiling", "--window", "5", "--out", str(out),

@@ -140,7 +140,8 @@ def test_chain_rejects_small_max_n():
 @pytest.mark.parametrize("N", [4, 8])
 def test_tune_epsilon_closure(N):
     fam = CurveFamily()
-    eps, chain = tune_epsilon(fam, N)
+    chain = tune_epsilon(fam, N)
+    eps = chain.epsilon_used
     assert 0 < eps < 50.0
     assert chain.N == N
     # recompute the chain from scratch at eps* and re-check the residual
@@ -152,7 +153,7 @@ def test_tune_epsilon_closure(N):
 def test_tune_epsilon_bracket_signs():
     # the residual must change sign across the tuned value
     fam = CurveFamily()
-    eps, _ = tune_epsilon(fam, 4)
+    eps = tune_epsilon(fam, 4).epsilon_used
 
     def g(e):
         ch = build_half_chain(CurveFamily(fam.lam, e), 4)
@@ -277,7 +278,8 @@ def _check_against_bisection(family, N):
             "residual changes sign nowhere in the scan; the last probe "
             "eps=50 has residual %.3g" % (N, family.lam, g(PROBES[-1])))
         return True
-    eps, chain = tune_epsilon(family, N)
+    chain = tune_epsilon(family, N)
+    eps = chain.epsilon_used
     assert bracket[0] <= eps <= bracket[1], N
     scale = 4.0 * N
     assert abs(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0) <= (
@@ -289,7 +291,6 @@ def _check_against_bisection(family, N):
         error = max(abs(w - v) for p, q in zip(row, exact)
                     for v, w in zip(p, q))
         assert error <= 2.0 ** -48 * scale, (N, float(error))
-    assert chain.epsilon_used == eps
     return False
 
 
@@ -345,7 +346,7 @@ def test_chord_step_matches_plain_bisection():
     # lies within plain bisection's 1e-12 bracket of the chord's root
     steps = 0
     for N in (8, 32, 128):
-        eps_star, _ = tune_epsilon(CurveFamily(), N)
+        eps_star = tune_epsilon(CurveFamily(), N).epsilon_used
         for eps in (0.5 * eps_star, eps_star, 2.0 * eps_star):
             family = CurveFamily(epsilon=eps)
             chain = build_half_chain(family, N)
@@ -401,7 +402,7 @@ def test_tune_epsilon_takes_the_bracket_ends_from_the_scan(monkeypatch):
             return build(family, max_N)
 
         monkeypatch.setattr(construction, "build_half_chain", counted)
-        assert tune_epsilon(CurveFamily(), N)[0] == eps_star
+        assert tune_epsilon(CurveFamily(), N).epsilon_used == eps_star
         monkeypatch.undo()
         assert len(built) == builds
         assert not set(built) & set(PROBES)
@@ -432,12 +433,11 @@ def test_tune_epsilon_builds_each_chain_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(construction, "build_half_chain", counted)
-    eps, chain = tune_epsilon(CurveFamily(), 8)
+    chain = tune_epsilon(CurveFamily(), 8)
     # every epsilon once, and the chain returned is the one g was read from
     calls = [c.epsilon_used for c in built]
     assert len(set(calls)) == len(calls)
     assert any(c is chain for c in built)
-    assert chain.epsilon_used == eps
 
 
 def test_tune_epsilon_closes_in_few_builds(monkeypatch):
@@ -467,13 +467,13 @@ def _tune_on(monkeypatch, residual):
 
     def g(family, N, eps):
         evaluated.append(eps)
-        return residual(eps), None
+        return residual(eps), BridgeChain([], [], [], 8, eps, 0.0)
 
     monkeypatch.setattr(construction, "_closure_residual", g)
     monkeypatch.setattr(construction, "_scan_residuals",
                         lambda family, N, eps: np.array(
                             [residual(e) for e in eps.tolist()]))
-    eps_star, _ = tune_epsilon(CurveFamily(), 8)
+    eps_star = tune_epsilon(CurveFamily(), 8).epsilon_used
     monkeypatch.undo()
     return eps_star, set(evaluated)
 
@@ -559,7 +559,7 @@ def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
 
 def test_symmetric_bridge_counts_and_closure():
     for N in (4, 6):
-        eps, chain = tune_epsilon(CurveFamily(), N)
+        chain = tune_epsilon(CurveFamily(), N)
         config = complete_symmetric_bridge(chain)
         assert config.n == 10 * N - 4
         assert config.box is None
@@ -571,7 +571,7 @@ def test_symmetric_bridge_counts_and_closure():
 
 def test_bridges_list_discs_in_mirror_order():
     # half rows, then (x-axis mirror,) then the l-mirror of each disc off l
-    eps, chain = tune_epsilon(CurveFamily(), 5)
+    chain = tune_epsilon(CurveFamily(), 5)
     N, xl = chain.N, chain.mirror_x
     half = chain.a[:N] + chain.b[:N] + chain.c[:N - 1]
 
@@ -583,14 +583,14 @@ def test_bridges_list_discs_in_mirror_order():
     config = complete_symmetric_bridge(chain)
     assert np.array_equal(config.centers, np.array(l_mirror(full)))
     # the square's bottom bridge: the wall replaces the x-axis mirror
-    square, metrics = assemble_square(N)
+    square = assemble_square(N)
     shifted = [(x + construction._BRIDGE_OFFSET, y) for x, y in l_mirror(half)]
-    expected = (np.array(shifted) + 1.0) * metrics.scale
+    expected = (np.array(shifted) + 1.0) * square.metadata["scale"]
     assert np.array_equal(square.centers[44::4], expected)
 
 
 def test_symmetric_bridge_reflection_invariance():
-    eps, chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(CurveFamily(), 4)
     config = complete_symmetric_bridge(chain)
     pts = sorted(map(tuple, np.round(config.centers, 9)))
     flipped_x = sorted(map(tuple, np.round(
@@ -607,7 +607,7 @@ def test_symmetric_bridge_reflection_invariance():
 
 
 def test_symmetric_bridge_tangencies_from_raw_coordinates():
-    eps, chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(CurveFamily(), 4)
     config = complete_symmetric_bridge(chain)
     c = config.centers
     d = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(2))
@@ -620,7 +620,7 @@ def test_symmetric_bridge_tangencies_from_raw_coordinates():
 
 
 def test_symmetric_bridge_movable_set_is_four_per_end():
-    eps, chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(CurveFamily(), 4)
     config = complete_symmetric_bridge(chain)
     report = verify_stable(config)
     assert report.movable_count == 8
@@ -662,10 +662,11 @@ def test_junction_wall_tangencies_exact():
 
 
 def test_assemble_square_stable_and_counted():
-    config, metrics = assemble_square(4)
+    config = assemble_square(4)
     assert config.n == 24 * 4 + 32
-    assert metrics.n == config.n
-    assert metrics.n_times_r == pytest.approx(config.n * config.radius)
+    meta = config.metadata
+    assert (meta["N"], meta["lam"], meta["scale"]) == (4, 0.05, config.radius)
+    assert meta["epsilon"] == tune_epsilon(CurveFamily(), 4).epsilon_used
     assert config.box == (1.0, 1.0)
     report = verify_stable(config)
     assert report.stable
@@ -673,7 +674,7 @@ def test_assemble_square_stable_and_counted():
 
 
 def test_assemble_square_scale_invariant_verdicts():
-    config, _ = assemble_square(4)
+    config = assemble_square(4)
     report = verify_stable(config)
     report2 = verify_stable(scaled(config, 37.5))
     assert report.status.tolist() == report2.status.tolist()
@@ -709,6 +710,23 @@ def test_assemble_square_names_discs_outside_the_box(monkeypatch):
                        match=r"assembly has 0 overlapping pairs, .*discs "
                              r"outside the box: \[\d+, \d+, \d+, \d+\]"):
         assemble_square(4)
+
+
+@pytest.mark.parametrize("N", [4, 8])
+def test_overlap_error_message_does_not_grow_with_n(monkeypatch, N):
+    # every disc reported outside the box: the message counts them and
+    # names five
+    def outside(config):
+        raise OverlapError("outside", verifier.OverlapReport(
+            0.0, [], list(range(config.n))))
+
+    monkeypatch.setattr(verifier, "contact_graph", outside)
+    with pytest.raises(AssemblyError) as e:
+        assemble_square(N)
+    message = str(e.value)
+    assert message.endswith("; %d discs outside the box: [0, 1, 2, 3, 4]"
+                            % (24 * N + 32))
+    assert len(message) < 300
 
 
 def test_assemble_square_refuses_coincident_centers(monkeypatch):
@@ -766,7 +784,7 @@ def test_assembly_error_message_does_not_grow_with_n(monkeypatch, N):
 
 def test_complete_symmetric_bridge_refuses_an_untuned_chain():
     # a chain at twice epsilon* does not close at depth 4
-    eps = tune_epsilon(CurveFamily(), 4)[0]
+    eps = tune_epsilon(CurveFamily(), 4).epsilon_used
     chain = build_half_chain(CurveFamily(epsilon=2.0 * eps), 4)
     with pytest.raises(ConstructionError,
                        match="chain is not tuned: closure residual"):
@@ -774,7 +792,7 @@ def test_complete_symmetric_bridge_refuses_an_untuned_chain():
 
 
 def test_complete_symmetric_bridge_refuses_overlapping_discs():
-    chain = tune_epsilon(CurveFamily(), 4)[1]
+    chain = tune_epsilon(CurveFamily(), 4)
     x, y = chain.b[1]
     chain.b = chain.b[:1] + [(x, y - 0.1)] + chain.b[2:]
     with pytest.raises(OverlapError, match="overlap"):

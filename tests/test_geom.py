@@ -77,7 +77,7 @@ def test_apex_is_the_general_solvers_larger_x_point_bit_for_bit():
     1e-12 of distance 4, horizontal (a tie in x) and vertical."""
     pairs = []
     for N in (4, 8, 32):
-        _, chain = tune_epsilon(CurveFamily(), N)
+        chain = tune_epsilon(CurveFamily(), N)
         steps = list(zip(chain.a[1:], chain.c))
         assert [apex(a, c) for a, c in steps] == chain.b[1:]
         pairs += steps

@@ -263,7 +263,7 @@ def test_svg_contact_overlay_and_colors():
 
 def test_svg_colors_follow_verdicts_from_one_contact_graph(monkeypatch):
     from jampack import verifier
-    config = complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)[1])
+    config = complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4))
     calls = []
     real = verifier.contact_graph
 
@@ -305,8 +305,8 @@ def _drawn_configs():
     return [Configuration(1.0, np.empty((0, 2))),
             Configuration(0.25, [[0.5, 0.75]], (1.0, 2.0)),
             five_disc_config(), junction_piece(),
-            complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)[1]),
-            assemble_square(4)[0], assemble_square(8)[0], tiling,
+            complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)),
+            assemble_square(4), assemble_square(8), tiling,
             Configuration(1.0, tiling_3_12_12(3).centers + (1e6, -1e6 / 3)),
             Configuration(1e-5, [[1e6 + 3e-5 * a, -1e6 + 3.1e-5 * b]
                                  for a in range(7) for b in range(5)])]

@@ -99,10 +99,10 @@ def test_run_chain_matches_full_scan_reference(case):
         config = shrink_radius(five_disc_config(), 0.9)
         params = ChainParams(5000, config.radius, seed=4)
     elif case == "square-N4":
-        config, _ = assemble_square(4)
+        config = assemble_square(4)
         params = ChainParams(20000, config.radius, seed=7)
     elif case == "square-N32":
-        config, _ = assemble_square(32)
+        config = assemble_square(32)
         params = ChainParams(20000, config.radius, seed=1)
     else:
         config = shrink_radius(tiling_3_12_12(6), 0.9)
@@ -132,7 +132,7 @@ def test_offsets_match_the_scalar_formula():
     # the walk forms each target as centre + rad * cos(ang) with libm's cos
     # and sin, from _polar's disc, angle and length, which must be the
     # scalar formula's floats
-    config, _ = assemble_square(4)
+    config = assemble_square(4)
     grid = metropolis._Grid(config, config.radius)
     n = config.n
     edges = list(itertools.product([0.0, 1.0 - 2.0 ** -53], repeat=3))
@@ -161,7 +161,7 @@ def _keep_grids(monkeypatch):
 
 def test_block_lists_follow_the_moves(monkeypatch):
     grids = _keep_grids(monkeypatch)
-    config, _ = assemble_square(4)
+    config = assemble_square(4)
     final, _ = run_chain(config, ChainParams(20000, config.radius, seed=7))
     grid, = grids
     side = grid.side
@@ -204,7 +204,7 @@ def _quiet_case(case):
     if case == "tiling-planar":
         config = shrink_radius(tiling_3_12_12(6), 0.999)
         return config, ChainParams(20000, 0.5 * config.radius, seed=3)
-    config, _ = assemble_square(16)
+    config = assemble_square(16)
     return config, ChainParams(20000, 0.0011 * config.radius, seed=3)
 
 
@@ -232,7 +232,7 @@ def test_trace_boundaries_match_full_scan_reference(monkeypatch, case):
     # block often holds more than one free proposal
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
     if case == "square-N4":
-        config, _ = assemble_square(4)
+        config = assemble_square(4)
         params = ChainParams(20000, config.radius, seed=7)
     elif case == "five-0.975":
         config = shrink_radius(five_disc_config(), 0.975)
@@ -309,13 +309,13 @@ def test_grid_is_built_on_the_first_walk(monkeypatch, case, builds):
     # a fluid chain builds its block lists once; the two chain-frozen
     # benchmark chains never build them
     if case == "square-N4":
-        config, _ = assemble_square(4)
+        config = assemble_square(4)
         params = ChainParams(20000, config.radius, seed=7)
     elif case == "five":
         config = five_disc_config()
         params = ChainParams(30000, config.radius, seed=1)
     else:
-        config, _ = assemble_square(32)
+        config = assemble_square(32)
         params = ChainParams(20000, 1e-5 * config.radius, seed=1)
     indexed = _count_calls(monkeypatch, metropolis._Grid, "_index")
     grids = _keep_grids(monkeypatch)
@@ -350,7 +350,7 @@ def test_every_record_interval_is_checked(monkeypatch, case):
     if case == "frozen":
         config = five_disc_config()
     else:
-        config, _ = assemble_square(4)
+        config = assemble_square(4)
     monkeypatch.setattr(metropolis, "RECORD_INTERVAL", 997)
     params = ChainParams(70000, config.radius, seed=1)
     calls = _count_calls(monkeypatch, metropolis, "check_valid")
@@ -484,7 +484,7 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
         config = shrink_radius(five_disc_config(), 0.99)
         step = config.radius
     elif case == "square-N8":
-        config, _ = assemble_square(8)
+        config = assemble_square(8)
         step = config.radius
     else:
         config = shrink_radius(tiling_3_12_12(6), 0.999)
@@ -523,7 +523,7 @@ def test_witnesses_outlive_the_table(case):
         config = shrink_radius(five_disc_config(), 0.99)
         step = config.radius
     elif case == "square-N8":
-        config, _ = assemble_square(8)
+        config = assemble_square(8)
         step = config.radius
     else:
         config = shrink_radius(tiling_3_12_12(6), 0.999)
@@ -588,7 +588,7 @@ def test_fluid_chain_computes_few_targets(monkeypatch):
     # on the chain-fluid N=32 chain most proposals are rejected on a
     # witness that has not moved, with no arithmetic: at most a fifth of
     # them reach the scalar rule (about 16 % at seed 1)
-    config, _ = assemble_square(32)
+    config = assemble_square(32)
     params = ChainParams(20000, config.radius, seed=1)
     targets = _count_targets(monkeypatch)
     _, stats = run_chain(config, params)
@@ -646,7 +646,7 @@ def test_walk_never_gets_an_empty_block(monkeypatch):
     # the two frozen chains witness every proposal and compute no target;
     # five-0.99 starts masked and computes targets
     five = five_disc_config()
-    square, _ = assemble_square(32)
+    square = assemble_square(32)
     walked = _count_walked(monkeypatch)
     targets = _count_targets(monkeypatch)
     for config, params, accepts in [
@@ -766,7 +766,7 @@ def test_table_rows_give_the_overlap_audit(box):
     # the table's near_pairs rows, at any step, give overlap_audit's report
     # bit for bit, on inputs with tangencies, overlaps and (in a box) discs
     # outside it
-    square, _ = assemble_square(8)
+    square = assemble_square(8)
     c = square.centers.copy()
     r = square.radius
     c[3] = c[4] + (2.0 * r * (1.0 - 1e-3), 0.0)
@@ -798,7 +798,7 @@ def test_chains_audit_from_the_table(monkeypatch):
     assert stats.accepted == 0
     assert (len(shared), len(audits)) == (1, 0)
     shared.clear()
-    config, _ = assemble_square(4)
+    config = assemble_square(4)
     _, stats = run_chain(config, ChainParams(30000, config.radius, seed=7))
     assert len(stats.trace) == 3 and min(stats.trace) > 0
     assert len(shared) + len(audits) == 4
@@ -809,7 +809,7 @@ def test_long_steps_keep_a_narrow_table():
     # the table reaches 2r + min(step, 2r): at step 1.0 on the N=32 square
     # (about 128 r) it stays as narrow as at step 2r, and the walk, which
     # tests every row without a witness, keeps the scalar trajectory
-    config, _ = assemble_square(32)
+    config = assemble_square(32)
     params = ChainParams(3000, 1.0, seed=1)
     grid = metropolis._Grid(config, params.step_radius)
     grid._tabulate()
@@ -853,7 +853,7 @@ def test_square_assembly_admits_finite_hops():
     # discs with near-collinear contact pairs can jump past their neighbors
     # when the proposal radius equals the disc radius, even though every
     # disc is jammed against infinitesimal motion
-    config, _ = assemble_square(4)
+    config = assemble_square(4)
     _, stats = run_chain(config, ChainParams(2000, config.radius, seed=7))
     assert stats.accepted > 0
 

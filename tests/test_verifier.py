@@ -248,7 +248,7 @@ def _assert_same_graph(config):
 
 
 def test_contact_graph_matches_double_loop_on_constructions():
-    square, _ = assemble_square(8)
+    square = assemble_square(8)
     g = _assert_same_graph(square)
     assert len(g.pairs) > square.n
     g = _assert_same_graph(tiling_3_12_12(10))
@@ -290,7 +290,7 @@ def _brute_contact_rows(config):
 
 def test_contact_arrays_match_double_loop():
     codes = set()
-    for config in (assemble_square(4)[0], assemble_square(8)[0],
+    for config in (assemble_square(4), assemble_square(8),
                    five_disc_config(), tiling_3_12_12(10)):
         g = contact_graph(config)
         pairs, rows = _brute_contact_rows(config)
@@ -307,7 +307,7 @@ def test_contact_arrays_match_double_loop():
 
 
 def test_fast_path_never_builds_the_normal_lists():
-    square, _ = assemble_square(8)
+    square = assemble_square(8)
     assert verify_stable(square).stable
     assert verify_stable(tiling_3_12_12(10)).movable_count > 0
     svg = render_svg(square, contacts=True, color_verdicts=True)
@@ -347,8 +347,8 @@ def _assert_scalar_rule(graph, report):
 
 def test_verdicts_are_the_scalar_rule_on_constructions():
     rnd = random.Random(92)
-    _, bridge = tune_epsilon(CurveFamily(), 4)
-    configs = [assemble_square(N)[0] for N in (4, 8, 16, 32)]
+    bridge = tune_epsilon(CurveFamily(), 4)
+    configs = [assemble_square(N) for N in (4, 8, 16, 32)]
     configs += [tiling_3_12_12(10), tiling_3_12_12(24), five_disc_config(),
                 complete_symmetric_bridge(bridge)]
     configs += [_lattice_config(rnd) for _ in range(20)]
@@ -472,7 +472,7 @@ def test_coincident_normals_leave_a_half_plane_free(m):
 
 
 def test_clearly_jammed_squares_skip_the_scalar_rule(monkeypatch):
-    square, _ = assemble_square(8)
+    square = assemble_square(8)
     rows = []
     real = verifier._largest_gaps
 
@@ -566,7 +566,7 @@ def _tier1_configs():
     N=4 and N=8 squares and a tiling: every status occurs."""
     return [junction_piece(), five_disc_config(),
             Configuration(0.1, [[0.5, 0.5]], (1.0, 1.0)),
-            assemble_square(4)[0], assemble_square(8)[0], tiling_3_12_12(10)]
+            assemble_square(4), assemble_square(8), tiling_3_12_12(10)]
 
 
 def test_array_decision_is_the_report():
