@@ -22,9 +22,6 @@ _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
 # time, which bounds its temporaries to about 1 MB for any table width.
 _FILTER_ENTRIES = 1 << 14
 
-# Proposals in a block walked without a mask.
-_UNMASKED = 1024
-
 # Proposals per draw, trace entry and audit; run_chain reads it per call.
 RECORD_INTERVAL = 10000
 
@@ -105,13 +102,12 @@ class _Grid:
         return (np.minimum((u[:, 0] * n).astype(np.intp), n - 1),
                 2.0 * math.pi * u[:, 1], self.step_radius * np.sqrt(u[:, 2]))
 
-    def walk(self, u: np.ndarray, masked: bool) -> tuple[list, int]:
-        """Walk a block of the first rows of u: the rows shut covers if
-        masked, else _UNMASKED rows.  Returns the (row, disc) of each
-        proposal, in order, that keeps the discs valid, and the block's
-        length: the scalar rule's target xs[i] + rad * cos(ang), with
-        libm's cos and sin, is inside the box with no other centre within
-        2r.  Each acceptance moves its disc.
+    def walk(self, u: np.ndarray) -> tuple[list, int]:
+        """Walk the block of the first rows of u that shut covers.  Returns
+        the (row, disc) of each proposal, in order, that keeps the discs
+        valid, and the block's length: the scalar rule's target xs[i] +
+        rad * cos(ang), with libm's cos and sin, is inside the box with no
+        other centre within 2r.  Each acceptance moves its disc.
 
         Up to the first acceptance only rows without a witness (see
         _witness) are tested.  After it every row is, but one whose disc and
@@ -119,10 +115,9 @@ class _Grid:
         target and its witness are the floats shut judged.  Any other row
         with a witness still within 2r of its target is rejected by that.
         """
-        shut = self.shut(u) if masked else None
-        u = u[:len(shut[2]) if masked else _UNMASKED]
-        rows = (np.flatnonzero(~(shut[0].any(axis=0) | shut[2])).tolist()
-                if masked else range(len(u)))
+        shut = self.shut(u)
+        u = u[:len(shut[2])]
+        rows = np.flatnonzero(~(shut[0].any(axis=0) | shut[2])).tolist()
         if not rows:
             return [], len(u)
         if self.blocks is None:
@@ -172,8 +167,7 @@ class _Grid:
             else:
                 break
             rows = range(row + 1, len(u))
-            if masked:  # only now, so that a block with no move skips it
-                wit = _witness(*shut).tolist()
+            wit = _witness(*shut).tolist()  # only now: a quiet block skips it
         m = list(moved)
         self.cx[m], self.cy[m] = [xs[j] for j in m], [ys[j] for j in m]
         self.scale = np.abs((self.cx[m], self.cy[m])).max(initial=self.scale)
@@ -256,35 +250,35 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    check_valid refuses invalid input by its overlap audit.  The chain
-    then goes one RECORD_INTERVAL of proposals at a time, the last maybe
-    partial: it draws their deviates, walks them in blocks, makes the
-    trace entry if the interval is full and, only if a disc moved in it,
-    audits the new state the same way.  A block is masked unless the one
-    before it accepted more than half its proposals, which leaves few
-    witnesses standing.
-
-    The input is audited from the rows of the mask table's near_pairs
-    query, whose cutoff lies above the verifier's contact range (a pair
-    beyond 2r changes no report), and so is an interval end where the
-    table is due and proposals remain; any other calls overlap_audit.
+    check_valid refuses invalid input by its overlap audit, read from the
+    rows of the mask table's first near_pairs query, whose cutoff lies
+    above the verifier's contact range (a pair beyond 2r changes no
+    report).  The chain then goes one RECORD_INTERVAL of proposals at a
+    time, the last maybe partial: it draws their deviates, walks them in
+    blocks, makes the trace entry if the interval is full and, only if a
+    disc moved in it, checks the new state by overlap_audit.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
     grid = _Grid(config, params.step_radius)
     check_valid(config, _audit(config, *grid._tabulate()))
+    # a target off the box is rejected before its cell is indexed
+    reach = min(grid.scale + params.steps * params.step_radius,
+                math.inf if config.box is None else max(config.box))
+    if not math.isfinite(reach / grid.side):
+        raise ValueError("cells of side 2r at radius %r cannot index |x| up "
+                         "to %r (step_radius %r)"
+                         % (config.radius, reach, params.step_radius))
     rng = np.random.default_rng(params.seed)
     accepted = 0
     first = None
     trace = []
-    masked = True
     for start in range(0, params.steps, RECORD_INTERVAL):
         u = rng.random((min(RECORD_INTERVAL, params.steps - start), 3))
         before = accepted
         k = 0  # proposals of this interval walked so far
         while k < len(u):
-            hits, size = grid.walk(u[k:], masked)
-            masked = 2 * len(hits) <= size
+            hits, size = grid.walk(u[k:])
             if hits and first is None:
                 first = (start + k + hits[0][0], hits[0][1])
             accepted += len(hits)
@@ -293,9 +287,7 @@ def run_chain(config: Configuration, params: ChainParams
             trace.append((accepted - before) / RECORD_INTERVAL)
         if accepted > before:
             now = Configuration(config.radius, grid.centers(), config.box)
-            due = grid.stale >= config.n and start + len(u) < params.steps
-            check_valid(now, _audit(now, *grid._tabulate()) if due
-                        else overlap_audit(now))
+            check_valid(now, overlap_audit(now))
     final = Configuration(config.radius, grid.centers(), config.box,
                           dict(config.metadata))
     disp = float(np.max(np.hypot(*(final.centers - config.centers).T)))

@@ -434,3 +434,22 @@ def test_infinite_step_radius_refused(tmp_path, capsys, build):
                      "--step-radius", "inf"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "step_radius" in err
+
+
+@pytest.mark.parametrize("config, step", [
+    (Configuration(0.1, [[0.5, 0.5]]), ["--step-radius", "1e308"]),
+    (Configuration(1e-10, [[5e299, 5e299]], (1e300, 1e300)), [])],
+    ids=["long-step", "wide-box"])
+def test_chain_beyond_the_cell_index_refused(tmp_path, capsys, config, step):
+    # a cell index of x // 2r past the float range would raise an
+    # OverflowError inside the walk; the chain refuses it by name first,
+    # while verify handles the same file
+    path = tmp_path / "c.json"
+    write_config(config, path)
+    assert dispatch(["verify", str(path)]) in (0, 2)
+    capsys.readouterr()
+    assert dispatch(["simulate", str(path), "--steps", "10"] + step) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "step_radius" in err and "radius %r" % config.radius in err
+    assert "Traceback" not in err
