@@ -17,6 +17,12 @@ RNG_ALGORITHM = "numpy-pcg64"
 # keys collide share a list, which adds candidates but never hides one.
 _STRIDE = 1 << 20
 _BLOCK = tuple(a * _STRIDE + b for a in (-1, 0, 1) for b in (-1, 0, 1))
+# A move by d = new key - old key leaves the lists at old + o, o in the first
+# tuple, and enters those at new + o, o in the second; blocks that overlap
+# (d of up to two cells each way) keep the lists they share.
+_SHIFT = {d: (tuple(o for o in _BLOCK if o - d not in _BLOCK),
+              tuple(o for o in _BLOCK if o + d not in _BLOCK))
+          for d in {a - b for a in _BLOCK for b in _BLOCK}}
 
 # _Grid.shut tests about this many (proposal, neighbour) entries at a
 # time, which bounds its temporaries to about 1 MB for any table width.
@@ -62,7 +68,8 @@ class _Grid:
     in the 3x3 block of cells around it (the margin absorbs the rounding of
     the distance test and of the cell index); blocks maps a cell's key to
     the discs of its block, and keys holds each disc's own cell key, as
-    exact Python ints; both are built by the first walk, if any.
+    exact Python ints; both are built by the first walk, if any, and a
+    move then updates only the lists its disc leaves or enters.
     Centres are kept as Python floats; walk's accept rule does the same
     float operations as a scan of the full centre array, and its verdict
     does not depend on the order of the neighbours, so trajectories do not
@@ -126,7 +133,7 @@ class _Grid:
         wit = [-1] * len(u)  # the rows tested before any move have none
         xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
         (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
-        floor, cos, sin = math.floor, math.cos, math.sin
+        floor, cos, sin, shift = math.floor, math.cos, math.sin, _SHIFT.get
         moved = set()
         hits = []
         while True:
@@ -154,8 +161,10 @@ class _Grid:
                 else:
                     old = keys[i]
                     if key != old:
-                        for off in _BLOCK:
+                        leave, enter = shift(key - old, (_BLOCK, _BLOCK))
+                        for off in leave:
                             blocks[old + off].remove(i)
+                        for off in enter:
                             blocks.setdefault(key + off, []).append(i)
                         keys[i] = key
                     xs[i] = x
@@ -205,11 +214,12 @@ class _Grid:
         near = self.near.take(i, axis=1)
         dx = self.cx.take(near)
         dx -= x
-        dx *= dx
         dy = self.cy.take(near)
         dy -= y
-        dy *= dy
-        dx += dy
+        with np.errstate(over="ignore"):  # inf only off the box
+            dx *= dx
+            dy *= dy
+            dx += dy
         lo, hx, hy = self.bounds
         return (dx < max(2.0 * r - slack, 0.0) ** 2, near,
                 (x < lo - slack) | (x > hx + slack)
@@ -256,7 +266,9 @@ def run_chain(config: Configuration, params: ChainParams
     report).  The chain then goes one RECORD_INTERVAL of proposals at a
     time, the last maybe partial: it draws their deviates, walks them in
     blocks, makes the trace entry if the interval is full and, only if a
-    disc moved in it, checks the new state by overlap_audit.
+    disc moved in it, checks the new state by overlap_audit of the moved
+    discs.  No pair of unmoved discs has changed since the last check, so
+    that audit lists the same pairs and discs as a full one.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
@@ -276,18 +288,20 @@ def run_chain(config: Configuration, params: ChainParams
     for start in range(0, params.steps, RECORD_INTERVAL):
         u = rng.random((min(RECORD_INTERVAL, params.steps - start), 3))
         before = accepted
+        moved = set()
         k = 0  # proposals of this interval walked so far
         while k < len(u):
             hits, size = grid.walk(u[k:])
             if hits and first is None:
                 first = (start + k + hits[0][0], hits[0][1])
             accepted += len(hits)
+            moved.update(i for _, i in hits)
             k += size
         if len(u) == RECORD_INTERVAL:
             trace.append((accepted - before) / RECORD_INTERVAL)
-        if accepted > before:
+        if moved:
             now = Configuration(config.radius, grid.centers(), config.box)
-            check_valid(now, overlap_audit(now))
+            check_valid(now, overlap_audit(now, list(moved)))
     final = Configuration(config.radius, grid.centers(), config.box,
                           dict(config.metadata))
     disp = float(np.max(np.hypot(*(final.centers - config.centers).T)))

@@ -82,16 +82,19 @@ def _reach(r: float) -> float:
     return 2.0 * r * (1.0 + 2.0 * TANGENCY_REL)
 
 
-def overlap_audit(config: Configuration) -> OverlapReport:
+def overlap_audit(config: Configuration, among=None) -> OverlapReport:
     """Penetrating disc pairs, from the pairs within contact range, and the
     discs that cross a wall.
 
     Penetration beyond 2r*TANGENCY_REL is a violation; pairs are listed as
     (i, j, distance) in (i, j) order.  max_penetration is the worst 2r - d,
     or 0.  A disc crossing a wall by more than r*TANGENCY_REL is listed in
-    outside, by index.
+    outside, by index.  Given among, a sequence of disc indices, only the
+    pairs with an end in it are looked at, and max_penetration is theirs;
+    outside still covers every disc.
     """
-    return _audit(config, *near_pairs(config.centers, _reach(config.radius)))
+    return _audit(config, *near_pairs(config.centers, _reach(config.radius),
+                                      among))
 
 
 def _audit(config: Configuration, i, j, d) -> OverlapReport:
@@ -104,8 +107,8 @@ def _audit(config: Configuration, i, j, d) -> OverlapReport:
         c = config.centers
         slack = r * TANGENCY_REL
         hi = np.array(config.box) - r + slack
-        out = ((c < r - slack) | (c > hi)).any(axis=1)
-        outside = np.flatnonzero(out).tolist()
+        out = (c < r - slack) | (c > hi)
+        outside = np.flatnonzero(out[:, 0] | out[:, 1]).tolist()
     pens = 2.0 * r - d
     viol = pens > 2.0 * r * TANGENCY_REL
     pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))

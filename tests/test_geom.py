@@ -183,6 +183,44 @@ def test_near_pairs_extreme_coordinates():
     assert _near(c, 1e-300) == [(0, 2, 0.0), (1, 3, 0.0)]
 
 
+def _restricted_cases():
+    """(centers, cutoff) of the random, lattice, duplicate, wide-extent and
+    extreme-coordinate cases above."""
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        n = int(rng.integers(2, 160))
+        yield rng.uniform(-50.0, 50.0, (n, 2)), float(rng.uniform(0.5, 30.0))
+    k = np.arange(-6, 7) * 0.3
+    yield np.array([(x, y) for x in k for y in k]), 0.3
+    yield np.array([[1.0, -2.0], [3.0, 3.0], [1.0, -2.0], [1.0, -2.0]]), 10.0
+    base = rng.uniform(-100.0, 100.0, (300, 2))
+    near = base[:40] + rng.uniform(-1.5e-12, 1.5e-12, (40, 2))
+    yield np.concatenate([base, near]), 1e-14 * 200.0
+    yield np.array([[1e300, -1e300], [-1e300, 1e300], [1e300, -1e300],
+                    [-1e300, 1e300], [1.5e308, -1.5e308]]), 1e-300
+
+
+def test_restricted_near_pairs_are_rows_of_the_full_call():
+    # among keeps exactly the full call's rows with an end in it, bit for
+    # bit and in order: for no index, one, a random share, and all of them
+    rng = np.random.default_rng(46)
+    rows = 0
+    for c, cutoff in _restricted_cases():
+        n = len(c)
+        full = _near(c, cutoff)
+        rows += bool(full)
+        sets = [[], [int(rng.integers(n))], [n - 1],
+                rng.choice(n, n // 3 + 1, replace=False), list(range(n))]
+        for among in sets:
+            i, j, d = near_pairs(c, cutoff, among)
+            assert i.dtype.kind == j.dtype.kind == "i"
+            got = list(zip(i.tolist(), j.tolist(), d.tolist()))
+            mine = set(np.asarray(among).tolist())
+            assert got == [row for row in full
+                           if row[0] in mine or row[1] in mine]
+    assert rows >= 20
+
+
 def test_near_pairs_rejects_nonpositive_cutoff():
     with pytest.raises(GeometryError):
         near_pairs(np.zeros((3, 2)), 0.0)

@@ -1,5 +1,8 @@
+import hashlib
 import itertools
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -159,27 +162,78 @@ def _keep_grids(monkeypatch):
     return grids
 
 
-def test_block_lists_follow_the_moves(monkeypatch):
-    grids = _keep_grids(monkeypatch)
-    config = assemble_square(4)
-    final, _ = run_chain(config, ChainParams(20000, config.radius, seed=7))
-    grid, = grids
-    side = grid.side
+def _moving_case(case):
+    if case == "square-N4":
+        config = assemble_square(4)
+        return config, ChainParams(20000, config.radius, seed=7)
+    config = shrink_radius(tiling_3_12_12(10), 0.9)
+    return config, ChainParams(20000, 1.0, seed=1)
 
-    def cells(centers):
-        return [(int(x // side), int(y // side)) for x, y in centers.tolist()]
-    start, end = cells(config.centers), cells(final.centers)
-    assert sum(a != b for a, b in zip(start, end)) > 10
-    expected = {}
-    for j, (kx, ky) in enumerate(end):
-        for a in (-1, 0, 1):
-            for b in (-1, 0, 1):
-                key = (kx + a) * metropolis._STRIDE + ky + b
-                expected.setdefault(key, set()).add(j)
-    blocks = {key: v for key, v in grid.blocks.items() if v}
-    assert {key: set(v) for key, v in blocks.items()} == expected
-    assert all(len(v) == len(set(v)) for v in blocks.values())
-    assert grid.keys == [kx * metropolis._STRIDE + ky for kx, ky in end]
+
+def test_block_lists_follow_the_moves(monkeypatch):
+    # a move updates only the block lists it leaves or enters, yet each
+    # list ends as a fresh index of the final centres builds it, up to
+    # order, on the N=4 square and on a shrunk tiling
+    grids = _keep_grids(monkeypatch)
+    for case, accepts in [("square-N4", 4543), ("tiling", 13825)]:
+        config, params = _moving_case(case)
+        final, stats = run_chain(config, params)
+        grid = grids[-1]
+        assert stats.accepted == accepts
+        start, fresh = (metropolis._Grid(c, params.step_radius)
+                        for c in (config, final))
+        start._index()
+        fresh._index()
+        assert sum(a != b for a, b in zip(start.keys, fresh.keys)) > 10
+        assert grid.keys == fresh.keys
+        assert {k: sorted(v) for k, v in grid.blocks.items() if v} == \
+            fresh.blocks
+
+
+def _skip_one_entry(monkeypatch, d, k):
+    """Patch the shift table so that the first move by d skips the k-th
+    block list it should enter."""
+    real = metropolis._SHIFT
+    leave, enter = real[d]
+    done = []
+
+    def get(key, default):
+        if key != d or done:
+            return real.get(key, default)
+        done.append(key)
+        return leave, enter[:k] + enter[k + 1:]
+    monkeypatch.setattr(metropolis, "_SHIFT", types.SimpleNamespace(get=get))
+
+
+def test_a_stale_block_list_fails_the_moved_disc_audit(monkeypatch):
+    # a disc that misses one of the block lists it enters is invisible to
+    # proposals in that block: on the N=4 square at step r, the first move
+    # one cell down in x skips its second list, a later move overlaps the
+    # disc, and the audit of the moved discs refuses the chain
+    config, params = _moving_case("square-N4")
+    audits = []
+    real = metropolis.overlap_audit
+
+    def audit(now, among):
+        audits.append(among)
+        return real(now, among)
+    monkeypatch.setattr(metropolis, "overlap_audit", audit)
+    _skip_one_entry(monkeypatch, -metropolis._STRIDE, 1)
+    with pytest.raises(OverlapError, match="overlap"):
+        run_chain(config, params)
+    assert 0 < len(audits[-1]) < config.n
+
+
+def test_the_n1024_trajectory_is_pinned():
+    # the north-star square at its default step: 10^5 proposals give the
+    # accepted count, first acceptance and final centres recorded before
+    # the block upkeep and the moved-disc audit changed
+    config = assemble_square(1024, 1.0 / 1024)
+    final, stats = run_chain(config, ChainParams(10 ** 5, config.radius,
+                                                 seed=7))
+    assert (stats.accepted, stats.first_accepted) == (2880, (13, 3800))
+    assert hashlib.sha256(final.centers.tobytes()).hexdigest() == (
+        "2ba04da161960020b8cb2eae21220313e4b8bb9fa4d0d008b1c618229f5dcb29")
 
 
 def _touching_pair():
@@ -697,9 +751,11 @@ def test_cell_keys_stay_exact_far_from_the_origin():
 
 def test_a_box_bounds_the_cell_index():
     # a target off the box is rejected before its cell is indexed, so a
-    # boxed chain may take any finite step; the mask's squares overflow
+    # boxed chain may take any finite step, and the mask's squares, which
+    # overflow there, raise no warning
     config = five_disc_config()
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         _, stats = run_chain(config, ChainParams(1000, 1e308, seed=1))
     assert stats.accepted == 0
 

@@ -178,6 +178,41 @@ def test_overlap_audit_empty():
     assert rep.max_penetration == 0.0
 
 
+def test_moved_disc_audit_matches_overlap_audit():
+    # a chain audits only the discs moved since its last audit, and pairs
+    # of two unmoved discs are as that audit left them: with the overlaps
+    # and the wall crossing planted among moved discs the audit is the full
+    # one; an overlap planted among unmoved discs is left out, and every
+    # other row stays
+    square = assemble_square(8)
+    r = square.radius
+    c = square.centers.copy()
+    c[3] = c[4] + (2.0 * r * (1.0 - 1e-3), 0.0)
+    c[7, 0] = 0.5 * r
+    moved = [3, 7, 30, 50]
+    config = Configuration(r, c, square.box)
+    full = overlap_audit(config)
+    assert full.pairs and full.outside == [7]
+    assert overlap_audit(config, moved) == full
+    for among in ([], [5], list(range(config.n))):
+        assert overlap_audit(config, among).outside == [7]
+    assert overlap_audit(config, list(range(config.n))) == full
+    c[40] = c[41] + (0.0, 2.0 * r * (1.0 - 1e-2))
+    config = Configuration(r, c, square.box)
+    full = overlap_audit(config)
+    part = overlap_audit(config, moved)
+    assert any(p[:2] == (40, 41) for p in full.pairs)
+    assert part.pairs == [p for p in full.pairs
+                          if p[0] in moved or p[1] in moved]
+    assert part.outside == full.outside == [7]
+    refusals = []
+    for audit in (full, part):
+        with pytest.raises(OverlapError, match="discs 3 and") as refused:
+            verifier.check_valid(config, audit)
+        refusals.append(str(refused.value))
+    assert refusals[0] == refusals[1]
+
+
 def _matrix_overlap_audit(config):
     """Oracle: the full n x n distance matrix scan."""
     c = config.centers
