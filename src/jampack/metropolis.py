@@ -101,20 +101,12 @@ class _Grid:
             for off in _BLOCK:
                 self.blocks.setdefault(key + off, []).append(i)
 
-    def _polar(self, u: np.ndarray):
-        """Disc index, angle and length of the displacement for each row of
-        three uniform deviates: the displacement is uniform in the disc of
-        radius step_radius via polar inversion."""
-        n = len(self.xs)
-        return (np.minimum((u[:, 0] * n).astype(np.intp), n - 1),
-                2.0 * math.pi * u[:, 1], self.step_radius * np.sqrt(u[:, 2]))
-
     def walk(self, u: np.ndarray) -> tuple[list, int]:
-        """Walk the block of the first rows of u that shut covers.  Returns
-        the (row, disc) of each proposal, in order, that keeps the discs
-        valid, and the block's length: the scalar rule's target xs[i] +
-        rad * cos(ang), with libm's cos and sin, is inside the box with no
-        other centre within 2r.  Each acceptance moves its disc.
+        """Walk the block that shut derives from the first rows of u.
+        Returns the (row, disc) of each proposal, in order, that keeps the
+        discs valid, and the block's length: the scalar rule's target
+        xs[i] + rad * cos(ang), with libm's cos and sin, is inside the box
+        with no other centre within 2r.  Each acceptance moves its disc.
 
         Up to the first acceptance only rows without a witness (see
         _witness) are tested.  After it every row is, but one whose disc and
@@ -122,15 +114,15 @@ class _Grid:
         target and its witness are the floats shut judged.  Any other row
         with a witness still within 2r of its target is rejected by that.
         """
-        shut = self.shut(u)
-        u = u[:len(shut[2])]
-        rows = np.flatnonzero(~(shut[0].any(axis=0) | shut[2])).tolist()
+        disc, ang, rad, hit, near, out = self.shut(u)
+        size = len(disc)
+        rows = np.flatnonzero(~(hit.any(axis=0) | out)).tolist()
         if not rows:
-            return [], len(u)
+            return [], size
         if self.blocks is None:
             self._index()
-        disc, ang, rad = (a.tolist() for a in self._polar(u))
-        wit = [-1] * len(u)  # the rows tested before any move have none
+        disc, ang, rad = disc.tolist(), ang.tolist(), rad.tolist()
+        wit = [-1] * size  # the rows tested before any move have none
         xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
         (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
         floor, cos, sin, shift = math.floor, math.cos, math.sin, _SHIFT.get
@@ -175,20 +167,21 @@ class _Grid:
                         break
             else:
                 break
-            rows = range(row + 1, len(u))
-            wit = _witness(*shut).tolist()  # only now: a quiet block skips it
+            rows = range(row + 1, size)
+            wit = _witness(hit, near, out).tolist()  # a quiet block skips it
         m = list(moved)
         self.cx[m], self.cy[m] = [xs[j] for j in m], [ys[j] for j in m]
         self.scale = np.abs((self.cx[m], self.cy[m])).max(initial=self.scale)
         self.stale += len(hits)
-        return hits, len(u)
+        return hits, size
 
     def shut(self, u: np.ndarray) -> tuple:
-        """Tests of the first rows of u, about _FILTER_ENTRIES (proposal,
-        neighbour) entries but at least one row: (hit, near, out).  Column
-        k of near lists the neighbours of row k's disc, hit marks those
-        within 2r of its target and out marks a target off the box.  The
-        neighbours come from a table of each disc's within 2r +
+        """The block of the first rows of u, about _FILTER_ENTRIES
+        (proposal, neighbour) entries but at least one row, and its tests:
+        (disc, ang, rad, hit, near, out).  Row k moves disc[k] by rad[k] at
+        angle ang[k]; column k of near lists disc[k]'s neighbours, hit marks
+        those within 2r of its target and out marks a target off the box.
+        The neighbours come from a table of each disc's within 2r +
         min(step_radius, 2r) that is rebuilt after n acceptances and holds
         indices only: shut reads the centres from their numpy copies cx and
         cy, so a stale or short table can miss a witness but never gives a
@@ -205,11 +198,14 @@ class _Grid:
         """
         if self.stale >= len(self.xs):
             self._tabulate()
-        i, ang, rad = self._polar(u[:_FILTER_ENTRIES // len(self.near) or 1])
-        ang = ang.astype(np.float32)
-        x = self.cx[i] + rad * np.cos(ang)
-        y = self.cy[i] + rad * np.sin(ang)
-        r, s = self.radius, self.step_radius
+        u = u[:_FILTER_ENTRIES // len(self.near) or 1]
+        n, r, s = len(self.xs), self.radius, self.step_radius
+        # polar inversion: a displacement uniform in the disc of radius s
+        i = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)
+        ang, rad = 2.0 * math.pi * u[:, 1], s * np.sqrt(u[:, 2])
+        a32 = ang.astype(np.float32)
+        x = self.cx[i] + rad * np.cos(a32)
+        y = self.cy[i] + rad * np.sin(a32)
         slack = 1e-9 * r + 2.0 ** -40 * (self.scale + s) + 2.0 ** -18 * s
         near = self.near.take(i, axis=1)
         dx = self.cx.take(near)
@@ -221,7 +217,7 @@ class _Grid:
             dy *= dy
             dx += dy
         lo, hx, hy = self.bounds
-        return (dx < max(2.0 * r - slack, 0.0) ** 2, near,
+        return (i, ang, rad, dx < max(2.0 * r - slack, 0.0) ** 2, near,
                 (x < lo - slack) | (x > hx + slack)
                 | (y < lo - slack) | (y > hy + slack))
 

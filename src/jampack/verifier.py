@@ -196,19 +196,21 @@ def _largest_gaps(a: np.ndarray, counts: np.ndarray
 def _decide(graph: ContactGraph) -> JammingReport:
     """Per-disc verdicts from an already built contact graph.
 
-    A disc is jammed iff it has at least 3 normals and its largest normal
-    gap G is below pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for
-    all n} is then {0}.  Otherwise it is movable, with the witness the
-    (math.cos, math.sin) of the antipode of its largest gap's bisector, or
-    a rattler, with the witness (1, 0), if it has no normals.  One
-    _largest_gaps pass over every normal's np.arctan2 angle gives each
-    disc's G, and so its status, its witness and its margin pi - G.
+    A disc is jammed iff it has at least 3 normals and its margin pi - G,
+    G its largest normal gap, exceeds ANGLE_SLACK; the feasible cone
+    {d : d.n >= 0 for all n} is then {0}.  Otherwise it is movable, with
+    the witness the (math.cos, math.sin) of the antipode of its largest
+    gap's bisector, or a rattler, with the witness (1, 0), if it has no
+    normals.  One _largest_gaps pass over every normal's np.arctan2 angle
+    gives each disc's G, and so its margin, its status and its witness.
     """
     counts = np.diff(graph.ends)
     has = counts > 0
     a = np.arctan2(graph.unit[:, 1], graph.unit[:, 0]) % TWO_PI
     G, start = _largest_gaps(a, counts[has])
-    free = (counts[has] < 3) | (G >= math.pi - ANGLE_SLACK)
+    margin = np.full(len(counts), -math.pi)
+    margin[has] = math.pi - G
+    free = (counts[has] < 3) | (margin[has] <= ANGLE_SLACK)
     w = ((start[free] + G[free] / 2.0 + math.pi) % TWO_PI).tolist()
     movable = np.flatnonzero(has)[free]
     status = np.where(has, _JAMMED, _RATTLER)
@@ -217,8 +219,6 @@ def _decide(graph: ContactGraph) -> JammingReport:
     witness[~has] = (1.0, 0.0)
     witness[movable] = np.column_stack((list(map(math.cos, w)),
                                         list(map(math.sin, w))))
-    margin = np.full(len(counts), -math.pi)
-    margin[has] = math.pi - G
     tally = np.bincount(status, minlength=3).tolist()
     return JammingReport(status, counts, witness, margin, *tally,
                          tally[_JAMMED] == len(counts))

@@ -210,17 +210,17 @@ def is_locally_jammed(normals, angles=arctan2_angles) -> DiscVerdict:
     """Verdict for one disc from its contact normals, by a loop: the scalar
     rule whose floats the package's verdicts must equal bit for bit.
 
-    Jammed iff there are at least 3 normals and the largest circular gap
-    between consecutive normal directions, read from angles(normals), is
-    < pi - ANGLE_SLACK; the feasible cone {d : d.n >= 0 for all n} is then
-    {0}.  Otherwise movable with a witness direction in the feasible cone:
-    the antipode of the largest gap's bisector, which bisects the cluster
-    of normals.
+    Jammed iff there are at least 3 normals and the margin pi - G, G the
+    largest circular gap between consecutive normal directions, read from
+    angles(normals), exceeds ANGLE_SLACK; the feasible cone
+    {d : d.n >= 0 for all n} is then {0}.  Otherwise movable with a
+    witness direction in the feasible cone: the antipode of the largest
+    gap's bisector, which bisects the cluster of normals.
     """
     if len(normals) == 0:
         return DiscVerdict(-1, "rattler", (1.0, 0.0), 0)
     gap, start = _largest_gap(sorted(angles(normals)))
-    if len(normals) >= 3 and gap < math.pi - ANGLE_SLACK:
+    if len(normals) >= 3 and math.pi - gap > ANGLE_SLACK:
         return DiscVerdict(-1, "jammed", None, len(normals))
     witness_angle = (start + gap / 2.0 + math.pi) % TWO_PI
     witness = (math.cos(witness_angle), math.sin(witness_angle))

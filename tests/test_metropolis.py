@@ -131,10 +131,19 @@ def _targets(config, step, u):
     return moves
 
 
+def _blocks(grid, u):
+    """_Grid.shut's record of each block of u, block after block."""
+    k = 0
+    while k < len(u):
+        block = grid.shut(u[k:])
+        k += len(block[0])
+        yield block
+
+
 def test_offsets_match_the_scalar_formula():
     # the walk forms each target as centre + rad * cos(ang) with libm's cos
-    # and sin, from _polar's disc, angle and length, which must be the
-    # scalar formula's floats
+    # and sin, from the disc, angle and length of shut's block record,
+    # which must be the scalar formula's floats
     config = assemble_square(4)
     grid = metropolis._Grid(config, config.radius)
     n = config.n
@@ -143,7 +152,8 @@ def test_offsets_match_the_scalar_formula():
     expected = [(min(int(u0 * n), n - 1), (2.0 * math.pi * u1).hex(),
                  (config.radius * math.sqrt(u2)).hex())
                 for u0, u1, u2 in u.tolist()]
-    i, ang, rad = grid._polar(u)
+    i, ang, rad = (np.concatenate(a)
+                   for a in zip(*(b[:3] for b in _blocks(grid, u))))
     got = [(i, a.hex(), r.hex())
            for i, a, r in zip(i.tolist(), ang.tolist(), rad.tolist())]
     assert got == expected
@@ -224,16 +234,60 @@ def test_a_stale_block_list_fails_the_moved_disc_audit(monkeypatch):
     assert 0 < len(audits[-1]) < config.n
 
 
-def test_the_n1024_trajectory_is_pinned():
+@pytest.fixture(scope="module")
+def square1024():
+    return assemble_square(1024, 1.0 / 1024)
+
+
+def test_the_n1024_trajectory_is_pinned(square1024):
     # the north-star square at its default step: 10^5 proposals give the
     # accepted count, first acceptance and final centres recorded before
     # the block upkeep and the moved-disc audit changed
-    config = assemble_square(1024, 1.0 / 1024)
+    config = square1024
     final, stats = run_chain(config, ChainParams(10 ** 5, config.radius,
                                                  seed=7))
     assert (stats.accepted, stats.first_accepted) == (2880, (13, 3800))
     assert hashlib.sha256(final.centers.tobytes()).hexdigest() == (
         "2ba04da161960020b8cb2eae21220313e4b8bb9fa4d0d008b1c618229f5dcb29")
+
+
+def _open_rows(monkeypatch):
+    """A list that gets, for each block _Grid.shut derives, the count of
+    its rows without a witness."""
+    counts = []
+    real = metropolis._Grid.shut
+
+    def counted(grid, u):
+        block = real(grid, u)
+        hit, _, out = block[3:]
+        counts.append(int(np.count_nonzero(~(hit.any(axis=0) | out))))
+        return block
+    monkeypatch.setattr(metropolis._Grid, "shut", counted)
+    return counts
+
+
+def test_a_quiet_walk_forms_no_witness(monkeypatch, square1024):
+    # at half its hop floor (about 8.0e-8 r) the N=1024 square accepts
+    # nothing, yet most of its blocks hold rows the mask cannot witness;
+    # the walk tests those rows alone and never forms a block's witnesses,
+    # which it needs only after an acceptance.  Nor do chain-frozen's two
+    # chains form any
+    config = square1024
+    margin = verifier.verify_stable(config).margin.min()
+    step = 0.5 * 4.0 * config.radius * math.sin(margin / 2.0)
+    witnessed = _count_calls(monkeypatch, metropolis, "_witness")
+    open_rows = _open_rows(monkeypatch)
+    _, stats = run_chain(config, ChainParams(10 ** 5, step, seed=7))
+    assert stats.accepted == 0
+    assert len(open_rows) == 40
+    assert sum(k > 0 for k in open_rows) >= 30
+    five, square = five_disc_config(), assemble_square(32)
+    for config, params in [
+            (five, ChainParams(30000, five.radius, seed=1)),
+            (square, ChainParams(20000, 1e-5 * square.radius, seed=1))]:
+        _, stats = run_chain(config, params)
+        assert stats.accepted == 0
+    assert not witnessed
 
 
 def _touching_pair():
@@ -500,11 +554,8 @@ def _static_free(config, i, dx, dy):
 
 def _witnesses(grid, u):
     """_Grid.shut's witness of every row of u, block after block."""
-    blocks = []
-    while sum(map(len, blocks)) < len(u):
-        blocks.append(metropolis._witness(
-            *grid.shut(u[sum(map(len, blocks)):])))
-    return np.concatenate(blocks)
+    return np.concatenate([metropolis._witness(*block[3:])
+                           for block in _blocks(grid, u)])
 
 
 def _assert_witnesses_reject(grid, box, u):
@@ -725,7 +776,7 @@ def test_mask_covers_a_row_however_wide_the_table(monkeypatch):
     config = five_disc_config()
     grid = metropolis._Grid(config, config.radius)
     u = np.random.default_rng(1).random((100, 3))
-    hit, near, out = grid.shut(u)
+    out = grid.shut(u)[-1]
     assert len(out) >= 1
     assert len(grid.near) > metropolis._FILTER_ENTRIES
     params = ChainParams(3000, config.radius, seed=1)
@@ -824,7 +875,7 @@ def test_mask_margin_covers_the_float32_directions(case):
     expected = _scalar_walk(config, step, u)
     assert expected == [(0, 0)]
     grid = metropolis._Grid(config, step)
-    assert metropolis._witness(*grid.shut(u)).tolist() == [-1]
+    assert metropolis._witness(*grid.shut(u)[3:]).tolist() == [-1]
     assert grid.walk(u) == (expected, 1)
 
 

@@ -442,9 +442,13 @@ def test_verdicts_are_the_scalar_rule_on_random_and_hand_made_discs():
                              for k in range(-40, 41)]
     discs += [_random_normals(rnd) for _ in range(1500)]
     graph = graph_of(discs)
-    expected = _assert_scalar_rule(graph, verifier._decide(graph))
+    report = verifier._decide(graph)
+    expected = _assert_scalar_rule(graph, report)
     statuses = [v.status for v in expected]
     assert min(map(statuses.count, ("jammed", "movable", "rattler"))) > 100
+    # every disc is jammed iff it has 3 normals and a margin over the slack
+    assert ((report.status == verifier._JAMMED) == (
+        (report.contacts >= 3) & (report.margin > ANGLE_SLACK))).all()
 
 
 @pytest.mark.parametrize("case, graphs", [
