@@ -78,13 +78,13 @@ def _cmd_verify(args):
            "rattlers": report.rattler_count,
            "min_margin": float(report.margin.min()) if config.n else None,
            "movable_discs": _not_jammed(report)}
-    _emit(args, doc)
     if args.out:
         # the per-disc columns, in disc order, go to the report file only
         statuses = list(map(_STATUSES.__getitem__, report.status.tolist()))
         files.write_report({**doc, "status": statuses,
                             "contacts": report.contacts.tolist(),
                             "margin": report.margin.tolist()}, args.out)
+    _emit(args, doc)
     return 0 if report.stable else 2
 
 

@@ -74,12 +74,17 @@ class _Grid:
     float operations as a scan of the full centre array, and its verdict
     does not depend on the order of the neighbours, so trajectories do not
     depend on the cell layout.
+
+    The mask table near is built once, with the grid, from a near_pairs
+    query whose cutoff lies above the verifier's contact range, so its rows
+    also give the input's overlap audit: check_valid refuses invalid input.
     """
 
     def __init__(self, config: Configuration, step_radius: float):
         self.radius = r = config.radius
         self.step_radius = step_radius
         self.xs, self.ys = config.centers.T.tolist()
+        n = len(self.xs)
         # numpy copies of xs and ys, then disc n at infinity to pad the table
         c = np.append(config.centers, [[math.inf, math.inf]], axis=0)
         self.cx, self.cy = c.T.copy()
@@ -90,7 +95,17 @@ class _Grid:
         w, h = (math.inf, math.inf) if config.box is None else config.box
         self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
         self.blocks = None
-        self.stale = len(self.xs)  # acceptances since near was built
+        cut = (2.0 * r + min(step_radius, 2.0 * r)) * (1.0 + 1e-6)
+        i, j, d = near_pairs(config.centers, cut)
+        check_valid(config, _audit(config, i, j, d))
+        a, b = np.concatenate((i, j)), np.concatenate((j, i))
+        deg = np.bincount(a, minlength=n)
+        order = np.argsort(a, kind="stable")
+        a, b = a[order], b[order]
+        slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
+        # column i: i's neighbours, padded with n; one row even if none
+        self.near = np.full((max(int(deg.max(initial=0)), 1), n), n, np.intp)
+        self.near[slot, a] = b
 
     def _index(self):
         floor, side = math.floor, self.side
@@ -172,7 +187,6 @@ class _Grid:
         m = list(moved)
         self.cx[m], self.cy[m] = [xs[j] for j in m], [ys[j] for j in m]
         self.scale = np.abs((self.cx[m], self.cy[m])).max(initial=self.scale)
-        self.stale += len(hits)
         return hits, size
 
     def shut(self, u: np.ndarray) -> tuple:
@@ -182,10 +196,10 @@ class _Grid:
         angle ang[k]; column k of near lists disc[k]'s neighbours, hit marks
         those within 2r of its target and out marks a target off the box.
         The neighbours come from a table of each disc's within 2r +
-        min(step_radius, 2r) that is rebuilt after n acceptances and holds
-        indices only: shut reads the centres from their numpy copies cx and
-        cy, so a stale or short table can miss a witness but never gives a
-        wrong one, and walk tests every row without one.
+        min(step_radius, 2r) when the grid was made, and it holds indices
+        only: shut reads the centres from their numpy copies cx and cy, so
+        an old or short table can miss a witness but never gives a wrong
+        one, and walk tests every row without one.
 
         The targets take numpy's float32 cos and sin of the angle rounded
         to float32, and each test holds by more than a slack of 1e-9 r plus
@@ -196,8 +210,6 @@ class _Grid:
         float64 rounding, so walk's target fails the same test while
         neither disc moves.
         """
-        if self.stale >= len(self.xs):
-            self._tabulate()
         u = u[:_FILTER_ENTRIES // len(self.near) or 1]
         n, r, s = len(self.xs), self.radius, self.step_radius
         # polar inversion: a displacement uniform in the disc of radius s
@@ -221,24 +233,6 @@ class _Grid:
                 (x < lo - slack) | (x > hx + slack)
                 | (y < lo - slack) | (y > hy + slack))
 
-    def _tabulate(self) -> tuple:
-        """Rebuild the table and return its near_pairs arrays (i, j, d),
-        whose cutoff is at least the verifier's _reach."""
-        n = len(self.xs)
-        r = self.radius
-        cut = (2.0 * r + min(self.step_radius, 2.0 * r)) * (1.0 + 1e-6)
-        pairs = i, j, _ = near_pairs(self.centers(), cut)
-        a, b = np.concatenate((i, j)), np.concatenate((j, i))
-        deg = np.bincount(a, minlength=n)
-        order = np.argsort(a, kind="stable")
-        a, b = a[order], b[order]
-        slot = np.arange(len(a)) - (np.cumsum(deg) - deg)[a]
-        # column i: i's neighbours, padded with n; one row even if none
-        self.near = np.full((max(int(deg.max(initial=0)), 1), n), n, np.intp)
-        self.near[slot, a] = b
-        self.stale = 0
-        return pairs
-
     def centers(self) -> np.ndarray:
         return np.column_stack((self.cx[:-1], self.cy[:-1]))
 
@@ -256,20 +250,17 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    check_valid refuses invalid input by its overlap audit, read from the
-    rows of the mask table's first near_pairs query, whose cutoff lies
-    above the verifier's contact range (a pair beyond 2r changes no
-    report).  The chain then goes one RECORD_INTERVAL of proposals at a
-    time, the last maybe partial: it draws their deviates, walks them in
-    blocks, makes the trace entry if the interval is full and, only if a
-    disc moved in it, checks the new state by overlap_audit of the moved
-    discs.  No pair of unmoved discs has changed since the last check, so
+    _Grid refuses invalid input by the overlap audit that its mask table's
+    near_pairs query gives (a pair beyond 2r changes no report).  The
+    chain then goes one RECORD_INTERVAL of proposals at a time, the last
+    maybe partial: it draws their deviates, walks them in blocks, makes the
+    trace entry if the interval is full and, only if a disc moved in it,
+    checks the new state by overlap_audit of the moved discs.  No pair of unmoved discs has changed since the last check, so
     that audit lists the same pairs and discs as a full one.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
     grid = _Grid(config, params.step_radius)
-    check_valid(config, _audit(config, *grid._tabulate()))
     # a target off the box is rejected before its cell is indexed
     reach = min(grid.scale + params.steps * params.step_radius,
                 math.inf if config.box is None else max(config.box))

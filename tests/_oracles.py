@@ -143,6 +143,46 @@ def contact_lists(graph) -> tuple[list, list]:
             [[WALLS[~p] for p in partner[a:b] if p < 0] for a, b in spans])
 
 
+def open_sides(graph) -> list:
+    """(disc, side) for each side, of WALLS, on which a disc has no obstacle
+    strictly: no contact whose normal, which points from the obstacle into
+    the disc, points strictly away from that side.  A stable configuration
+    has none."""
+    ends = graph.ends.tolist()
+    unit = graph.unit.tolist()
+    found = []
+    for k, (a, b) in enumerate(zip(ends, ends[1:])):
+        for side, (axis, sign) in zip(WALLS, ((0, 1), (0, -1), (1, 1),
+                                              (1, -1))):
+            if not any(sign * u[axis] > 0.0 for u in unit[a:b]):
+                found.append((k, side))
+    return found
+
+
+def wall_to_wall_path(graph, axis: int) -> int | None:
+    """Discs on the shortest contact path from a disc touching the left
+    (axis 0) or bottom (axis 1) wall to one touching the opposite wall, by
+    breadth-first search over partner; None if no path joins them."""
+    ends = graph.ends.tolist()
+    partner = graph.partner.tolist()
+    rows = [partner[a:b] for a, b in zip(ends, ends[1:])]
+    low, high = ~(2 * axis), ~(2 * axis + 1)
+    frontier = [k for k, row in enumerate(rows) if low in row]
+    seen = set(frontier)
+    length = 1
+    while frontier:
+        if any(high in rows[k] for k in frontier):
+            return length
+        step = []
+        for k in frontier:
+            for p in rows[k]:
+                if p >= 0 and p not in seen:
+                    seen.add(p)
+                    step.append(p)
+        frontier, length = step, length + 1
+    return None
+
+
 def graph_of(discs) -> ContactGraph:
     """A ContactGraph whose disc k has the normals discs[k].  Verdicts read
     only unit and ends, so the pair arrays are empty and partner and gap

@@ -256,6 +256,22 @@ def test_missing_file_exit_1(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["verify", "{five}"],
+                                  ["simulate", "{five}", "--steps", "10"],
+                                  ["build-square", "--N", "4"]],
+                         ids=["verify", "simulate", "build-square"])
+def test_a_failed_write_prints_no_result(tmp_path, capsys, argv):
+    # a command writes its --out file before it prints its result, so a
+    # write that fails exits 1 with the path on stderr and nothing on stdout
+    five, out = tmp_path / "five.json", tmp_path / "missing" / "r.json"
+    write_config(five_disc_config(), five)
+    argv = [a.format(five=five) for a in argv] + ["--out", str(out)]
+    assert dispatch(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(out) in captured.err
+
+
 def test_layout_flag_is_a_usage_error(capsys):
     # square assembly has one layout, wall bridges, and no flag for it
     assert dispatch(["build-square", "--N", "4", "--layout",

@@ -1,8 +1,9 @@
 """Every name a module imports is read somewhere in that module, every
 module-level private name of the package is read somewhere in the package,
 every function and method of the package is read somewhere in the package,
-the package binds exactly the names the README's Python API lists, and
-only verifier.check_valid constructs OverlapError.
+every attribute a package class sets on self is read somewhere in the
+package, the package binds exactly the names the README's Python API lists,
+and only verifier.check_valid constructs OverlapError.
 
 Package __init__ modules are skipped by the import check: their imports are
 their exports.
@@ -127,6 +128,47 @@ def test_detector_flags_an_unread_function():
 def test_every_function_is_read_in_the_package():
     unread = unread_functions([p.read_text() for p in PACKAGE])
     assert unread == sorted(CALLED_FROM_OUTSIDE)
+
+
+def unread_self_attributes(sources: list) -> list:
+    """"Class.x" for each attribute x that a method of a class of the
+    sources sets on self, alone or in a tuple, and that none of the sources
+    reads as an attribute: state that nothing uses."""
+    bound = []
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in ast.walk(cls):
+                if isinstance(node, (ast.Assign, ast.AugAssign,
+                                     ast.AnnAssign)):
+                    targets = (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                    bound += ["%s.%s" % (cls.name, t.attr)
+                              for target in targets for t in ast.walk(target)
+                              if isinstance(t, ast.Attribute)
+                              and isinstance(t.ctx, ast.Store)
+                              and getattr(t.value, "id", None) == "self"]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    return sorted({name for name in bound
+                   if name.split(".")[1] not in read})
+
+
+def test_detector_flags_an_unread_self_attribute():
+    sources = ["class K:\n def __init__(self):\n  self.a, self.b = 1, 2\n"
+               "  self.c = 3\n  self.d = 4\n  self.d += 1\n"
+               "  self.e = []\n  self.e[0] = 5\n"
+               " def m(self):\n  return self.a\n",
+               "class L:\n def n(self, k):\n  k.c\n  self.f: int = 0\n"]
+    assert unread_self_attributes(sources) == ["K.b", "K.d", "L.f"]
+
+
+def test_no_unread_self_attributes():
+    assert unread_self_attributes([p.read_text() for p in PACKAGE]) == []
 
 
 def test_package_binds_the_readme_python_api():

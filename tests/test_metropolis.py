@@ -607,16 +607,17 @@ def test_quiet_filter_never_rejects_what_the_grid_accepts(case):
 
 
 def _moved_grid(config, step, moves):
-    """A _Grid whose table was built before its discs made moves
-    acceptances, one proposal at a time from seed 3, without a rebuild."""
+    """A _Grid whose discs made moves acceptances, one proposal at a time
+    from seed 3, after its table was built."""
     grid = metropolis._Grid(config, step)
     u = np.random.default_rng(3).random((10 ** 5, 3))
-    grid.shut(u)
     table = grid.near
-    k = 0
-    while grid.stale < moves:
-        k += grid.walk(u[k:k + 1])[1]
-    assert grid.near is table and grid.stale < config.n
+    k = accepted = 0
+    while accepted < moves:
+        hits, size = grid.walk(u[k:k + 1])
+        accepted += len(hits)
+        k += size
+    assert grid.near is table
     return grid
 
 
@@ -880,10 +881,10 @@ def test_mask_margin_covers_the_float32_directions(case):
 
 
 @pytest.mark.parametrize("box", [True, False])
-def test_table_rows_give_the_overlap_audit(box):
+def test_table_rows_give_the_overlap_audit(monkeypatch, box):
     # the table's near_pairs rows, at any step, give overlap_audit's report
     # bit for bit, on inputs with tangencies, overlaps and (in a box) discs
-    # outside it
+    # outside it: the grid refuses them with that report
     square = assemble_square(8)
     c = square.centers.copy()
     r = square.radius
@@ -897,28 +898,42 @@ def test_table_rows_give_the_overlap_audit(box):
     report = overlap_audit(config)
     assert report.pairs and bool(report.outside) == box
     for step in (1e-9, 1e-3, 0.5, 1.0, 2.0, 10.0):
-        grid = metropolis._Grid(config, step * config.radius)
-        assert verifier._audit(config, *grid._tabulate()) == report
+        with pytest.raises(OverlapError) as refused:
+            metropolis._Grid(config, step * config.radius)
+        assert refused.value.report == report
     valid = shrink_radius(config, 0.9) if box else square
-    grid = metropolis._Grid(valid, valid.radius)
-    assert verifier._audit(valid, *grid._tabulate()) == overlap_audit(valid)
+    audits = []
+    monkeypatch.setattr(metropolis, "check_valid",
+                        lambda c, audit: audits.append(audit))
+    metropolis._Grid(valid, valid.radius)
+    assert audits == [overlap_audit(valid)]
 
 
 def test_chains_audit_from_the_table(monkeypatch):
     # the input's audit reads the table's neighbour query, so a frozen
     # chain runs no overlap_audit; a fluid chain runs overlap_audit at
-    # every interval end where a disc moved
+    # every interval end where a disc moved.  Each chain builds its table
+    # once, however many acceptances it makes: the moved-disc audit calls
+    # the verifier's own near_pairs, so metropolis.near_pairs counts builds
     audits = _count_calls(monkeypatch, metropolis, "overlap_audit")
     shared = _count_calls(monkeypatch, metropolis, "_audit")
+    tables = _count_calls(monkeypatch, metropolis, "near_pairs")
     config = five_disc_config()
     _, stats = run_chain(config, ChainParams(30000, config.radius, seed=1))
     assert stats.accepted == 0
-    assert (len(shared), len(audits)) == (1, 0)
+    assert (len(shared), len(audits), len(tables)) == (1, 0, 1)
     shared.clear()
+    tables.clear()
     config = assemble_square(4)
     _, stats = run_chain(config, ChainParams(30000, config.radius, seed=7))
     assert len(stats.trace) == 3 and min(stats.trace) > 0
-    assert (len(shared), len(audits)) == (1, 3)
+    assert stats.accepted > 2 * config.n
+    assert (len(shared), len(audits), len(tables)) == (1, 3, 1)
+    tables.clear()
+    config = shrink_radius(tiling_3_12_12(6), 0.9)
+    _, stats = run_chain(config, ChainParams(20000, config.radius, seed=1))
+    assert stats.accepted > 100 * config.n
+    assert len(tables) == 1
 
 
 def test_long_steps_keep_a_narrow_table():
@@ -928,7 +943,6 @@ def test_long_steps_keep_a_narrow_table():
     config = assemble_square(32)
     params = ChainParams(3000, 1.0, seed=1)
     grid = metropolis._Grid(config, params.step_radius)
-    grid._tabulate()
     assert len(grid.near) <= 24
     final, stats = run_chain(config, params)
     centers, accepted, trace, first = _full_scan_chain(config, params)

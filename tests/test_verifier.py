@@ -17,7 +17,8 @@ from jampack.verifier import (OverlapError, contact_graph, overlap_audit,
 
 from _oracles import (_largest_gap, arctan2_angles, contact_lists,
                       direction_oracle, graph_of, is_locally_jammed,
-                      math_atan2_angles, scaled, verdict_of, verdicts_of)
+                      math_atan2_angles, open_sides, scaled, verdict_of,
+                      verdicts_of, wall_to_wall_path)
 
 
 def _normals(*degrees):
@@ -660,3 +661,58 @@ def test_jammed_iff_margin_exceeds_the_slack():
                 for normals in contact_lists(contact_graph(config))[0]]
         assert list(map(float.hex, report.margin.tolist())) == [
             float.hex(math.pi - g) for g in gaps]
+
+
+def test_r_of_order_1_over_n_is_best_possible():
+    """The paper's second claim: r = O(1/n) is best possible up to a
+    constant factor, since every stable configuration in the unit square
+    has n r >= 1/2, up to the tangency tolerance.
+
+    In a stable configuration every disc is jammed: its largest normal gap
+    G is below pi, so its normals lie in no closed half-plane.  For each
+    axis direction some normal, which points from the obstacle into the
+    disc, then points strictly against it: the disc has an obstacle
+    strictly on that side, a neighbour whose centre lies strictly further
+    that way, or that wall.  The rightmost disc has no neighbour to its
+    right, so it touches the right wall.  Following obstacles strictly
+    leftward from it, x falls at every step, so the path ends, and only at
+    a disc that touches the left wall.  So a contact path joins the walls.
+    Any such path spans 1 - 2r in x (the end discs touch their walls to
+    within r TANGENCY_REL, which moves the bound by under 1e-9 of a disc)
+    in steps of at most 2r(1 + TANGENCY_REL), so it has at least
+    (1 - 2r) / (2r(1 + TANGENCY_REL)) + 1 discs, about 1/(2r), and n is at
+    least that.  The same holds in y.  The constructed squares sit at
+    n r of about 1.0 (five discs) to 5.7 (N=32), below the bound's 1/2
+    times 12.
+    """
+    configs = [five_disc_config()] + [assemble_square(N)
+                                      for N in (3, 4, 8, 32)]
+    paths = []
+    for config in configs:
+        graph = contact_graph(config)
+        r = config.radius
+        assert verify_stable(config).stable
+        assert open_sides(graph) == []
+        for axis in (0, 1):
+            path = wall_to_wall_path(graph, axis)
+            span = config.box[axis] - 2.0 * r
+            assert path >= span / (2.0 * r * (1.0 + TANGENCY_REL)) + 1.0
+            paths.append(path)
+        assert config.n * r >= 0.5
+    assert paths == [3, 3, 14, 14, 16, 16, 24, 24, 72, 72]
+
+
+def test_a_disc_without_a_left_obstacle_is_not_jammed():
+    # on the N=4 square, disc 1 has one obstacle on its left, disc 9;
+    # without it, disc 1 has no obstacle on that side and can move left,
+    # so the configuration is not stable
+    config = assemble_square(4)
+    graph = contact_graph(config)
+    a, b = graph.ends[1:3]
+    assert graph.partner[a:b][graph.unit[a:b, 0] > 0.0].tolist() == [9]
+    keep = np.arange(config.n) != 9
+    cut = Configuration(config.radius, config.centers[keep], config.box)
+    report = verify_stable(cut)
+    assert not report.stable
+    assert verifier._STATUSES[report.status[1]] == "movable"
+    assert open_sides(contact_graph(cut)) == [(1, "left")]
