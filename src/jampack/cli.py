@@ -249,7 +249,7 @@ def dispatch(argv=None) -> int:
         return e.code if isinstance(e.code, int) else 1
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:  # every jampack error is a ValueError
+    except (ValueError, OSError, MemoryError) as e:  # jampack's: ValueError
         print("error: %s" % e, file=sys.stderr)
         return 1
 

@@ -80,24 +80,32 @@ class _Grid:
     also give the input's overlap audit: check_valid refuses invalid input.
     """
 
-    def __init__(self, config: Configuration, step_radius: float):
-        self.radius = r = config.radius
-        self.step_radius = step_radius
+    def __init__(self, config: Configuration, params: ChainParams):
+        r, s = config.radius, params.step_radius
+        self.step_radius = s
         self.xs, self.ys = config.centers.T.tolist()
         n = len(self.xs)
         # numpy copies of xs and ys, then disc n at infinity to pad the table
         c = np.append(config.centers, [[math.inf, math.inf]], axis=0)
         self.cx, self.cy = c.T.copy()
-        self.scale = float(np.abs(config.centers).max())  # of every centre
         self.side = 2.0 * r * (1.0 + 1e-6)
         self.limit = 4.0 * r * r
         # a target is inside when lo <= x <= hx and lo <= y <= hy
         w, h = (math.inf, math.inf) if config.box is None else config.box
-        self.bounds = (-math.inf if config.box is None else r, w - r, h - r)
+        lo, hx, hy = self.bounds = (-math.inf if config.box is None else r,
+                                    w - r, h - r)
         self.blocks = None
-        cut = (2.0 * r + min(step_radius, 2.0 * r)) * (1.0 + 1e-6)
+        cut = (2.0 * r + min(s, 2.0 * r)) * (1.0 + 1e-6)
         i, j, d = near_pairs(config.centers, cut)
         check_valid(config, _audit(config, i, j, d))
+        # bounds |x| and |y| of each target walk indexes (none off a box)
+        reach = min(float(abs(c[:-1]).max()) + params.steps * s, max(w, h))
+        if not math.isfinite(reach / self.side):
+            raise ValueError("cells of side 2r at radius %r cannot index |x| "
+                             "up to %r (step_radius %r)" % (r, reach, s))
+        slack = 1e-9 * r + 2.0 ** -40 * (reach + s) + 2.0 ** -18 * s
+        self.mask = (max(2.0 * r - slack, 0.0) ** 2, lo - slack, hx + slack,
+                     hy + slack)
         a, b = np.concatenate((i, j)), np.concatenate((j, i))
         deg = np.bincount(a, minlength=n)
         order = np.argsort(a, kind="stable")
@@ -186,7 +194,6 @@ class _Grid:
             wit = _witness(hit, near, out).tolist()  # a quiet block skips it
         m = list(moved)
         self.cx[m], self.cy[m] = [xs[j] for j in m], [ys[j] for j in m]
-        self.scale = np.abs((self.cx[m], self.cy[m])).max(initial=self.scale)
         return hits, size
 
     def shut(self, u: np.ndarray) -> tuple:
@@ -203,22 +210,22 @@ class _Grid:
 
         The targets take numpy's float32 cos and sin of the angle rounded
         to float32, and each test holds by more than a slack of 1e-9 r plus
-        2^-40 of the coordinate scale plus 2^-18 step_radius.  Rounding an
-        angle below 2pi to float32 moves it by at most 2^-22, and the trig
-        adds a few float32 ulps, so the direction is within 2^-20 of libm's
-        (2^-21.7 at most over 10^7 angles); the slack covers that and any
-        float64 rounding, so walk's target fails the same test while
-        neither disc moves.
+        2^-40 (reach + step_radius) plus 2^-18 step_radius, fixed in mask
+        when the grid is made; reach bounds every |x| and |y| the chain can
+        reach.  Rounding an angle below 2pi to float32 moves it by at most
+        2^-22, and the trig adds a few float32 ulps, so the direction is
+        within 2^-20 of libm's (2^-21.7 at most over 10^7 angles); the slack
+        covers that and any float64 rounding, so walk's target fails the
+        same test while neither disc moves.
         """
         u = u[:_FILTER_ENTRIES // len(self.near) or 1]
-        n, r, s = len(self.xs), self.radius, self.step_radius
+        n, s = len(self.xs), self.step_radius
         # polar inversion: a displacement uniform in the disc of radius s
         i = np.minimum((u[:, 0] * n).astype(np.intp), n - 1)
         ang, rad = 2.0 * math.pi * u[:, 1], s * np.sqrt(u[:, 2])
         a32 = ang.astype(np.float32)
         x = self.cx[i] + rad * np.cos(a32)
         y = self.cy[i] + rad * np.sin(a32)
-        slack = 1e-9 * r + 2.0 ** -40 * (self.scale + s) + 2.0 ** -18 * s
         near = self.near.take(i, axis=1)
         dx = self.cx.take(near)
         dx -= x
@@ -228,10 +235,9 @@ class _Grid:
             dx *= dx
             dy *= dy
             dx += dy
-        lo, hx, hy = self.bounds
-        return (i, ang, rad, dx < max(2.0 * r - slack, 0.0) ** 2, near,
-                (x < lo - slack) | (x > hx + slack)
-                | (y < lo - slack) | (y > hy + slack))
+        limit, lo, hx, hy = self.mask
+        return (i, ang, rad, dx < limit, near,
+                (x < lo) | (x > hx) | (y < lo) | (y > hy))
 
     def centers(self) -> np.ndarray:
         return np.column_stack((self.cx[:-1], self.cy[:-1]))
@@ -250,24 +256,17 @@ def run_chain(config: Configuration, params: ChainParams
     """Run the chain for params.steps proposals from a fresh seeded
     generator; deterministic in (config, params).
 
-    _Grid refuses invalid input by the overlap audit that its mask table's
-    near_pairs query gives (a pair beyond 2r changes no report).  The
-    chain then goes one RECORD_INTERVAL of proposals at a time, the last
-    maybe partial: it draws their deviates, walks them in blocks, makes the
+    _Grid refuses invalid input, by the overlap audit its mask table's
+    near_pairs query gives (a pair beyond 2r changes no report), and a
+    reach its cells cannot index.  The chain then walks one RECORD_INTERVAL
+    of proposals at a time, the last maybe partial, in blocks, makes the
     trace entry if the interval is full and, only if a disc moved in it,
-    checks the new state by overlap_audit of the moved discs.  No pair of unmoved discs has changed since the last check, so
-    that audit lists the same pairs and discs as a full one.
+    checks the moved discs by overlap_audit: no pair of unmoved discs has
+    changed since the last check, so that lists what a full audit would.
     """
     if config.n == 0:
         raise ValueError("the chain needs at least one disc to move")
-    grid = _Grid(config, params.step_radius)
-    # a target off the box is rejected before its cell is indexed
-    reach = min(grid.scale + params.steps * params.step_radius,
-                math.inf if config.box is None else max(config.box))
-    if not math.isfinite(reach / grid.side):
-        raise ValueError("cells of side 2r at radius %r cannot index |x| up "
-                         "to %r (step_radius %r)"
-                         % (config.radius, reach, params.step_radius))
+    grid = _Grid(config, params)
     rng = np.random.default_rng(params.seed)
     accepted = 0
     first = None

@@ -272,6 +272,19 @@ def test_a_failed_write_prints_no_result(tmp_path, capsys, argv):
     assert str(out) in captured.err
 
 
+def test_a_command_out_of_memory_reports_an_error(monkeypatch, capsys):
+    # a size numpy cannot allocate (tiling --window 100000 asks for about
+    # 39 GiB) is reported as an error line, not a traceback; the
+    # construction is patched to fail, so nothing is allocated
+    def fail(window):
+        raise MemoryError("Unable to allocate 39.1 GiB")
+    monkeypatch.setattr(cli.construction, "tiling_3_12_12", fail)
+    assert dispatch(["tiling", "--window", "100000"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: Unable to allocate 39.1 GiB\n"
+
+
 def test_layout_flag_is_a_usage_error(capsys):
     # square assembly has one layout, wall bridges, and no flag for it
     assert dispatch(["build-square", "--N", "4", "--layout",

@@ -663,7 +663,7 @@ def test_jammed_iff_margin_exceeds_the_slack():
             float.hex(math.pi - g) for g in gaps]
 
 
-def test_r_of_order_1_over_n_is_best_possible():
+def test_r_of_order_1_over_n_is_best_possible(square1024):
     """The paper's second claim: r = O(1/n) is best possible up to a
     constant factor, since every stable configuration in the unit square
     has n r >= 1/2, up to the tangency tolerance.
@@ -682,11 +682,11 @@ def test_r_of_order_1_over_n_is_best_possible():
     in steps of at most 2r(1 + TANGENCY_REL), so it has at least
     (1 - 2r) / (2r(1 + TANGENCY_REL)) + 1 discs, about 1/(2r), and n is at
     least that.  The same holds in y.  The constructed squares sit at
-    n r of about 1.0 (five discs) to 5.7 (N=32), below the bound's 1/2
-    times 12.
+    n r of about 1.0 (five discs) to 6.0 (N=1024, whose paths of 2,056
+    discs meet the bound's 2,054.46), below the bound's 1/2 times 12.
     """
     configs = [five_disc_config()] + [assemble_square(N)
-                                      for N in (3, 4, 8, 32)]
+                                      for N in (3, 4, 8, 32)] + [square1024]
     paths = []
     for config in configs:
         graph = contact_graph(config)
@@ -699,7 +699,7 @@ def test_r_of_order_1_over_n_is_best_possible():
             assert path >= span / (2.0 * r * (1.0 + TANGENCY_REL)) + 1.0
             paths.append(path)
         assert config.n * r >= 0.5
-    assert paths == [3, 3, 14, 14, 16, 16, 24, 24, 72, 72]
+    assert paths == [3, 3, 14, 14, 16, 16, 24, 24, 72, 72, 2056, 2056]
 
 
 def test_a_disc_without_a_left_obstacle_is_not_jammed():
