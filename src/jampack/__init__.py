@@ -2,7 +2,6 @@
 
 from .configuration import Configuration
 from .construction import (
-    CurveFamily,
     tune_epsilon,
     complete_symmetric_bridge,
     junction_piece,

@@ -42,8 +42,7 @@ def _built(args, config, *keys, **fields):
 
 
 def _cmd_build_bridge(args):
-    family = construction.CurveFamily(lam=args.lam)
-    chain = construction.tune_epsilon(family, args.N)
+    chain = construction.tune_epsilon(args.N, args.lam)
     return _built(args, construction.complete_symmetric_bridge(chain),
                   "epsilon", "mirror_x")
 
@@ -176,7 +175,7 @@ def _build_parser() -> _Parser:
                         help="bridge depth (default 8)")
         sp.add_argument("--lambda", dest="lam", type=float,
                         default=construction.DEFAULT_LAMBDA,
-                        help="base curve shape parameter (default %(default)s)")
+                        help="curve shape parameter (default %(default)s)")
 
     sp = sub.add_parser("build-bridge", help="planar symmetric bridge")
     curve_flags(sp)

@@ -15,7 +15,8 @@ from .configuration import Configuration, _number
 from .geometry import ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL, apex
 
 SQRT3 = math.sqrt(3.0)
-F_LIMIT = 2.0 * SQRT3          # asymptote of the base curve
+F_LIMIT = 2.0 * SQRT3          # asymptote of f
+F0 = F_LIMIT + (2.0 - SQRT3)   # f(0), where every chain starts
 
 DEFAULT_LAMBDA = 0.05
 DEFAULT_EPS_HI = 50.0
@@ -31,31 +32,6 @@ class TuningError(ConstructionError):
 
 class AssemblyError(ConstructionError):
     """Square assembly produced an invalid or unstable configuration."""
-
-
-@dataclass
-class CurveFamily:
-    """Strictly convex decreasing curve f plus its epsilon perturbation.
-
-    The perturbed curve is f_eps(x) = (1+eps) f(x) - eps f(0), which keeps
-    f_eps(0) = f(0) while lowering the asymptote.
-    """
-
-    lam: float = DEFAULT_LAMBDA
-    epsilon: float = 0.0
-
-    def __post_init__(self):
-        self.lam = _number(self.lam, "lam")
-        self.epsilon = _number(self.epsilon, "epsilon")
-        if not 0 < self.lam < math.inf:
-            raise ConstructionError("shape parameter lam must be positive "
-                                    "and finite")
-        if not 0 <= self.epsilon < math.inf:
-            raise ConstructionError("epsilon must be nonnegative and finite")
-
-    def base(self, x: float) -> float:
-        """f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x)."""
-        return F_LIMIT + (2.0 - SQRT3) * math.exp(-self.lam * x)
 
 
 @dataclass
@@ -103,9 +79,12 @@ def chord_step(one: float, e0: float, lam: float, ax: float, ay: float
     return x, y
 
 
-def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
+def build_half_chain(lam: float, epsilon: float, max_N: int
+                     ) -> BridgeChain:
     """Grow the chain a_1 = (0, 2+sqrt(3)), b_1 = (0, sqrt(3)), c_1 = (1, 0)
-    until max_N rows of b exist or the recursion terminates.
+    on the curve f_eps(x) = (1+eps) f(x) - eps f(0), where f(x) = 2 sqrt(3)
+    + (2 - sqrt(3)) exp(-lam x), until max_N rows of b exist or the
+    recursion terminates.
 
     Each step advances a by a chord of length 2 along the curve
     (chord_step), places b_{i+1} at the larger-x point at distance 2 from
@@ -116,16 +95,14 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
-    # f_eps(x) = (1+eps) f(x) - eps f(0), with f(0) taken once per chain
-    one = 1.0 + family.epsilon
-    f0 = family.base(0.0)
-    e0 = family.epsilon * f0
-    a = [(0.0, one * f0 - e0)]
+    one = 1.0 + epsilon
+    e0 = epsilon * F0
+    a = [(0.0, one * F0 - e0)]
     b = [(0.0, SQRT3)]
     c = [(1.0, 0.0)]
     term = None
     for i in range(1, max_N):
-        an = chord_step(one, e0, family.lam, *a[-1])
+        an = chord_step(one, e0, lam, *a[-1])
         bn = apex(an, c[-1])
         if bn is None:
             term = ("no_b", i + 1)
@@ -136,37 +113,35 @@ def build_half_chain(family: CurveFamily, max_N: int) -> BridgeChain:
             term = ("no_c", i + 1)
             break
         c.append((bn[0] + math.sqrt(4.0 - bn[1] * bn[1]), 0.0))
-    return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
+    return BridgeChain(a, b, c, len(b), epsilon, b[-1][0], term)
 
 
-def _closure_residual(family: CurveFamily, N: int, epsilon: float
+def _closure_residual(lam: float, N: int, epsilon: float
                       ) -> tuple[float, BridgeChain]:
     """g(eps) = x(b_N) - x(a_N) - 1 and the chain it was read from; chains
     that terminate before N take the sign of the large-epsilon side.  A
     chain with a chord step that does not reach chord 2 is a TuningError
     naming N, lam and eps."""
-    curve = CurveFamily(family.lam, epsilon)
     try:
-        chain = build_half_chain(curve, N)
+        chain = build_half_chain(lam, epsilon, N)
     except ConstructionError as e:
         raise TuningError("closure tuning at N=%d, lam=%g reached eps=%.17g, "
                           "where the chain's chord step does not converge: "
-                          "%s" % (N, family.lam, epsilon, e)) from None
-    if chain.terminated_at is not None and chain.N < N:
+                          "%s" % (N, lam, epsilon, e)) from None
+    if chain.N < N:
         return 1.0, chain
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0, chain
 
 
-def _scan_residuals(family: CurveFamily, N: int, eps: np.ndarray
-                    ) -> np.ndarray:
+def _scan_residuals(lam: float, N: int, eps: np.ndarray) -> np.ndarray:
     """_closure_residual at every epsilon of eps at once, bit for bit, from
     chains grown side by side in numpy with the float operations of
     chord_step and apex, or NaN where it raises for a chord that misses 2."""
-    lam, k, f0 = family.lam, 2.0 - SQRT3, family.base(0.0)
+    k = 2.0 - SQRT3
     one = 1.0 + eps
-    e0 = eps * f0
+    e0 = eps * F0
     ax = np.zeros_like(eps)
-    ay = one * f0 - e0
+    ay = one * F0 - e0
     cx = np.ones_like(eps)
     res = np.ones_like(eps)
     alive = np.ones(eps.shape, bool)
@@ -237,9 +212,9 @@ def _false_position(g, x0, x1, f0, f1):
     return best[0]
 
 
-def tune_epsilon(family: CurveFamily, N: int) -> BridgeChain:
+def tune_epsilon(N: int, lam: float = DEFAULT_LAMBDA) -> BridgeChain:
     """The chain closing the bridge at depth N, x(b_N) - x(a_N) = 1, grown
-    at epsilon* = its epsilon_used.
+    on the curve of shape lam at epsilon* = its epsilon_used.
 
     Scans 64 log-spaced epsilon values over eight decades up to
     DEFAULT_EPS_HI for the first sign change of the closure residual g,
@@ -248,6 +223,10 @@ def tune_epsilon(family: CurveFamily, N: int) -> BridgeChain:
     is built once per call; the one returned is the chain g was read from
     at epsilon*.
     """
+    lam = _number(lam, "lam")
+    if not 0 < lam < math.inf:
+        raise ConstructionError("shape parameter lam must be positive and "
+                                "finite")
     if N < 2:
         raise ConstructionError("N must be at least 2")
 
@@ -255,12 +234,12 @@ def tune_epsilon(family: CurveFamily, N: int) -> BridgeChain:
 
     def g(eps):
         if eps not in closures:
-            closures[eps] = _closure_residual(family, N, eps)
+            closures[eps] = _closure_residual(lam, N, eps)
         return closures[eps][0]
 
     probes = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
               for k in range(64)]
-    fast = _scan_residuals(family, N, np.array(probes)).tolist()
+    fast = _scan_residuals(lam, N, np.array(probes)).tolist()
     bracket = next(((lo, hi, glo, ghi) for lo, hi, glo, ghi
                     in zip(probes, probes[1:], fast, fast[1:])
                     if glo * ghi < 0), None)
@@ -272,13 +251,13 @@ def tune_epsilon(family: CurveFamily, N: int) -> BridgeChain:
             "no closure bracket for N=%d, lam=%g with eps_hi=%g: the "
             "residual changes sign nowhere in the scan; the last probe "
             "eps=%.6g has residual %.3g"
-            % (N, family.lam, DEFAULT_EPS_HI, probes[-1], fast[-1]))
+            % (N, lam, DEFAULT_EPS_HI, probes[-1], fast[-1]))
 
     eps_star = _false_position(g, *bracket)
     if abs(g(eps_star)) > 10.0 * SOLVER_ABS:
         raise TuningError(
             "closure residual %.3g exceeds tolerance at N=%d, lam=%g, "
-            "eps*=%.17g" % (g(eps_star), N, family.lam, eps_star))
+            "eps*=%.17g" % (g(eps_star), N, lam, eps_star))
     return closures[eps_star][1]
 
 
@@ -364,7 +343,7 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA) -> Configuration:
             "N=%d is too small: square assembly needs N >= 3, since at N=2 "
             "the bridges leave discs movable" % N)
 
-    chain = tune_epsilon(CurveFamily(lam=lam), N)
+    chain = tune_epsilon(N, lam)
 
     t = _BRIDGE_OFFSET
     xl = t + chain.mirror_x          # mirror line of the bottom bridge
@@ -397,8 +376,9 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA) -> Configuration:
     # then scale the side to 1
     scale = 1.0 / side
     centers = (np.array(pts) + 1.0) * scale
-    meta = {"construction": "square", "layout": "wall-bridges", "N": N,
-            "epsilon": chain.epsilon_used, "lam": lam, "scale": scale}
+    meta = {"construction": "square", "layout": "wall-bridges",
+            "N": chain.N, "epsilon": chain.epsilon_used, "lam": float(lam),
+            "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
     from .verifier import OverlapError, _decide, _not_jammed, contact_graph

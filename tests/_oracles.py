@@ -8,8 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from jampack.configuration import Configuration
-from jampack.construction import (DEFAULT_EPS_HI, SQRT3, ConstructionError,
-                                  CurveFamily)
+from jampack.construction import (DEFAULT_EPS_HI, F_LIMIT, SQRT3,
+                                  ConstructionError)
 from jampack.geometry import ANGLE_SLACK, SOLVER_ABS, GeometryError, Point
 from jampack.render import _COLORS, WIDTH_PX, _bounds
 from jampack.verifier import _STATUSES, ContactGraph, _decide, contact_graph
@@ -21,11 +21,16 @@ PROBES = [DEFAULT_EPS_HI * 10.0 ** (-8.0 * (1.0 - k / 63.0))
           for k in range(64)]
 
 
-def curve_eval(family: CurveFamily, x: float) -> float:
-    """Evaluate the perturbed curve f_eps at x >= 0."""
+def curve_eval(lam: float, eps: float, x: float) -> float:
+    """Evaluate the perturbed curve f_eps(x) = (1+eps) f(x) - eps f(0) at
+    x >= 0, where f(x) = 2 sqrt(3) + (2 - sqrt(3)) exp(-lam x)."""
     if x < 0:
         raise ConstructionError("curve is only defined for x >= 0")
-    return (1.0 + family.epsilon) * family.base(x) - family.epsilon * family.base(0.0)
+
+    def f(x):
+        return F_LIMIT + (2.0 - SQRT3) * math.exp(-lam * x)
+
+    return (1.0 + eps) * f(x) - eps * f(0.0)
 
 
 def _require_finite(*points: Point):
@@ -181,6 +186,26 @@ def wall_to_wall_path(graph, axis: int) -> int | None:
                     step.append(p)
         frontier, length = step, length + 1
     return None
+
+
+def rigidity_matrix(graph) -> np.ndarray:
+    """The contact network's first-order rigidity matrix, read from the
+    graph's unit, partner and ends arrays: one row per contact (a disc
+    pair once, from its higher disc, and each wall contact) over the 2n
+    velocity components (x0, y0, x1, ...), holding the contact's unit
+    normal at its disc's columns and, for a pair, the negated normal at
+    the partner's.  R v = 0 exactly when the velocities v keep every
+    contact distance fixed to first order."""
+    n = len(graph.ends) - 1
+    owner = np.repeat(np.arange(n), np.diff(graph.ends))
+    keep = graph.partner < owner        # walls are negative
+    unit, disc, partner = graph.unit[keep], owner[keep], graph.partner[keep]
+    rows = np.arange(len(unit))
+    R = np.zeros((len(unit), n, 2))
+    R[rows, disc] = unit
+    pair = partner >= 0
+    R[rows[pair], partner[pair]] = -unit[pair]
+    return R.reshape(len(unit), 2 * n)
 
 
 def graph_of(discs) -> ContactGraph:

@@ -18,7 +18,9 @@ import numpy as np
 import pytest
 
 import jampack as jp
-from _oracles import contact_lists, direction_oracle, scaled, verdict_of
+from jampack.verifier import check_valid
+from _oracles import (contact_lists, direction_oracle, rigidity_matrix,
+                      scaled, verdict_of)
 
 S3 = math.sqrt(3.0)
 NS = (4, 8, 16, 32)
@@ -58,8 +60,7 @@ def test_criterion_1_junction_exactness():
 @pytest.mark.parametrize("N", NS)
 def test_criterion_2_bridge_construction(N):
     t0 = time.perf_counter()
-    fam = jp.CurveFamily()
-    chain = jp.tune_epsilon(fam, N)
+    chain = jp.tune_epsilon(N)
     config = jp.complete_symmetric_bridge(chain)
     report = jp.verify_stable(config)
     elapsed = time.perf_counter() - t0
@@ -145,6 +146,42 @@ def test_criterion_4_frozen_metropolis(squares):
               for k, v in results.items()), elapsed))
     assert ok, ("a chain below its hop floor accepted a proposal, or the "
                 "chains took 60 s or more: %s, %.1f s" % (results, elapsed))
+
+
+@pytest.mark.parametrize("N", [3, 4, 8])
+def test_stable_is_local_not_collective_jamming(N):
+    """A stable square is locally jammed, each disc pinned while the others
+    stay put, but not collectively jammed: its discs can move together.
+
+    The rigidity matrix of the contact network, walls included, has a null
+    space of dimension 8N - 20, and the rest of its spectrum stays above
+    1e-3, far from the null values near 1e-15.  Along a null vector v each
+    contact's relative velocity v_i - v_j is perpendicular to its normal,
+    so t*v changes each contact distance^2 by t^2 |v_i - v_j|^2 >= 0: the
+    moved square is valid, but its contacts open, so it is no longer
+    stable, and the single-disc chain escapes it at a step far below the
+    original square's hop floor, where the original accepts nothing.  The
+    paper's non-ergodicity is a claim about single-disc proposals, which
+    local jamming suffices for.  The SVD's null basis is not unique, so the
+    accepted count is only asserted positive.
+    """
+    config = jp.assemble_square(N)
+    r = config.radius
+    R = rigidity_matrix(jp.contact_graph(config))
+    _, s, vt = np.linalg.svd(R)
+    rank = int(np.sum(s > 1e-9))
+    assert R.shape[1] - rank == 8 * N - 20
+    assert s[rank - 1] > 1e-3 and np.all(s[rank:] < 1e-12)
+    v = vt[-1] / np.abs(vt[-1]).max()
+    moved = jp.Configuration(r, config.centers + 1e-3 * r * v.reshape(-1, 2),
+                             config.box)
+    check_valid(moved, jp.overlap_audit(moved))
+    assert not jp.verify_stable(moved).stable
+    step = 1e-5 * r
+    assert step < _hop_floor(config)
+    params = jp.ChainParams(10 ** 5, step, seed=1)
+    assert jp.run_chain(config, params)[1].accepted == 0
+    assert jp.run_chain(moved, params)[1].accepted > 0
 
 
 def test_criterion_5_escape_after_shrinking():

@@ -7,8 +7,8 @@ import pytest
 
 from jampack import construction, verifier
 from jampack.configuration import Configuration
-from jampack.construction import (F_LIMIT, AssemblyError, BridgeChain,
-                                  ConstructionError, CurveFamily,
+from jampack.construction import (DEFAULT_LAMBDA, F_LIMIT, AssemblyError,
+                                  BridgeChain, ConstructionError,
                                   TuningError, assemble_square,
                                   build_half_chain,
                                   complete_symmetric_bridge, density,
@@ -26,42 +26,41 @@ S3 = math.sqrt(3.0)
 
 def test_curve_eval_at_zero_for_any_epsilon():
     for eps in (0.0, 0.5, 3.0, 42.0):
-        fam = CurveFamily(epsilon=eps)
-        assert curve_eval(fam, 0.0) == pytest.approx(2.0 + S3, abs=1e-14)
+        assert curve_eval(DEFAULT_LAMBDA, eps, 0.0) == pytest.approx(
+            2.0 + S3, abs=1e-14)
 
 
 def test_curve_limits():
-    fam0 = CurveFamily(epsilon=0.0)
-    assert curve_eval(fam0, 1e6) == pytest.approx(2.0 * S3, abs=1e-9)
+    assert curve_eval(DEFAULT_LAMBDA, 0.0, 1e6) == pytest.approx(
+        2.0 * S3, abs=1e-9)
     eps = 0.7
-    fam = CurveFamily(epsilon=eps)
     limit = 2.0 * S3 + eps * (S3 - 2.0)
-    assert curve_eval(fam, 1e6) == pytest.approx(limit, abs=1e-9)
+    assert curve_eval(DEFAULT_LAMBDA, eps, 1e6) == pytest.approx(limit,
+                                                                 abs=1e-9)
     assert limit < 2.0 * S3
 
 
 def test_curve_family_validation():
-    with pytest.raises(ConstructionError):
-        CurveFamily(lam=-1.0)
-    for field in ("lam", "epsilon"):
-        for value in (True, np.bool_(False), "0.1", None, 10 ** 400):
-            with pytest.raises(ValueError, match="^%s " % field):
-                CurveFamily(**{field: value})
-    fam = CurveFamily(np.float32(0.1), np.int64(2))
-    assert (fam.lam, fam.epsilon) == (float(np.float32(0.1)), 2.0)
-    assert (type(fam.lam), type(fam.epsilon)) == (float, float)
+    # tune_epsilon refuses lam by the number rule, then by its range, both
+    # before it reads N; a numpy scalar is tuned as the float it holds
+    with pytest.raises(ConstructionError, match="lam must be positive"):
+        tune_epsilon(1, -1.0)
+    for value in (True, np.bool_(False), "0.1", None, 10 ** 400):
+        with pytest.raises(ValueError, match="^lam "):
+            tune_epsilon(1, value)
+    chain = tune_epsilon(8, np.float32(0.1))
+    assert chain == tune_epsilon(8, float(np.float32(0.1)))
 
 
 @pytest.mark.parametrize("field, value", [
-    ("lam", math.nan), ("lam", math.inf), ("lam", 0.0),
-    ("epsilon", math.nan), ("epsilon", math.inf), ("epsilon", -1e-3)])
+    ("lam", math.nan), ("lam", math.inf), ("lam", 0.0)])
 def test_curve_family_refuses_parameters_by_name(field, value):
     with pytest.raises(ConstructionError, match=field):
-        CurveFamily(**{field: value})
+        tune_epsilon(8, value)
 
 
 def test_chain_seed_geometry():
-    chain = build_half_chain(CurveFamily(), 4)
+    chain = build_half_chain(DEFAULT_LAMBDA, 0.0, 4)
     assert chain.a[0] == pytest.approx((0.0, 2.0 + S3), abs=1e-14)
     assert chain.b[0] == pytest.approx((0.0, S3), abs=1e-14)
     assert chain.c[0] == pytest.approx((1.0, 0.0), abs=1e-14)
@@ -111,7 +110,7 @@ def _oracle_second_step(lam):
 
 def test_chain_second_step_against_independent_oracle():
     lam = 0.05
-    chain = build_half_chain(CurveFamily(lam=lam), 4)
+    chain = build_half_chain(lam, 0.0, 4)
     a2, b2, c2 = _oracle_second_step(lam)
     assert chain.a[1] == pytest.approx(a2, abs=1e-10)
     assert chain.b[1] == pytest.approx(b2, abs=1e-10)
@@ -119,7 +118,7 @@ def test_chain_second_step_against_independent_oracle():
 
 
 def test_chain_tangency_residuals_and_monotone_x():
-    chain = build_half_chain(CurveFamily(), 8)
+    chain = build_half_chain(DEFAULT_LAMBDA, 0.0, 8)
     N = chain.N
     for i in range(N - 1):
         assert abs(dist(chain.a[i], chain.a[i + 1]) - 2.0) < 1e-9
@@ -134,29 +133,27 @@ def test_chain_tangency_residuals_and_monotone_x():
 
 def test_chain_rejects_small_max_n():
     with pytest.raises(ConstructionError):
-        build_half_chain(CurveFamily(), 1)
+        build_half_chain(DEFAULT_LAMBDA, 0.0, 1)
 
 
 @pytest.mark.parametrize("N", [4, 8])
 def test_tune_epsilon_closure(N):
-    fam = CurveFamily()
-    chain = tune_epsilon(fam, N)
+    chain = tune_epsilon(N)
     eps = chain.epsilon_used
     assert 0 < eps < 50.0
     assert chain.N == N
     # recompute the chain from scratch at eps* and re-check the residual
-    fresh = build_half_chain(CurveFamily(fam.lam, eps), N)
+    fresh = build_half_chain(DEFAULT_LAMBDA, eps, N)
     res = fresh.b[N - 1][0] - fresh.a[N - 1][0] - 1.0
     assert abs(res) <= 1e-11
 
 
 def test_tune_epsilon_bracket_signs():
     # the residual must change sign across the tuned value
-    fam = CurveFamily()
-    eps = tune_epsilon(fam, 4).epsilon_used
+    eps = tune_epsilon(4).epsilon_used
 
     def g(e):
-        ch = build_half_chain(CurveFamily(fam.lam, e), 4)
+        ch = build_half_chain(DEFAULT_LAMBDA, e, 4)
         if ch.terminated_at is not None and ch.N < 4:
             return 1.0
         return ch.b[3][0] - ch.a[3][0] - 1.0
@@ -167,19 +164,19 @@ def test_tune_epsilon_bracket_signs():
 def test_tune_epsilon_failure_names_parameters():
     # at lam=0.02 the depth-2 residual stays negative up to the scan's top
     with pytest.raises(TuningError) as e:
-        tune_epsilon(CurveFamily(lam=0.02), 2)
+        tune_epsilon(2, 0.02)
     assert "N=2, lam=0.02 with eps_hi=50:" in str(e.value)
     assert "last probe eps=50 has residual -0.414" in str(e.value)
 
 
-def _parent_build_half_chain(family, max_N):
+def _parent_build_half_chain(lam, epsilon, max_N):
     """The chain builder as it was before f(0) was hoisted: every curve
     point goes through curve_eval, and every chord by plain bisection."""
     if max_N < 2:
         raise ConstructionError("max_N must be at least 2")
 
     def f(x):
-        return curve_eval(family, x)
+        return curve_eval(lam, epsilon, x)
 
     a = [(0.0, f(0.0))]
     b = [(0.0, S3)]
@@ -201,11 +198,11 @@ def _parent_build_half_chain(family, max_N):
         a.append(an)
         b.append(bn)
         c.append((bn[0] + math.sqrt(4.0 - bn[1] ** 2), 0.0))
-    return BridgeChain(a, b, c, len(b), family.epsilon, b[-1][0], term)
+    return BridgeChain(a, b, c, len(b), epsilon, b[-1][0], term)
 
 
-def _parent_closure_residual(family, N, epsilon):
-    chain = _parent_build_half_chain(CurveFamily(family.lam, epsilon), N)
+def _parent_closure_residual(lam, N, epsilon):
+    chain = _parent_build_half_chain(lam, epsilon, N)
     if chain.terminated_at is not None and chain.N < N:
         return 1.0
     return chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0
@@ -254,8 +251,8 @@ def _exact_chain(lam, epsilon, N):
         return a, b, c, None
 
 
-def _check_against_bisection(family, N):
-    """tune_epsilon(family, N) against the scan of the parent's residual,
+def _check_against_bisection(lam, N):
+    """tune_epsilon(N, lam) against the scan of the parent's residual,
     whose chords are plain bisection's, and its chain against the 50-digit
     one at the same epsilon: the same TuningError cases and messages as
     that scan, epsilon* inside its bracket, a closure residual within
@@ -265,26 +262,26 @@ def _check_against_bisection(family, N):
 
     def g(eps):
         if eps not in memo:
-            memo[eps] = _parent_closure_residual(family, N, eps)
+            memo[eps] = _parent_closure_residual(lam, N, eps)
         return memo[eps]
 
     bracket = next(((lo, hi) for lo, hi in zip(PROBES, PROBES[1:])
                     if g(lo) * g(hi) < 0), None)
     if bracket is None:
         with pytest.raises(TuningError) as e:
-            tune_epsilon(family, N)
+            tune_epsilon(N, lam)
         assert str(e.value) == (
             "no closure bracket for N=%d, lam=%g with eps_hi=50: the "
             "residual changes sign nowhere in the scan; the last probe "
-            "eps=50 has residual %.3g" % (N, family.lam, g(PROBES[-1])))
+            "eps=50 has residual %.3g" % (N, lam, g(PROBES[-1])))
         return True
-    chain = tune_epsilon(family, N)
+    chain = tune_epsilon(N, lam)
     eps = chain.epsilon_used
     assert bracket[0] <= eps <= bracket[1], N
     scale = 4.0 * N
     assert abs(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0) <= (
         2.0 ** -50 * scale), N
-    a, b, c, term = _exact_chain(family.lam, eps, N)
+    a, b, c, term = _exact_chain(lam, eps, N)
     assert (chain.N, chain.terminated_at) == (len(b), term)
     for row, exact in ((chain.a, a), (chain.b, b), (chain.c, c)):
         assert len(row) == len(exact), N
@@ -297,8 +294,7 @@ def _check_against_bisection(family, N):
 @pytest.mark.parametrize("lam", [0.02, 0.05, 0.1])
 def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
     # the same failures, and chains within rounding of the exact chain
-    family = CurveFamily(lam=lam)
-    outcomes = {_check_against_bisection(family, N)
+    outcomes = {_check_against_bisection(lam, N)
                 for N in list(range(2, 21)) + [32, 64]}
     if lam == 0.02:
         assert outcomes == {True, False}   # N=2 has no bracket here
@@ -309,18 +305,17 @@ def test_tune_epsilon_matches_parent_scan_and_bisection(lam):
 def test_tune_epsilon_matches_parent_where_margins_are_thin(lam, N):
     # past N = 64 the sign pass drifts far from g above the bracket, and
     # at (0.05, 160) and (0.1, 96) there is no bracket at all
-    failed = _check_against_bisection(CurveFamily(lam=lam), N)
+    failed = _check_against_bisection(lam, N)
     assert failed == ((lam, N) in ((0.05, 160), (0.1, 96)))
 
 
 def test_scan_residuals_equal_the_scalar_residuals_bit_for_bit():
     # on every scan probe, past the bracket and where chains end early too
     for lam in (0.02, 0.05, 0.1):
-        family = CurveFamily(lam=lam)
         for N in list(range(2, 21)) + [32, 64, 96, 128, 160]:
-            fast = construction._scan_residuals(family, N, np.array(PROBES))
+            fast = construction._scan_residuals(lam, N, np.array(PROBES))
             assert fast.tolist() == [
-                construction._closure_residual(family, N, eps)[0]
+                construction._closure_residual(lam, N, eps)[0]
                 for eps in PROBES], (lam, N)
 
 
@@ -330,14 +325,13 @@ def test_scan_marks_the_probes_whose_chord_step_misses(N):
     # marks with NaN exactly the probes whose scalar chain is refused, the
     # first being probe 42, and its other residuals are the scalar ones
     # bit for bit
-    family = CurveFamily(lam=2.0)
-    fast = construction._scan_residuals(family, N, np.array(PROBES))
+    fast = construction._scan_residuals(2.0, N, np.array(PROBES))
     for eps, res in zip(PROBES, fast.tolist()):
         if math.isnan(res):
             with pytest.raises(TuningError, match="does not converge"):
-                construction._closure_residual(family, N, eps)
+                construction._closure_residual(2.0, N, eps)
         else:
-            assert res == construction._closure_residual(family, N, eps)[0]
+            assert res == construction._closure_residual(2.0, N, eps)[0]
     assert np.flatnonzero(np.isnan(fast))[0] == 42
 
 
@@ -346,13 +340,12 @@ def test_chord_step_matches_plain_bisection():
     # lies within plain bisection's 1e-12 bracket of the chord's root
     steps = 0
     for N in (8, 32, 128):
-        eps_star = tune_epsilon(CurveFamily(), N).epsilon_used
+        eps_star = tune_epsilon(N).epsilon_used
         for eps in (0.5 * eps_star, eps_star, 2.0 * eps_star):
-            family = CurveFamily(epsilon=eps)
-            chain = build_half_chain(family, N)
+            chain = build_half_chain(DEFAULT_LAMBDA, eps, N)
             for p, q in zip(chain.a, chain.a[1:]):
-                x = plain_chord_step(lambda x: curve_eval(family, x), p[0],
-                                     2.0)
+                x = plain_chord_step(
+                    lambda x: curve_eval(DEFAULT_LAMBDA, eps, x), p[0], 2.0)
                 assert abs(q[0] - x) <= SOLVER_ABS, (N, eps, p)
                 steps += 1
     assert steps > 3 * (8 + 32 + 128) // 2
@@ -368,7 +361,7 @@ def test_chord_step_refuses_a_chord_outside_the_contact_band():
         construction.chord_step(1.0, 0.0, 0.05, 3.5, 100.0)
     # on the curve the chord is 2 within the band
     one, e0 = 1.5, 0.5 * (F_LIMIT + 2.0 - S3)
-    a = (3.5, curve_eval(CurveFamily(epsilon=0.5), 3.5))
+    a = (3.5, curve_eval(0.05, 0.5, 3.5))
     assert abs(dist(a, construction.chord_step(one, e0, 0.05, *a)) - 2.0) \
         <= 1e-15
 
@@ -397,12 +390,12 @@ def test_tune_epsilon_takes_the_bracket_ends_from_the_scan(monkeypatch):
         built = []
         build = construction.build_half_chain
 
-        def counted(family, max_N):
-            built.append(family.epsilon)
-            return build(family, max_N)
+        def counted(lam, epsilon, max_N):
+            built.append(epsilon)
+            return build(lam, epsilon, max_N)
 
         monkeypatch.setattr(construction, "build_half_chain", counted)
-        assert tune_epsilon(CurveFamily(), N).epsilon_used == eps_star
+        assert tune_epsilon(N).epsilon_used == eps_star
         monkeypatch.undo()
         assert len(built) == builds
         assert not set(built) & set(PROBES)
@@ -410,7 +403,7 @@ def test_tune_epsilon_takes_the_bracket_ends_from_the_scan(monkeypatch):
 
 def test_tune_epsilon_refuses_depth_below_2():
     with pytest.raises(ConstructionError, match="N must be at least 2"):
-        tune_epsilon(CurveFamily(), 1)
+        tune_epsilon(1)
 
 
 def test_chain_stops_where_b_rises_above_height_2(monkeypatch):
@@ -418,7 +411,7 @@ def test_chain_stops_where_b_rises_above_height_2(monkeypatch):
     apex = construction.apex
     monkeypatch.setattr(construction, "apex",
                         lambda a, c: (apex(a, c)[0], 2.5))
-    chain = build_half_chain(CurveFamily(), 5)
+    chain = build_half_chain(DEFAULT_LAMBDA, 0.0, 5)
     assert chain.terminated_at == ("no_c", 2)
     assert (chain.N, len(chain.a), len(chain.c)) == (2, 2, 1)
     assert chain.b[1][1] == 2.5 and chain.mirror_x == chain.b[1][0]
@@ -433,7 +426,7 @@ def test_tune_epsilon_builds_each_chain_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(construction, "build_half_chain", counted)
-    chain = tune_epsilon(CurveFamily(), 8)
+    chain = tune_epsilon(8)
     # every epsilon once, and the chain returned is the one g was read from
     calls = [c.epsilon_used for c in built]
     assert len(set(calls)) == len(calls)
@@ -454,26 +447,26 @@ def test_tune_epsilon_closes_in_few_builds(monkeypatch):
             return build(*args, **kwargs)
 
         monkeypatch.setattr(construction, "build_half_chain", counted)
-        tune_epsilon(CurveFamily(), N)
+        tune_epsilon(N)
         monkeypatch.undo()
         assert calls <= most, (N, calls)
 
 
 def _tune_on(monkeypatch, residual):
-    """tune_epsilon(CurveFamily(), 8) with the closure residual and the
+    """tune_epsilon(8) with the closure residual and the
     scan both replaced by residual(eps); returns epsilon* and every epsilon
     at which _closure_residual was called."""
     evaluated = []
 
-    def g(family, N, eps):
+    def g(lam, N, eps):
         evaluated.append(eps)
         return residual(eps), BridgeChain([], [], [], 8, eps, 0.0)
 
     monkeypatch.setattr(construction, "_closure_residual", g)
     monkeypatch.setattr(construction, "_scan_residuals",
-                        lambda family, N, eps: np.array(
+                        lambda lam, N, eps: np.array(
                             [residual(e) for e in eps.tolist()]))
-    eps_star = tune_epsilon(CurveFamily(), 8).epsilon_used
+    eps_star = tune_epsilon(8).epsilon_used
     monkeypatch.undo()
     return eps_star, set(evaluated)
 
@@ -536,10 +529,9 @@ def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
     monkeypatch.setattr(construction, "_false_position", stop)
     brackets = 0
     for lam in (0.02, 0.05, 0.1):
-        family = CurveFamily(lam=lam)
         for N in list(range(2, 21)) + [32, 64]:
             try:
-                tune_epsilon(family, N)
+                tune_epsilon(N, lam)
             except TuningError:
                 assert (lam, N) == (0.02, 2)
                 continue
@@ -547,8 +539,7 @@ def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
                 lo, hi = b.args
             g = []
             for k in range(32):
-                chain = build_half_chain(
-                    CurveFamily(lam, lo + (hi - lo) * k / 31.0), N)
+                chain = build_half_chain(lam, lo + (hi - lo) * k / 31.0, N)
                 assert chain.N == N, (lam, N, k)
                 g.append(chain.b[N - 1][0] - chain.a[N - 1][0] - 1.0)
             s = math.copysign(1.0, g[-1])
@@ -559,7 +550,7 @@ def test_closure_residual_is_monotone_on_every_scan_bracket(monkeypatch):
 
 def test_symmetric_bridge_counts_and_closure():
     for N in (4, 6):
-        chain = tune_epsilon(CurveFamily(), N)
+        chain = tune_epsilon(N)
         config = complete_symmetric_bridge(chain)
         assert config.n == 10 * N - 4
         assert config.box is None
@@ -571,7 +562,7 @@ def test_symmetric_bridge_counts_and_closure():
 
 def test_bridges_list_discs_in_mirror_order():
     # half rows, then (x-axis mirror,) then the l-mirror of each disc off l
-    chain = tune_epsilon(CurveFamily(), 5)
+    chain = tune_epsilon(5)
     N, xl = chain.N, chain.mirror_x
     half = chain.a[:N] + chain.b[:N] + chain.c[:N - 1]
 
@@ -590,7 +581,7 @@ def test_bridges_list_discs_in_mirror_order():
 
 
 def test_symmetric_bridge_reflection_invariance():
-    chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(4)
     config = complete_symmetric_bridge(chain)
     pts = sorted(map(tuple, np.round(config.centers, 9)))
     flipped_x = sorted(map(tuple, np.round(
@@ -607,7 +598,7 @@ def test_symmetric_bridge_reflection_invariance():
 
 
 def test_symmetric_bridge_tangencies_from_raw_coordinates():
-    chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(4)
     config = complete_symmetric_bridge(chain)
     c = config.centers
     d = np.sqrt(((c[:, None, :] - c[None, :, :]) ** 2).sum(2))
@@ -620,7 +611,7 @@ def test_symmetric_bridge_tangencies_from_raw_coordinates():
 
 
 def test_symmetric_bridge_movable_set_is_four_per_end():
-    chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(4)
     config = complete_symmetric_bridge(chain)
     report = verify_stable(config)
     assert report.movable_count == 8
@@ -666,7 +657,7 @@ def test_assemble_square_stable_and_counted():
     assert config.n == 24 * 4 + 32
     meta = config.metadata
     assert (meta["N"], meta["lam"], meta["scale"]) == (4, 0.05, config.radius)
-    assert meta["epsilon"] == tune_epsilon(CurveFamily(), 4).epsilon_used
+    assert meta["epsilon"] == tune_epsilon(4).epsilon_used
     assert config.box == (1.0, 1.0)
     report = verify_stable(config)
     assert report.stable
@@ -784,15 +775,15 @@ def test_assembly_error_message_does_not_grow_with_n(monkeypatch, N):
 
 def test_complete_symmetric_bridge_refuses_an_untuned_chain():
     # a chain at twice epsilon* does not close at depth 4
-    eps = tune_epsilon(CurveFamily(), 4).epsilon_used
-    chain = build_half_chain(CurveFamily(epsilon=2.0 * eps), 4)
+    eps = tune_epsilon(4).epsilon_used
+    chain = build_half_chain(DEFAULT_LAMBDA, 2.0 * eps, 4)
     with pytest.raises(ConstructionError,
                        match="chain is not tuned: closure residual"):
         complete_symmetric_bridge(chain)
 
 
 def test_complete_symmetric_bridge_refuses_overlapping_discs():
-    chain = tune_epsilon(CurveFamily(), 4)
+    chain = tune_epsilon(4)
     x, y = chain.b[1]
     chain.b = chain.b[:1] + [(x, y - 0.1)] + chain.b[2:]
     with pytest.raises(OverlapError, match="overlap"):

@@ -5,7 +5,7 @@ from math import dist
 import numpy as np
 import pytest
 
-from jampack.construction import CurveFamily, tune_epsilon
+from jampack.construction import tune_epsilon
 from jampack.geometry import (ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL,
                               GeometryError, apex, near_pairs)
 
@@ -77,7 +77,7 @@ def test_apex_is_the_general_solvers_larger_x_point_bit_for_bit():
     1e-12 of distance 4, horizontal (a tie in x) and vertical."""
     pairs = []
     for N in (4, 8, 32):
-        chain = tune_epsilon(CurveFamily(), N)
+        chain = tune_epsilon(N)
         steps = list(zip(chain.a[1:], chain.c))
         assert [apex(a, c) for a, c in steps] == chain.b[1:]
         pairs += steps

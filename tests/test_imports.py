@@ -2,8 +2,9 @@
 module-level private name of the package is read somewhere in the package,
 every function and method of the package is read somewhere in the package,
 every attribute a package class sets on self is read somewhere in the
-package, the package binds exactly the names the README's Python API lists,
-and only verifier.check_valid constructs OverlapError.
+package, every dataclass field of the package but the listed few is read
+somewhere in the package, the package binds exactly the names the README's
+Python API lists, and only verifier.check_valid constructs OverlapError.
 
 Package __init__ modules are skipped by the import check: their imports are
 their exports.
@@ -169,6 +170,52 @@ def test_detector_flags_an_unread_self_attribute():
 
 def test_no_unread_self_attributes():
     assert unread_self_attributes([p.read_text() for p in PACKAGE]) == []
+
+
+# Fields no package code reads yet, kept for what reads them outside it:
+# the tests' oracles open_sides and wall_to_wall_path read partner, and
+# ROADMAP items 1, 2 and 14 plan to read partner and gap in the package;
+# terminated_at is the public chain record's account of why a chain is
+# short, which the tests' exact-chain oracle compares
+UNREAD_FIELDS = {"BridgeChain.terminated_at", "ContactGraph.gap",
+                 "ContactGraph.partner"}
+
+
+def unread_dataclass_fields(sources: list) -> list:
+    """"Class.x" for each annotated field x of a dataclass of the sources
+    that none of the sources reads as an attribute."""
+    fields = []
+    read = set()
+    for source in sources:
+        tree = ast.parse(source)
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            # @dataclass, @dataclass(...), @dataclasses.dataclass(...)
+            decorators = [getattr(d, "func", d) for d in cls.decorator_list]
+            if "dataclass" in [getattr(d, "id", getattr(d, "attr", None))
+                               for d in decorators]:
+                fields += ["%s.%s" % (cls.name, node.target.id)
+                           for node in cls.body
+                           if isinstance(node, ast.AnnAssign)
+                           and isinstance(node.target, ast.Name)]
+        read |= {node.attr for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.ctx, ast.Load)}
+    return sorted(name for name in fields if name.split(".")[1] not in read)
+
+
+def test_detector_flags_an_unread_dataclass_field():
+    sources = ["@dataclass\nclass K:\n a: int\n b: int = 0\n c = 1\n"
+               "@dataclasses.dataclass(eq=False)\nclass L:\n d: int\n"
+               "class M:\n e: int\n",
+               "k.a = 1\nprint(k.b)\n"]
+    assert unread_dataclass_fields(sources) == ["K.a", "L.d"]
+
+
+def test_every_dataclass_field_is_read_in_the_package():
+    unread = unread_dataclass_fields([p.read_text() for p in PACKAGE])
+    assert unread == sorted(UNREAD_FIELDS)
 
 
 def test_package_binds_the_readme_python_api():

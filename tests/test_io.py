@@ -8,7 +8,7 @@ import pytest
 
 from jampack.cli import dispatch
 from jampack.configuration import Configuration
-from jampack.construction import (CurveFamily, assemble_square,
+from jampack.construction import (assemble_square,
                                   complete_symmetric_bridge, five_disc_config,
                                   junction_piece, tiling_3_12_12, tune_epsilon)
 from jampack.files import (SCHEMA, SchemaError, read_config, write_config,
@@ -37,6 +37,15 @@ def test_round_trip_planar(tmp_path):
     back = read_config(path)
     assert back.box is None
     assert np.array_equal(back.centers, config.centers)
+
+
+def test_square_built_from_numpy_scalars_can_be_written(tmp_path):
+    # its metadata records lam as a float and N as an int, which JSON takes
+    path = tmp_path / "c.json"
+    write_config(assemble_square(4, np.float32(0.05)), path)
+    assert read_config(path).metadata["lam"] == float(np.float32(0.05))
+    write_config(assemble_square(np.int64(4)), path)
+    assert read_config(path).metadata["N"] == 4
 
 
 def test_round_trip_random_coordinates(tmp_path):
@@ -263,7 +272,7 @@ def test_svg_contact_overlay_and_colors():
 
 def test_svg_colors_follow_verdicts_from_one_contact_graph(monkeypatch):
     from jampack import verifier
-    config = complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4))
+    config = complete_symmetric_bridge(tune_epsilon(4))
     calls = []
     real = verifier.contact_graph
 
@@ -305,7 +314,7 @@ def _drawn_configs():
     return [Configuration(1.0, np.empty((0, 2))),
             Configuration(0.25, [[0.5, 0.75]], (1.0, 2.0)),
             five_disc_config(), junction_piece(),
-            complete_symmetric_bridge(tune_epsilon(CurveFamily(), 4)),
+            complete_symmetric_bridge(tune_epsilon(4)),
             assemble_square(4), assemble_square(8), tiling,
             Configuration(1.0, tiling_3_12_12(3).centers + (1e6, -1e6 / 3)),
             Configuration(1e-5, [[1e6 + 3e-5 * a, -1e6 + 3.1e-5 * b]

@@ -7,7 +7,7 @@ import pytest
 
 from jampack import verifier
 from jampack.configuration import Configuration
-from jampack.construction import (CurveFamily, assemble_square,
+from jampack.construction import (assemble_square,
                                   complete_symmetric_bridge, five_disc_config,
                                   junction_piece, tiling_3_12_12, tune_epsilon)
 from jampack.geometry import ANGLE_SLACK, TANGENCY_REL
@@ -383,7 +383,7 @@ def _assert_scalar_rule(graph, report):
 
 def test_verdicts_are_the_scalar_rule_on_constructions():
     rnd = random.Random(92)
-    bridge = tune_epsilon(CurveFamily(), 4)
+    bridge = tune_epsilon(4)
     configs = [assemble_square(N) for N in (4, 8, 16, 32)]
     configs += [tiling_3_12_12(10), tiling_3_12_12(24), five_disc_config(),
                 complete_symmetric_bridge(bridge)]
