@@ -55,6 +55,13 @@ class Configuration:
     def n(self) -> int:
         return len(self.centers)
 
+    @property
+    def walls(self) -> tuple[float, float, float, float]:
+        """(left, right, bottom, top) of the box, or at infinity if planar."""
+        if self.box is None:
+            return -math.inf, math.inf, -math.inf, math.inf
+        return 0.0, self.box[0], 0.0, self.box[1]
+
 
 def _number(value, name: str) -> float:
     # any real, numpy's included; bool is an int subclass, but true is not

@@ -7,6 +7,7 @@ truncated-hexagonal (3.12.12) tiling configuration.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,6 +228,9 @@ def tune_epsilon(N: int, lam: float = DEFAULT_LAMBDA) -> BridgeChain:
     if not 0 < lam < math.inf:
         raise ConstructionError("shape parameter lam must be positive and "
                                 "finite")
+    # numpy's ints count; bool is an int subclass, but True is not a depth
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ConstructionError("N must be an integer, not %r" % (N,))
     if N < 2:
         raise ConstructionError("N must be at least 2")
 
@@ -338,6 +342,8 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA) -> Configuration:
     zero movable discs under the verifier, otherwise AssemblyError.
     N must be at least 3: at N = 2 the bridge ends leave discs movable.
     """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+        raise ConstructionError("N must be an integer, not %r" % (N,))
     if N < 3:
         raise AssemblyError(
             "N=%d is too small: square assembly needs N >= 3, since at N=2 "

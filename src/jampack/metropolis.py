@@ -90,22 +90,22 @@ class _Grid:
         self.cx, self.cy = c.T.copy()
         self.side = 2.0 * r * (1.0 + 1e-6)
         self.limit = 4.0 * r * r
-        # a target is inside when lo <= x <= hx and lo <= y <= hy
-        w, h = (math.inf, math.inf) if config.box is None else config.box
-        lo, hx, hy = self.bounds = (-math.inf if config.box is None else r,
-                                    w - r, h - r)
+        # a target is inside when lx <= x <= hx and ly <= y <= hy
+        left, right, bottom, top = config.walls
+        lx, hx, ly, hy = self.bounds = left + r, right - r, bottom + r, top - r
         self.blocks = None
         cut = (2.0 * r + min(s, 2.0 * r)) * (1.0 + 1e-6)
         i, j, d = near_pairs(config.centers, cut)
         check_valid(config, _audit(config, i, j, d))
         # bounds |x| and |y| of each target walk indexes (none off a box)
-        reach = min(float(abs(c[:-1]).max()) + params.steps * s, max(w, h))
+        reach = min(float(abs(c[:-1]).max()) + params.steps * s,
+                    max(map(abs, config.walls)))
         if not math.isfinite(reach / self.side):
             raise ValueError("cells of side 2r at radius %r cannot index |x| "
                              "up to %r (step_radius %r)" % (r, reach, s))
         slack = 1e-9 * r + 2.0 ** -40 * (reach + s) + 2.0 ** -18 * s
-        self.mask = (max(2.0 * r - slack, 0.0) ** 2, lo - slack, hx + slack,
-                     hy + slack)
+        self.mask = (max(2.0 * r - slack, 0.0) ** 2, lx - slack, hx + slack,
+                     ly - slack, hy + slack)
         a, b = np.concatenate((i, j)), np.concatenate((j, i))
         deg = np.bincount(a, minlength=n)
         order = np.argsort(a, kind="stable")
@@ -147,7 +147,7 @@ class _Grid:
         disc, ang, rad = disc.tolist(), ang.tolist(), rad.tolist()
         wit = [-1] * size  # the rows tested before any move have none
         xs, ys, keys, blocks = self.xs, self.ys, self.keys, self.blocks
-        (lo, hx, hy), side, limit = self.bounds, self.side, self.limit
+        (lx, hx, ly, hy), side, limit = self.bounds, self.side, self.limit
         floor, cos, sin, shift = math.floor, math.cos, math.sin, _SHIFT.get
         moved = set()
         hits = []
@@ -159,7 +159,7 @@ class _Grid:
                     continue
                 x = xs[i] + rad[row] * cos(ang[row])
                 y = ys[i] + rad[row] * sin(ang[row])
-                if x < lo or x > hx or y < lo or y > hy:
+                if x < lx or x > hx or y < ly or y > hy:
                     continue
                 if w >= 0:
                     ex = xs[w] - x
@@ -235,9 +235,9 @@ class _Grid:
             dx *= dx
             dy *= dy
             dx += dy
-        limit, lo, hx, hy = self.mask
+        limit, lx, hx, ly, hy = self.mask
         return (i, ang, rad, dx < limit, near,
-                (x < lo) | (x > hx) | (y < lo) | (y > hy))
+                (x < lx) | (x > hx) | (y < ly) | (y > hy))
 
     def centers(self) -> np.ndarray:
         return np.column_stack((self.cx[:-1], self.cy[:-1]))

@@ -102,13 +102,12 @@ def _audit(config: Configuration, i, j, d) -> OverlapReport:
     any larger cutoff: a pair beyond 2r neither penetrates nor raises
     max_penetration above 0."""
     r = config.radius
-    outside = []
-    if config.box is not None:
-        c = config.centers
-        slack = r * TANGENCY_REL
-        hi = np.array(config.box) - r + slack
-        out = (c < r - slack) | (c > hi)
-        outside = np.flatnonzero(out[:, 0] | out[:, 1]).tolist()
+    left, right, bottom, top = config.walls
+    slack = r * TANGENCY_REL
+    x, y = config.centers.T
+    out = ((x < left + r - slack) | (x > right - r + slack)
+           | (y < bottom + r - slack) | (y > top - r + slack))
+    outside = np.flatnonzero(out).tolist()
     pens = 2.0 * r - d
     viol = pens > 2.0 * r * TANGENCY_REL
     pairs = list(zip(i[viol].tolist(), j[viol].tolist(), d[viol].tolist()))
@@ -150,14 +149,13 @@ def contact_graph(config: Configuration) -> ContactGraph:
     # math.hypot and -u give a pair loop's normals bit for bit.  Pairs come
     # sorted by (i, j), so a stable sort on the owner lists each disc's
     # lower partners, then its higher ones, then its walls left, right,
-    # bottom, top
-    parts = [(j, -u, i, d - 2.0 * r), (i, u, j, d - 2.0 * r)]
-    if config.box is not None:
-        w, h = config.box
-        x, y = c[:, 0], c[:, 1]
-        off = np.column_stack((x, w - x, y, h - y)) - r
-        at, k = np.nonzero(np.abs(off) <= r * TANGENCY_REL)
-        parts.append((at, _WALL_NORMALS[k], ~k, off[at, k]))
+    # bottom, top (none in the plane, whose walls lie at infinity)
+    left, right, bottom, top = config.walls
+    x, y = c[:, 0], c[:, 1]
+    off = np.column_stack((x - left, right - x, y - bottom, top - y)) - r
+    at, k = np.nonzero(np.abs(off) <= r * TANGENCY_REL)
+    parts = [(j, -u, i, d - 2.0 * r), (i, u, j, d - 2.0 * r),
+             (at, _WALL_NORMALS[k], ~k, off[at, k])]
     owner, unit, partner, gap = map(np.concatenate, zip(*parts))
     order = np.argsort(owner, kind="stable")
     ends = np.cumsum(np.bincount(owner + 1, minlength=len(c) + 1))

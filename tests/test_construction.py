@@ -681,6 +681,24 @@ def test_assemble_square_rejects_small_n_before_tuning(monkeypatch, N):
         assemble_square(N)
 
 
+@pytest.mark.parametrize("build", [tune_epsilon, assemble_square])
+@pytest.mark.parametrize("N", [4.0, np.float64(4.0), "4", None, True,
+                               np.bool_(True)],
+                         ids=["float", "np.float64", "str", "None", "bool",
+                              "np.bool_"])
+def test_a_depth_that_is_not_an_integer_is_refused_by_name(monkeypatch,
+                                                           build, N):
+    # before any chain is grown, and before assemble_square's N >= 3 test,
+    # which would read True as N=1
+    def no_work(*args, **kwargs):
+        raise AssertionError("work done for N=%r" % (N,))
+
+    for name in ("tune_epsilon", "_scan_residuals", "_closure_residual"):
+        monkeypatch.setattr(construction, name, no_work)
+    with pytest.raises(ConstructionError, match="^N must be an integer, not "):
+        build(N)
+
+
 def test_assemble_square_overlap_is_an_assembly_error(monkeypatch):
     # a wall clamp moved onto the corner disc: four copies, each overlapping
     # the corner disc and its wall neighbour

@@ -487,10 +487,10 @@ def _pass_one_overlap(monkeypatch, config, after):
     walked, moves, checks = [0], [], []
 
     def walk(grid, u):
-        lo, hx, hy = grid.bounds
+        lx, hx, ly, hy = grid.bounds
         bad = [row for row, (i, dx, dy) in enumerate(
                    _targets(config, grid.step_radius, u))
-               if lo <= grid.xs[i] + dx <= hx and lo <= grid.ys[i] + dy <= hy
+               if lx <= grid.xs[i] + dx <= hx and ly <= grid.ys[i] + dy <= hy
                and math.hypot(dx, dy) > 0.5 * config.radius]
         if moves or walked[0] < after or not bad:
             hits, size = real_walk(grid, u)
@@ -734,6 +734,16 @@ def test_a_disc_without_neighbours_is_masked(box):
     assert np.array_equal(final.centers, centers)
     assert stats.trace == trace
     assert stats.first_accepted == first
+
+
+def test_a_planar_disc_meets_no_wall():
+    # a lone disc at (r, r) in the plane: a box's walls would refuse every
+    # proposal that takes it left or down, the plane's refuse none
+    r = 0.1
+    final, stats = run_chain(Configuration(r, [[r, r]]),
+                             ChainParams(1000, r, seed=1))
+    assert stats.accepted == 1000
+    assert final.centers[0, 0] < r
 
 
 def _scalar_walk(config, step, u):

@@ -67,6 +67,23 @@ def test_overlap_audit_lists_discs_outside_box():
     assert rep.outside == [2, 3]
     assert rep.pairs == []
     assert overlap_audit(Configuration(r, [[5.0, 0.5]])).outside == []
+    # planar discs at x = -r and y = -r, which a box would hold outside
+    planted = np.append(_planted_planar(r).centers, [[-r, r], [r, -r]], 0)
+    assert overlap_audit(Configuration(r, planted)).outside == []
+
+
+def _planted_planar(r):
+    """Four tangent planar discs, at (r, r), (3r, r), (r, 3r) and (3r, 3r):
+    a box's left and bottom walls would touch three of them."""
+    return Configuration(r, [[r, r], [3.0 * r, r], [r, 3.0 * r],
+                             [3.0 * r, 3.0 * r]])
+
+
+def test_walls_are_the_box_or_at_infinity():
+    boxed = Configuration(0.1, [[0.5, 0.5]], (1.0, 2.0))
+    assert boxed.walls == (0.0, 1.0, 0.0, 2.0)
+    planar = Configuration(0.1, [[0.5, 0.5]])
+    assert planar.walls == (-math.inf, math.inf, -math.inf, math.inf)
 
 
 def test_junction_contact_edges():
@@ -297,6 +314,9 @@ def test_contact_graph_matches_double_loop_randomized():
         _assert_same_graph(_random_config(rnd, planar=rnd.random() < 0.3))
     for _ in range(20):
         _assert_same_graph(_lattice_config(rnd))
+    # discs where a box's walls would touch them: no wall rows
+    for r in (1.0, 0.1, 1.0 / 3.0, 1e-3):
+        assert (_assert_same_graph(_planted_planar(r)).partner >= 0).all()
 
 
 _WALL_CODES = {"left": -1, "right": -2, "bottom": -3, "top": -4}
