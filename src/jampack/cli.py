@@ -7,7 +7,7 @@ import json
 import sys
 
 from . import construction, files, metropolis, render
-from .verifier import _STATUSES, _not_jammed, verify_stable
+from .verifier import verify_stable
 
 
 class _Parser(argparse.ArgumentParser):
@@ -76,11 +76,10 @@ def _cmd_verify(args):
            "jammed": report.jammed_count, "movable": report.movable_count,
            "rattlers": report.rattler_count,
            "min_margin": float(report.margin.min()) if config.n else None,
-           "movable_discs": _not_jammed(report)}
+           "movable_discs": report.not_jammed()}
     if args.out:
         # the per-disc columns, in disc order, go to the report file only
-        statuses = list(map(_STATUSES.__getitem__, report.status.tolist()))
-        files.write_report({**doc, "status": statuses,
+        files.write_report({**doc, "status": report.names(),
                             "contacts": report.contacts.tolist(),
                             "margin": report.margin.tolist()}, args.out)
     _emit(args, doc)

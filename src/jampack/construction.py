@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import verifier
 from .configuration import Configuration, _number
 from .geometry import ANGLE_SLACK, SOLVER_ABS, TANGENCY_REL, apex
 
@@ -303,8 +304,7 @@ def complete_symmetric_bridge(chain: BridgeChain) -> Configuration:
     meta = {"construction": "symmetric-bridge", "N": N,
             "epsilon": chain.epsilon_used, "mirror_x": xl}
     config = Configuration(1.0, np.array(pts), None, meta)
-    from .verifier import check_valid, overlap_audit
-    check_valid(config, overlap_audit(config))
+    verifier.check_valid(config, verifier.overlap_audit(config))
     return config
 
 
@@ -387,24 +387,22 @@ def assemble_square(N: int, lam: float = DEFAULT_LAMBDA) -> Configuration:
             "scale": scale}
     config = Configuration(scale, centers, (1.0, 1.0), meta)
 
-    from .verifier import OverlapError, _decide, _not_jammed, contact_graph
     try:
-        graph = contact_graph(config)
-    except OverlapError as e:
+        report = verifier.verify_stable(config)
+    except verifier.OverlapError as e:
         rep = e.report
         raise AssemblyError(
             "assembly has %d overlapping pairs, worst penetration %.3g; "
             "%d discs outside the box: %r"
             % (len(rep.pairs), rep.max_penetration, len(rep.outside),
                rep.outside[:5])) from e
-    report = _decide(graph)
     if not report.stable:
         raise AssemblyError(
             "assembly is not stable: %d of %d discs are not jammed; minimum "
             "margin %.3g rad (jammed needs > ANGLE_SLACK = %g); first "
             "(index, escape direction): %r"
             % (config.n - report.jammed_count, config.n, report.margin.min(),
-               ANGLE_SLACK, _not_jammed(report, 5)))
+               ANGLE_SLACK, report.not_jammed(5)))
     return config
 
 

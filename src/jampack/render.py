@@ -2,6 +2,7 @@
 
 from itertools import chain
 
+from . import verifier
 from .configuration import Configuration
 
 WIDTH_PX = 800.0
@@ -61,13 +62,12 @@ def render_svg(config: Configuration, contacts: bool = False,
                      % (WIDTH_PX, height_px))
 
     fills = ["#cccccc"] * config.n
-    if contacts or color_verdicts:
-        from .verifier import _STATUSES, _decide, contact_graph
-        graph = contact_graph(config)
-        if color_verdicts:
-            colors = [_COLORS[name] for name in _STATUSES]
-            fills = list(map(colors.__getitem__,
-                             _decide(graph).status.tolist()))
+    if color_verdicts:
+        report = verifier.verify_stable(config)
+        graph = report.graph
+        fills = list(map(_COLORS.__getitem__, report.names()))
+    elif contacts:
+        graph = verifier.contact_graph(config)
 
     c = config.centers
     xs = _fixed((c[:, 0] - x0) * s)

@@ -63,7 +63,7 @@ class JammingReport:
     _STATUSES), contacts (the contact count), witness (an (n, 2) array of
     escape directions whose jammed rows are NaN) and margin (pi - G for
     the largest normal gap G, with G = 2pi for a rattler), then the status
-    counts and whether every disc is jammed."""
+    counts, whether every disc is jammed and the graph they came from."""
 
     status: np.ndarray
     contacts: np.ndarray
@@ -73,6 +73,16 @@ class JammingReport:
     movable_count: int
     rattler_count: int
     stable: bool
+    graph: ContactGraph
+
+    def names(self) -> list:
+        """Each disc's status name, in disc order."""
+        return list(map(_STATUSES.__getitem__, self.status.tolist()))
+
+    def not_jammed(self, limit: int | None = None) -> list:
+        """(index, witness) of the first limit discs not jammed, in order."""
+        k = np.flatnonzero(self.status)[:limit]
+        return list(zip(k.tolist(), map(tuple, self.witness[k].tolist())))
 
 
 def _reach(r: float) -> float:
@@ -219,11 +229,4 @@ def _decide(graph: ContactGraph) -> JammingReport:
                                         list(map(math.sin, w))))
     tally = np.bincount(status, minlength=3).tolist()
     return JammingReport(status, counts, witness, margin, *tally,
-                         tally[_JAMMED] == len(counts))
-
-
-def _not_jammed(report: JammingReport, limit: int | None = None) -> list:
-    """(index, witness) of each disc of report that is not jammed, in disc
-    order and as tuples, or of the first limit of them."""
-    free = np.flatnonzero(report.status)[:limit]
-    return list(zip(free.tolist(), map(tuple, report.witness[free].tolist())))
+                         tally[_JAMMED] == len(counts), graph)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import jampack as jp
+from jampack import construction
 from jampack.verifier import check_valid
 from _oracles import (contact_lists, direction_oracle, rigidity_matrix,
                       scaled, verdict_of)
@@ -182,6 +183,55 @@ def test_stable_is_local_not_collective_jamming(N):
     params = jp.ChainParams(10 ** 5, step, seed=1)
     assert jp.run_chain(config, params)[1].accepted == 0
     assert jp.run_chain(moved, params)[1].accepted > 0
+
+
+def _nullity(R):
+    """The dimension of R's null space, and R's smallest singular value
+    above 1e-9 and largest below it (0 if none is)."""
+    s = np.linalg.svd(R, compute_uv=False)
+    rank = int(np.sum(s > 1e-9))
+    return R.shape[1] - rank, s[rank - 1], s[rank:].max(initial=0.0)
+
+
+@pytest.mark.parametrize("N", [3, 4, 8])
+def test_each_wall_bridge_flexes_in_2N_minus_5_ways(N):
+    """The square's 8N - 20 flexes are 2N - 5 per wall bridge, with every
+    corner disc held still.
+
+    assemble_square lists four copies of each corner-cluster point (the
+    junction and its clamps), then each bridge point's copies on the
+    bottom, left, top and right walls in turn, so bridge s holds discs
+    4*len(cluster) + s + 4k.  Keeping only those discs' columns of the
+    rigidity matrix clamps every other disc; the rows left are the
+    bridge's 10N + 3 contacts, among its own 6N - 3 discs and with its
+    wall and the clamped corner discs.  Of its 2(6N - 3) = 12N - 6
+    velocity components they fix 10N - 1, since the rows carry 4
+    independent self-stresses, which leaves 2N - 5 flexes.  A bridge flex,
+    extended by zero, is a flex of the whole square, because no contact
+    joins two bridges; the four bridges' flexes therefore span the
+    square's null space exactly when their nullities sum to its 8N - 20,
+    so no flex moves a corner disc.
+    """
+    config = jp.assemble_square(N)
+    R = rigidity_matrix(jp.contact_graph(config))
+    corner = 4 * (len(construction._JUNCTION) + len(construction._CLAMPS))
+    per_side = (config.n - corner) // 4
+    assert corner + 4 * per_side == config.n
+    # distances to the bottom, left, top and right walls
+    x, y = config.centers.T
+    nearest_wall = np.argmin([y, x, 1.0 - y, 1.0 - x], axis=0)
+    flexes = []
+    for side in range(4):
+        discs = corner + side + 4 * np.arange(per_side)
+        assert np.all(nearest_wall[discs] == side)
+        B = R[:, np.concatenate((2 * discs, 2 * discs + 1))]
+        B = B[np.any(B != 0.0, axis=1)]
+        assert B.shape == (10 * N + 3, 2 * (6 * N - 3))
+        nullity, smallest, null = _nullity(B)
+        assert nullity == 2 * N - 5
+        assert null < 1e-12 and smallest > 1e-3
+        flexes.append(nullity)
+    assert sum(flexes) == _nullity(R)[0] == 8 * N - 20
 
 
 def test_criterion_5_escape_after_shrinking():

@@ -4,7 +4,8 @@ every function and method of the package is read somewhere in the package,
 every attribute a package class sets on self is read somewhere in the
 package, every dataclass field of the package but the listed few is read
 somewhere in the package, the package binds exactly the names the README's
-Python API lists, and only verifier.check_valid constructs OverlapError.
+Python API lists, only verifier.check_valid constructs OverlapError, and
+no module but the verifier reads a private verifier name, bar one listed.
 
 Package __init__ modules are skipped by the import check: their imports are
 their exports.
@@ -258,3 +259,47 @@ def test_detector_flags_an_overlap_error_maker():
 def test_only_check_valid_constructs_overlap_error():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert overlap_error_makers(sources) == ["verifier.check_valid"]
+
+
+# metropolis._Grid audits its input from its own near_pairs rows, so it
+# calls the audit on them rather than overlap_audit's second query
+VERIFIER_PRIVATE_READERS = {"metropolis._audit"}
+
+
+def verifier_private_reads(sources: dict) -> list:
+    """"module.name" for each private name of the verifier that a module of
+    the sources, keyed by module name, imports from it, at any depth, or
+    reads as an attribute of a name verifier; the verifier is skipped."""
+    reads = set()
+    for module, source in sources.items():
+        if module == "verifier":
+            continue
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.module in (
+                    "verifier", "jampack.verifier"):
+                names = [alias.name for alias in node.names]
+            elif (isinstance(node, ast.Attribute)
+                  and getattr(node.value, "id", None) == "verifier"):
+                names = [node.attr]
+            else:
+                continue
+            reads |= {"%s.%s" % (module, name) for name in names
+                      if name.startswith("_")}
+    return sorted(reads)
+
+
+def test_detector_flags_a_private_verifier_read():
+    sources = {"a": "from .verifier import _b, c\n"
+                    "def f():\n    from .verifier import _d\n",
+               "b": "from . import verifier\nverifier._e()\nverifier.f\n"
+                    "from .geometry import _g\n",
+               "c": "from jampack.verifier import _h\n",
+               "verifier": "from .verifier import _i\n_j = 1\n"}
+    assert verifier_private_reads(sources) == ["a._b", "a._d", "b._e",
+                                               "c._h"]
+
+
+def test_only_the_verifier_reads_its_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE}
+    assert verifier_private_reads(sources) == sorted(
+        VERIFIER_PRIVATE_READERS)

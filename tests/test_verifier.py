@@ -651,8 +651,9 @@ def test_array_decision_is_the_report():
 
 
 def test_report_holds_only_arrays_counts_and_a_bool():
-    # the record is one set of per-disc arrays plus three counts and the
-    # verdict: no per-disc Python object
+    # the record is one set of per-disc arrays plus three counts, the
+    # verdict and the contact graph it was decided from: no per-disc Python
+    # object
     report = verify_stable(tiling_3_12_12(10))
     assert report.movable_count > 0
     n = report.status.shape[0]
@@ -661,11 +662,38 @@ def test_report_holds_only_arrays_counts_and_a_bool():
     assert kinds == {"status": np.ndarray, "contacts": np.ndarray,
                      "witness": np.ndarray, "margin": np.ndarray,
                      "jammed_count": int, "movable_count": int,
-                     "rattler_count": int, "stable": bool}
+                     "rattler_count": int, "stable": bool,
+                     "graph": verifier.ContactGraph}
     assert report.witness.shape == (n, 2)
     assert report.contacts.shape == report.margin.shape == (n,)
     assert (report.jammed_count + report.movable_count
             + report.rattler_count) == n
+
+
+def test_report_names_its_discs_and_lists_those_not_jammed():
+    # disc 0 jammed by three normals 120 degrees apart, disc 1 movable
+    # along its one normal, disc 2 a rattler, disc 3 movable along +y
+    graph = graph_of([_normals(0, 120, 240), _normals(0), [], _normals(90)])
+    report = verifier._decide(graph)
+    assert report.graph is graph
+    assert report.names() == ["jammed", "movable", "rattler", "movable"]
+    free = report.not_jammed()
+    assert free == [(1, (1.0, 0.0)), (2, (1.0, 0.0)),
+                    (3, (math.cos(math.pi / 2), 1.0))]
+    assert [type(k) for k, _ in free] == [int] * 3
+    assert all(type(w) is tuple for _, w in free)
+    assert report.not_jammed(2) == free[:2]
+    assert report.not_jammed(0) == []
+
+
+def test_verify_stable_reports_the_graph_it_decided_from():
+    config = tiling_3_12_12(10)
+    report, graph = verify_stable(config), contact_graph(config)
+    for name in ("unit", "partner", "gap", "i", "j", "ends"):
+        assert np.array_equal(getattr(report.graph, name),
+                              getattr(graph, name))
+    assert report.names() == [verifier._STATUSES[k]
+                              for k in report.status.tolist()]
 
 
 def test_jammed_iff_margin_exceeds_the_slack():
